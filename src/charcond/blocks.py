@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum
+from .cyclo import CycloNum, lincomb
 from .residue import build_residue_map, reduce_cyclo
 
 
@@ -64,10 +64,7 @@ def validate_brauer(table, bd: BrauerData, path: str):
     # chi(s) = sum_phi D[chi,phi] phi(s) on every p-regular class
     for i, drow in enumerate(bd.decomposition):
         for col, s in enumerate(bd.regular_classes):
-            acc = CycloNum.from_rational(0)
-            for j, e in enumerate(drow):
-                if e:
-                    acc = acc + e * bd.ibr[j][col]
+            acc = lincomb((e, ibr_row[col]) for e, ibr_row in zip(drow, bd.ibr))
             if acc != table.irreducibles[i][s]:
                 raise BlockError(
                     f"{path}: decomposition row {i} does not reproduce the "
@@ -151,18 +148,11 @@ def block_of(blocks: list[Block], chi: int) -> Block:
 
 def projective_characters(table, bd: BrauerData):
     """Psi_phi = sum_chi D[chi,phi] chi; each vanishes off the regular classes."""
-    from .tables import ClassFunction
+    from .tables import virtual_character
     regular = set(bd.regular_classes)
     out = []
     for j in range(bd.num_ibr):
-        values = []
-        for c in range(table.num_classes):
-            acc = CycloNum.from_rational(0)
-            for i, drow in enumerate(bd.decomposition):
-                if drow[j]:
-                    acc = acc + drow[j] * table.irreducibles[i][c]
-            values.append(acc)
-        psi = ClassFunction(table, values)
+        psi = virtual_character(table, [drow[j] for drow in bd.decomposition])
         for c in range(table.num_classes):
             if c not in regular and psi.values[c]:
                 raise BlockError(

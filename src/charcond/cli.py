@@ -52,9 +52,6 @@ def _build_parser() -> _Args:
                         help="seed for random virtual characters (default 0)")
         sp.add_argument("--bound", type=int, default=6,
                         help="isometry search size bound (default 6)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallelism degree (accepted; execution is "
-                             "sequential and deterministic)")
         for args, kwargs in extra:
             sp.add_argument(*args, **kwargs)
         return sp

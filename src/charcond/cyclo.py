@@ -5,7 +5,9 @@ Q(zeta_n), with z = zeta_n, and are always normalised so that the stored
 order equals the conductor of the element (in particular rationals have
 order 1, and the order is never congruent to 2 mod 4).  This makes equality,
 hashing and integrality tests coefficient comparisons: the power basis is an
-integral basis of the ring of integers Z[zeta_n].
+integral basis of the ring of integers Z[zeta_n].  Sums of many terms go
+through `lincomb`, which embeds every term once and normalises only the
+result, instead of folding `+` over canonical partial sums.
 """
 
 from __future__ import annotations
@@ -356,6 +358,21 @@ def _coerce(x) -> CycloNum:
     raise TypeError(f"cannot treat {x!r} as a cyclotomic number")
 
 
+def lincomb(terms) -> CycloNum:
+    """sum q*x over pairs (rational q, CycloNum x), accumulated in Q(zeta_N)
+    with N the lcm of the orders and normalised once."""
+    terms = [(q, x) for q, x in terms if q and x]
+    if not terms:
+        return ZERO
+    n = lcm(*[x.order for _, x in terms])
+    acc = [Fraction(0)] * euler_phi(n)
+    for q, x in terms:
+        for j, c in enumerate(x._embedded(n)):
+            if c:
+                acc[j] += q * c
+    return CycloNum(n, tuple(acc))
+
+
 def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
     """Descend to the conductor of the element; returns (order, coeffs)."""
     assert len(vec) == euler_phi(n)
@@ -411,16 +428,6 @@ def conductor_p(values, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the E(n) expression grammar
-
-
-def arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise CycloError(f"unknown operation {op!r}")
 
 
 class _Parser:

@@ -15,7 +15,7 @@ from math import gcd
 
 from . import linalg
 from .blocks import nu_p, partition_blocks, projective_characters
-from .cyclo import CycloNum, p_part
+from .cyclo import CycloNum, lincomb, p_part
 
 
 class GendecError(ValueError):
@@ -104,23 +104,23 @@ def section_values(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
             for s in _regular_classes(sec, p)]
 
 
-def gendec_reciprocity(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
-    """d^u_{chi,.} = (1/|C|) sum_{s in C_{p'}} chi(us) Psi(s^{-1})."""
+def gendec_reciprocity(table, chi: int, sec: SectionData, p: int,
+                       projectives=None) -> list[CycloNum]:
+    """d^u_{chi,.} = (1/|C|) sum_{s in C_{p'}} chi(us) Psi(s^{-1}); pass the
+    centralizer's `projectives` at p to share them across characters."""
     from .tables import power_class
-    cent_ds = sec.centralizer
-    cent = cent_ds.table
-    bd = cent_ds.brauer(p)
-    projectives = projective_characters(cent, bd)
+    cent = sec.centralizer.table
+    if projectives is None:
+        projectives = projective_characters(cent, sec.centralizer.brauer(p))
     regular = _regular_classes(sec, p)
+    weights = [Fraction(cent.classes[s].size, cent.group_order)
+               for s in regular]
+    inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
+                for s in regular]
     chi_us = section_values(table, chi, sec, p)
-    out = []
-    for psi in projectives:
-        acc = CycloNum.from_rational(0)
-        for s, val in zip(regular, chi_us):
-            sinv = power_class(cent, s, cent.classes[s].element_order - 1)
-            acc = acc + cent.classes[s].size * (val * psi.values[sinv])
-        out.append(acc * Fraction(1, cent.group_order))
-    return out
+    return [lincomb((w, val * psi.values[sinv])
+                    for w, val, sinv in zip(weights, chi_us, inverses))
+            for psi in projectives]
 
 
 def gendec_solve(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
@@ -155,10 +155,11 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     ident = table.identity_class
     for sec in sections:
         bd = sec.centralizer.brauer(p)
+        projectives = projective_characters(sec.centralizer.table, bd)
         u_order = table.classes[sec.u_class].element_order
         cols = [[] for _ in range(bd.num_ibr)]
         for chi in range(table.num_classes):
-            rec = gendec_reciprocity(table, chi, sec, p)
+            rec = gendec_reciprocity(table, chi, sec, p, projectives)
             sol = gendec_solve(table, chi, sec, p)
             if rec != sol:
                 raise GendecError(

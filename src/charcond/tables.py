@@ -8,13 +8,14 @@ group elements.  See `docs in README` for the file format ("format": 1).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .cyclo import (CycloNum, CycloParseError, conductor, conductor_p,
-                    parse_cyclo)
+from .cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
+                    conductor_p, lincomb, parse_cyclo)
 
 
 class DatasetError(ValueError):
@@ -75,7 +76,8 @@ class CharTable:
         return self.group_order // self.classes[c].size
 
     def irreducible(self, i: int) -> "ClassFunction":
-        return ClassFunction(self, tuple(self.irreducibles[i]))
+        unit = [1 if j == i else 0 for j in range(self.num_classes)]
+        return ClassFunction(self, self.irreducibles[i], unit)
 
     def __repr__(self):
         return (f"CharTable({self.group_name}, order={self.group_order}, "
@@ -83,28 +85,51 @@ class CharTable:
 
 
 class ClassFunction:
-    """A class function with exact cyclotomic values."""
+    """A class function with exact cyclotomic values.
 
-    def __init__(self, table: CharTable, values):
+    `coords`, its integer coordinates over Irr(G), is passed only where they
+    are true by construction; otherwise inner products recover them."""
+
+    def __init__(self, table: CharTable, values, coords=None):
         self.table = table
         self.values = tuple(values)
-        assert len(self.values) == table.num_classes
+        k = table.num_classes
+        if len(self.values) != k:
+            raise DatasetError(f"class function on {table.group_name}: "
+                               f"{len(self.values)} values for {k} classes")
+        if coords is not None:
+            ints = tuple(int(c) for c in coords)
+            if len(ints) != k or ints != tuple(coords):
+                raise DatasetError(f"class function on {table.group_name}: Irr "
+                                   f"coordinates {coords} are not {k} integers")
+            coords = ints
+        self._coords = coords
 
     def __call__(self, c: int) -> CycloNum:
         return self.values[c]
 
+    def _coords_with(self, other, op):
+        if self._coords is None or other._coords is None:
+            return None
+        return [op(a, b) for a, b in zip(self._coords, other._coords)]
+
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         assert self.table is other.table
         return ClassFunction(self.table,
-                             [a + b for a, b in zip(self.values, other.values)])
+                             [a + b for a, b in zip(self.values, other.values)],
+                             self._coords_with(other, operator.add))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         assert self.table is other.table
         return ClassFunction(self.table,
-                             [a - b for a, b in zip(self.values, other.values)])
+                             [a - b for a, b in zip(self.values, other.values)],
+                             self._coords_with(other, operator.sub))
 
     def __rmul__(self, k: int) -> "ClassFunction":
-        return ClassFunction(self.table, [k * v for v in self.values])
+        coords = None
+        if self._coords is not None and isinstance(k, int):
+            coords = [k * c for c in self._coords]
+        return ClassFunction(self.table, [k * v for v in self.values], coords)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
@@ -116,6 +141,8 @@ class ClassFunction:
     @cached_property
     def irr_coords(self) -> tuple[Fraction, ...] | None:
         """Coordinates over Irr(G) when rational; None otherwise."""
+        if self._coords is not None:
+            return tuple(Fraction(c) for c in self._coords)
         coords = []
         for i in range(self.table.num_classes):
             ip = inner_product(self, self.table.irreducible(i))
@@ -125,6 +152,8 @@ class ClassFunction:
         return tuple(coords)
 
     def integer_coords(self) -> tuple[int, ...]:
+        if self._coords is not None:
+            return self._coords
         coords = self.irr_coords
         if coords is None or any(c.denominator != 1 for c in coords):
             raise DatasetError(
@@ -139,14 +168,9 @@ class ClassFunction:
 
 def virtual_character(table: CharTable, coords) -> ClassFunction:
     """Integer combination of the irreducible characters."""
-    values = []
-    for c in range(table.num_classes):
-        acc = CycloNum.from_rational(0)
-        for a, row in zip(coords, table.irreducibles):
-            if a:
-                acc = acc + a * row[c]
-        values.append(acc)
-    return ClassFunction(table, values)
+    coords = tuple(coords)
+    values = [lincomb(zip(coords, column)) for column in zip(*table.irreducibles)]
+    return ClassFunction(table, values, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +182,9 @@ def inner_product(alpha: ClassFunction, beta: ClassFunction) -> CycloNum:
     if alpha.table is not beta.table:
         raise DatasetError("inner product of class functions on different tables")
     table = alpha.table
-    acc = CycloNum.from_rational(0)
-    for cls, a, b in zip(table.classes, alpha.values, beta.values):
-        if a and b:
-            acc = acc + cls.size * (a * b.conjugate())
-    return acc * Fraction(1, table.group_order)
+    return lincomb((Fraction(cls.size, table.group_order), a * b.conjugate())
+                   for cls, a, b in zip(table.classes, alpha.values, beta.values)
+                   if a and b)
 
 
 def power_class(table: CharTable, c: int, k: int) -> int:
@@ -271,10 +293,7 @@ def _parse_classes(raw, path, group_order) -> list[ClassData]:
         pm_raw = _require(obj, "powermaps", dict, cpath)
         power_maps = {}
         for key, idx in pm_raw.items():
-            try:
-                q = int(key)
-            except ValueError:
-                raise DatasetError(f"{cpath}.powermaps: non-integer prime {key!r}")
+            q = _prime_key(key, f"{cpath}.powermaps")
             if not isinstance(idx, int) or not (0 <= idx < len(raw)):
                 raise DatasetError(f"{cpath}.powermaps.{key}: bad class index {idx!r}")
             power_maps[q] = idx
@@ -283,6 +302,17 @@ def _parse_classes(raw, path, group_order) -> list[ClassData]:
         raise DatasetError(f"{path}: class sizes sum to "
                            f"{sum(c.size for c in classes)}, not {group_order}")
     return classes
+
+
+def _prime_key(key: str, path: str) -> int:
+    """A JSON object key naming a prime."""
+    try:
+        q = int(key)
+    except ValueError:
+        raise DatasetError(f"{path}: non-integer prime {key!r}") from None
+    if q < 2:
+        raise DatasetError(f"{path}: key {key!r} is not a prime")
+    return q
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -333,24 +363,21 @@ def _validate_table(table: CharTable, path: str):
             raise DatasetError(f"{path}.irreducibles[{i}]: degree {deg} is not a "
                                f"positive integer")
     # orthogonality, both ways, exact
-    one = CycloNum.from_rational(1)
-    zero = CycloNum.from_rational(0)
     for i in range(k):
         chi_i = table.irreducible(i)
         for j in range(i, k):
             ip = inner_product(chi_i, table.irreducible(j))
-            want = one if i == j else zero
+            want = ONE if i == j else ZERO
             if ip != want:
                 raise DatasetError(
                     f"{path}: row orthogonality fails for rows {i},{j} "
                     f"(inner product {ip})")
     for c in range(k):
         for cprime in range(c, k):
-            acc = zero
-            for row in table.irreducibles:
-                acc = acc + row[c] * row[cprime].conjugate()
+            acc = lincomb((1, row[c] * row[cprime].conjugate())
+                          for row in table.irreducibles)
             want = CycloNum.from_rational(table.centralizer_order(c)) \
-                if c == cprime else zero
+                if c == cprime else ZERO
             if acc != want:
                 raise DatasetError(
                     f"{path}: column orthogonality fails for classes {c},{cprime}")
@@ -414,7 +441,7 @@ def _parse_nested_dataset(obj, path: str, ambient: int, p: int) -> GroupDataset:
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     primes_raw = obj.get("primes", {})
     for key, pobj in primes_raw.items():
-        q = int(key)
+        q = _prime_key(key, f"{path}.primes")
         bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}")
         ds.primes[q] = PrimeData(p=q, brauer=bd, sections=[])
     if p not in ds.primes:
@@ -473,7 +500,7 @@ def load_dataset(path) -> GroupDataset:
     table = _parse_table(raw, root, ambient)
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     for key, pobj in raw.get("primes", {}).items():
-        p = int(key)
+        p = _prime_key(key, f"{root}.primes")
         ppath = f"{root}.primes.{key}"
         bd = _parse_prime_block(table, pobj, p, ppath)
         sections = [
@@ -492,12 +519,11 @@ def load_dataset(path) -> GroupDataset:
         name = _require(sobj, "name", str, spath)
         fusion = _require(sobj, "fusion", list, spath)
         sub_primes_meta = sobj.get("primes", {})
-        first_p = int(next(iter(sub_primes_meta))) if sub_primes_meta else None
         sub = _parse_nested_subgroup(sobj, spath, ambient)
         _validate_fusion(sub.table, table, fusion, f"{spath}.fusion")
         emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=list(fusion))
         for key, meta in sub_primes_meta.items():
-            q = int(key)
+            q = _prime_key(key, f"{spath}.primes")
             if q not in sub.primes:
                 raise DatasetError(f"{spath}.primes.{key}: subgroup table has no "
                                    f"Brauer data at p={q}")
@@ -515,7 +541,7 @@ def _parse_nested_subgroup(sobj, spath, ambient) -> GroupDataset:
     table = _parse_table(tobj, f"{spath}.table", ambient)
     sub = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     for key, pobj in tobj.get("primes", {}).items():
-        q = int(key)
+        q = _prime_key(key, f"{spath}.table.primes")
         bd = _parse_prime_block(table, pobj, q, f"{spath}.table.primes.{key}")
         sub.primes[q] = PrimeData(p=q, brauer=bd, sections=[])
     return sub

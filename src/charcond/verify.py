@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .blocks import (block_component, block_of, partition_blocks,
                      projective_characters)
-from .cyclo import CycloNum, conductor_p, p_part
+from .cyclo import conductor_p, lincomb, p_part
 from .gendec import GendecMatrix, gendec_all
 from .tables import (ClassFunction, DatasetError, GroupDataset,
                      SubgroupEmbedding, char_conductor, virtual_character)
@@ -45,14 +45,7 @@ class VerificationReport:
 
 def virtual_gendec_row(gm: GendecMatrix, coords) -> dict:
     """d^u_{psi,phi} for psi = sum coords_i chi_i, extended linearly."""
-    out = {}
-    for col in gm.columns:
-        acc = CycloNum.from_rational(0)
-        for c, val in zip(coords, gm.entries[col]):
-            if c:
-                acc = acc + c * val
-        out[col] = acc
-    return out
+    return {col: lincomb(zip(coords, gm.entries[col])) for col in gm.columns}
 
 
 def check_theorem1(ds: GroupDataset, p: int, psi: ClassFunction,
@@ -87,18 +80,21 @@ def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
 
 
 def check_projective_invariance(ds: GroupDataset, p: int, chi: int,
-                                gm: GendecMatrix | None = None) -> CheckRecord:
+                                gm: GendecMatrix | None = None,
+                                blocks=None, projectives=None) -> CheckRecord:
     """Adding a projective character of chi's block changes neither the
-    non-ordinary d^u rows nor the conductor p-part."""
+    non-ordinary d^u rows nor the conductor p-part.  Pass the `blocks` and
+    `projectives` of ds at p to share them across characters."""
     if gm is None:
         gm = gendec_all(ds, p)
     table = ds.table
-    blocks = partition_blocks(ds, p)
+    if blocks is None:
+        blocks = partition_blocks(ds, p)
+    if projectives is None:
+        projectives = projective_characters(table, ds.brauer(p))
     b = block_of(blocks, chi)
-    projectives = projective_characters(table, ds.brauer(p))
     chi_fn = table.irreducible(chi)
-    base_coords = [1 if i == chi else 0 for i in range(table.num_classes)]
-    base_row = virtual_gendec_row(gm, base_coords)
+    base_row = virtual_gendec_row(gm, chi_fn.integer_coords())
     base_cond = char_conductor(chi_fn, p)
     ident = table.identity_class
     for j in sorted(b.ibr_indices):
@@ -286,6 +282,9 @@ def projective_invariance_suite(ds: GroupDataset, p: int,
     if gm is None:
         gm = gendec_all(ds, p)
     report = VerificationReport("projective-invariance", ds.name, p)
+    blocks = partition_blocks(ds, p)
+    projectives = projective_characters(ds.table, ds.brauer(p))
     for chi in range(ds.table.num_classes):
-        report.add(check_projective_invariance(ds, p, chi, gm))
+        report.add(check_projective_invariance(ds, p, chi, gm, blocks,
+                                               projectives))
     return report

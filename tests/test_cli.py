@@ -2,10 +2,12 @@
 
 import io
 import json
+import shutil
 
 import pytest
 
 from charcond.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from charcond.tables import default_corpus_dir
 
 
 def invoke(*argv):
@@ -23,6 +25,27 @@ class TestValidate:
     def test_single_group(self):
         code, text = invoke("validate", "--group", "Q8")
         assert code == EXIT_OK and "Q8" in text
+
+
+    @pytest.mark.parametrize("where,key,message", [
+        ("top", "x2", "C4.json.primes: non-integer prime 'x2'"),
+        ("top", "1", "C4.json.primes: key '1' is not a prime"),
+        ("centralizer", "x2",
+         "C4.json.primes.2.sections[0].centralizer.primes: non-integer"),
+    ])
+    def test_bad_prime_key_is_data_error(self, tmp_path, capsys, where, key,
+                                         message):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        holder = data if where == "top" else \
+            data["primes"]["2"]["sections"][0]["centralizer"]
+        holder["primes"][key] = holder["primes"].pop("2")
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 class TestConductors:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from charcond.cyclo import (CycloNum, conductor, conductor_p, cyclo_to_str,
-                            cyclotomic_poly, divisors, euler_phi, p_part,
-                            parse_cyclo)
+from charcond.cyclo import (ONE, ZERO, CycloNum, conductor, conductor_p,
+                            cyclo_to_str, cyclotomic_poly, divisors, euler_phi,
+                            lincomb, p_part, parse_cyclo)
 
 
 def embed(a: CycloNum) -> complex:
@@ -172,3 +172,48 @@ class TestParser:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_cyclo(bad)
+
+
+class TestLincomb:
+    """lincomb (one embedding, one normalisation) against the left fold of
+    `+` and `*` that it replaces."""
+
+    ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16)
+
+    @staticmethod
+    def fold(terms):
+        acc = ZERO
+        for q, x in terms:
+            acc = acc + q * x
+        return acc
+
+    def test_matches_fold(self):
+        # as in test_properties, terms come from two independently drawn
+        # orders, so sums live in Q(zeta_lcm) with lcm up to 240
+        rng = random.Random(31)
+        for _ in range(300):
+            orders = (rng.choice(self.ORDERS), rng.choice(self.ORDERS))
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                q = rng.choice([0, rng.randint(-5, 5),
+                                Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+                x = random_cyclo(rng, rng.choice(orders))
+                if rng.random() < 0.1:
+                    x = ZERO
+                terms.append((q, x))
+            assert lincomb(terms) == self.fold(terms)
+
+    def test_empty_and_zero_sums(self):
+        assert lincomb([]) == ZERO
+        assert lincomb([(0, CycloNum.zeta(5)), (3, ZERO)]) == ZERO
+        z = CycloNum.zeta(3)
+        assert lincomb([(1, ONE), (1, z), (1, z * z)]) == ZERO
+
+    def test_descends_to_conductor(self):
+        z = CycloNum.zeta(5)
+        total = lincomb((1, z.galois(k)) for k in range(1, 5))
+        assert total.is_rational and total.rational_value() == -1
+        # sqrt(-3) from Q(zeta_12) terms lands in Q(zeta_3)
+        i = CycloNum.zeta(4)
+        s = lincomb([(2, CycloNum.zeta(12, 2)), (-1, ONE), (0, i)])
+        assert s.order == 3 and (s * s).rational_value() == -3

@@ -2,13 +2,16 @@
 
 import copy
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from charcond.blocks import projective_characters
 from charcond.cyclo import CycloNum
-from charcond.tables import (DatasetError, char_conductor, default_corpus_dir,
-                             inner_product, load_dataset, p_decompose,
-                             power_class, virtual_character)
+from charcond.tables import (ClassFunction, DatasetError, char_conductor,
+                             default_corpus_dir, inner_product, load_dataset,
+                             p_decompose, power_class, virtual_character)
 
 ONE = CycloNum.from_rational(1)
 
@@ -75,7 +78,6 @@ class TestClassFunctions:
 
     def test_non_virtual_function_detected(self, corpus):
         table = corpus["S3"].table
-        from charcond.tables import ClassFunction
         fn = ClassFunction(table, [ONE, ONE, CycloNum.from_rational(0)])
         assert not fn.is_virtual_character()
 
@@ -90,6 +92,51 @@ class TestClassFunctions:
         table = corpus["C4"].table
         conds = sorted(char_conductor(table.irreducible(i)) for i in range(4))
         assert conds == [1, 1, 4, 4]
+
+
+class TestHeldCoords:
+    """Coordinates a class function holds from its construction equal the
+    ones inner products against Irr(G) recover from its values."""
+
+    @staticmethod
+    def recomputed(fn):
+        table = fn.table
+        return tuple(inner_product(fn, table.irreducible(i)).rational_value()
+                     for i in range(table.num_classes))
+
+    def test_held_equals_recomputed(self, corpus, group_primes):
+        rng = random.Random(11)
+        for name, p in group_primes:
+            table = corpus[name].table
+            k = table.num_classes
+            irr = [table.irreducible(i) for i in range(k)]
+            proj = projective_characters(table, corpus[name].brauer(p))
+            rand = [virtual_character(table,
+                                      [rng.randint(-3, 3) for _ in range(k)])
+                    for _ in range(3)]
+            fns = irr + proj + rand
+            fns += [rng.choice(fns) + rng.choice(fns) for _ in range(3)]
+            fns += [rng.choice(fns) - rng.choice(fns) for _ in range(3)]
+            fns += [rng.randint(-3, 3) * rng.choice(fns) for _ in range(3)]
+            for fn in fns:
+                assert fn._coords is not None
+                assert fn.irr_coords == self.recomputed(fn)
+                # the same values without held coordinates take the slow path
+                bare = ClassFunction(table, fn.values)
+                assert bare.irr_coords == fn.irr_coords
+                assert bare.integer_coords() == fn.integer_coords()
+
+    def test_wrong_coords_length(self, corpus):
+        table = corpus["S3"].table
+        with pytest.raises(DatasetError):
+            ClassFunction(table, table.irreducibles[0], [1, 0])
+        with pytest.raises(DatasetError):
+            virtual_character(table, [1, 0, 0, 0])
+
+    def test_non_integer_coords(self, corpus):
+        table = corpus["S3"].table
+        with pytest.raises(DatasetError):
+            ClassFunction(table, table.irreducibles[0], [Fraction(1, 2), 0, 0])
 
 
 class TestPowerMaps:
