@@ -11,21 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum, lincomb
+from .cyclo import CycloNum, lincomb, nu_p
 from .residue import build_residue_map, reduce_cyclo
 
 
 class BlockError(ValueError):
     pass
-
-
-def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of a positive integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from . import linalg
+
 
 class CycloError(ValueError):
     pass
@@ -31,16 +33,8 @@ class CycloParseError(CycloError):
 def euler_phi(n: int) -> int:
     assert n >= 1
     result = n
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            result -= result // q
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        result -= result // m
+    for q in prime_factors(n):
+        result -= result // q
     return result
 
 
@@ -57,11 +51,33 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+def nu_p(n: int, p: int) -> int:
+    """p-adic valuation of a positive integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def p_part(n: int, p: int) -> int:
-    q = 1
-    while n % (q * p) == 0:
-        q *= p
-    return q
+    """The largest power of p dividing the positive integer n."""
+    return p ** nu_p(n, p)
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing the positive integer n, ascending."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -153,35 +169,6 @@ def _apply_columns(cols: tuple[tuple[Fraction, ...], ...], vec) -> tuple[Fractio
             for i in range(size):
                 out[i] += vj * col[i]
     return tuple(out)
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an (overdetermined) rational system exactly; None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    for i in range(r, len(aug)):
-        if aug[i][-1]:
-            return None
-    # free columns (rank-deficient input) are not expected here
-    return sol
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +268,10 @@ class CycloNum:
         other = _coerce(other)
         if self.order == 1:
             q = self._vec[0]
+            if not q:
+                return self
             return CycloNum(other.order, tuple(q * c for c in other._vec),
-                            _canonical=bool(q))
+                            _canonical=True)
         if other.order == 1:
             return other * self
         n = lcm(self.order, other.order)
@@ -302,9 +291,10 @@ class CycloNum:
         cols = [_mul_vecs(n, self._vec, table[j]) for j in range(k)]
         rows = [[cols[j][i] for j in range(k)] for i in range(k)]
         rhs = [Fraction(1)] + [Fraction(0)] * (k - 1)
-        sol = _solve_exact(rows, rhs)
+        sol = linalg.solve(rows, rhs)
         assert sol is not None
-        return CycloNum(n, tuple(sol))
+        # Q(1/a) = Q(a), so the inverse is already stored at its conductor
+        return CycloNum(n, tuple(sol), _canonical=True)
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).invert()
@@ -376,23 +366,18 @@ def lincomb(terms) -> CycloNum:
 def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
     """Descend to the conductor of the element; returns (order, coeffs)."""
     assert len(vec) == euler_phi(n)
+    vec = tuple(vec)
     if n == 1:
-        return 1, tuple(vec)
+        return 1, vec
     for d in divisors(n):
-        if d % 4 == 2:
-            continue
-        fixed = True
-        for k in _fixing_exponents(n, d):
-            if _apply_columns(_galois_matrix(n, k), vec) != tuple(vec):
-                fixed = False
-                break
-        if not fixed:
+        if d % 4 == 2 or any(_apply_columns(_galois_matrix(n, k), vec) != vec
+                             for k in _fixing_exponents(n, d)):
             continue
         if d == n:
-            return n, tuple(vec)
+            return n, vec
         cols = _embed_matrix(d, n)
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(euler_phi(n))]
-        sol = _solve_exact(rows, list(vec))
+        rows = [[col[i] for col in cols] for i in range(len(vec))]
+        sol = linalg.solve(rows, vec)
         assert sol is not None, "galois-fixed element must descend"
         return d, tuple(sol)
     raise AssertionError("unreachable: d = n is always a candidate")
@@ -403,22 +388,15 @@ def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, 
 
 
 def conductor(values) -> int:
-    """Least n with every element of the set contained in Q(zeta_n)."""
-    values = list(values)
-    if not values:
+    """Least n with every element of the set contained in Q(zeta_n).
+
+    Every element is stored at its conductor, which is never 2 mod 4, and for
+    such orders Q(zeta_a) lies in Q(zeta_b) exactly when a | b; so this is the
+    lcm of the stored orders."""
+    orders = [v.order for v in values]
+    if not orders:
         raise CycloError("conductor of an empty set is undefined")
-    big = lcm(*[v.order for v in values])
-    embedded = [v._embedded(big) for v in values]
-    for d in divisors(big):
-        if d % 4 == 2:
-            continue
-        if all(
-            _apply_columns(_galois_matrix(big, k), vec) == vec
-            for k in _fixing_exponents(big, d)
-            for vec in embedded
-        ):
-            return d
-    raise AssertionError("unreachable: d = lcm of orders always works")
+    return lcm(*orders)
 
 
 def conductor_p(values, p: int) -> int:

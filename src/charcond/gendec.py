@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .blocks import nu_p, partition_blocks, projective_characters
-from .cyclo import CycloNum, lincomb, p_part
+from .blocks import partition_blocks, projective_characters
+from .cyclo import CycloNum, lincomb, nu_p, p_part
 
 
 class GendecError(ValueError):
@@ -41,9 +41,6 @@ def validate_section(table, sec: SectionData, p: int, path: str):
     if p_part(u_order, p) != u_order:
         raise DatasetError(f"{path}.u_class: class {sec.u_class} has order "
                            f"{u_order}, not a power of {p}")
-    if table.group_order % (table.classes[sec.u_class].size * cent.group_order):
-        raise DatasetError(f"{path}.centralizer: order {cent.group_order} is "
-                           f"inconsistent with |G| and the class size")
     if cent.group_order * table.classes[sec.u_class].size != table.group_order:
         raise DatasetError(
             f"{path}.centralizer: order {cent.group_order} != "
@@ -83,9 +80,6 @@ class GendecMatrix:
     columns: list[tuple[int, int]]             # (u_class, IBr(C_G(u)) index)
     entries: dict[tuple[int, int], list[CycloNum]] = field(default_factory=dict)
     # entries[(u_class, phi)] is the column over Irr(G)
-
-    def row(self, chi: int) -> dict[tuple[int, int], CycloNum]:
-        return {col: self.entries[col][chi] for col in self.columns}
 
     def section_row(self, chi: int, u_class: int) -> list[CycloNum]:
         cols = [c for c in self.columns if c[0] == u_class]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 
+from . import linalg
 from .blocks import Block
 from .cyclo import CycloNum, ZERO
 from .tables import GroupDataset, char_conductor, virtual_character
@@ -210,44 +211,10 @@ def check_conductor_preservation(cand: IsometryCandidate, p: int):
     return not witnesses, witnesses
 
 
-def _rational_nullspace(rows):
-    """Basis of the right nullspace of a rational matrix, denominators
-    cleared to integers."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for pc, pr in pivots.items():
-            v[pc] = -mat[pr][c]
-        den = lcm(*[f.denominator for f in v])
-        basis.append([int(f * den) for f in v])
-    return basis
-
-
 def l0_basis(ref: BlockRef) -> list[list[int]]:
     """Spanning set of L0(B): block virtual characters vanishing on the
-    p-regular classes, as coordinate vectors over the block's characters."""
+    p-regular classes, as coordinate vectors over the block's characters,
+    denominators cleared to integers."""
     table = ref.dataset.table
     rows = []
     for c, cls in enumerate(table.classes):
@@ -259,7 +226,11 @@ def l0_basis(ref: BlockRef) -> list[list[int]]:
                 row = [vecs[i][r] for i in range(len(col))]
                 if any(row):
                     rows.append(row)
-    return _rational_nullspace(rows)
+    basis = []
+    for v in linalg.nullspace(rows):
+        den = lcm(*[f.denominator for f in v])
+        basis.append([int(f * den) for f in v])
+    return basis
 
 
 def check_l0_preservation(cand: IsometryCandidate) -> bool:

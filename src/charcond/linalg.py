@@ -1,60 +1,72 @@
-"""Exact Gaussian elimination over cyclotomic numbers."""
+"""Exact Gaussian elimination over a field.
+
+One kernel, `rref`, serves every exact linear problem in the package.  Its
+entries need only +, -, *, truth testing and 1 / x, so the same code runs
+over `Fraction` (descents and inverses in `cyclo`, the L0 lattice) and over
+`CycloNum` (Brauer characters, generalised decomposition numbers).
+"""
 
 from __future__ import annotations
 
-from .cyclo import CycloNum, ZERO
 
-
-def solve(rows: list[list[CycloNum]], rhs: list[CycloNum]) -> list[CycloNum] | None:
-    """Solve a (possibly overdetermined) linear system exactly.
-
-    Returns None when inconsistent.  Free columns, if any, are set to zero;
-    callers that need uniqueness should check rank first.
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c].invert()
-        aug[r] = [x * pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1]:
-            return None
-    sol = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    return sol
-
-
-def rank(rows: list[list[CycloNum]]) -> int:
-    if not rows:
-        return 0
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination; returns the
+    reduced matrix and its pivot columns, in increasing order."""
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        if r == len(mat):
+            break
         pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c].invert()
-        mat[r] = [x * pv for x in mat[r]]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+        pivots.append(c)
+    return mat, pivots
+
+
+def solve(rows: list[list], rhs: list) -> list | None:
+    """Solve a (possibly overdetermined) linear system exactly.
+
+    Returns None when inconsistent.  Free columns, if any, are set to the
+    field's zero; callers that need uniqueness should check rank first.
+    """
+    ncols = len(rows[0]) if rows else 0
+    mat, pivots = rref([[*row, b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    sol = [rhs[0] * 0] * ncols if ncols else []
+    for i, c in enumerate(pivots):
+        sol[c] = mat[i][-1]
+    return sol
+
+
+def rank(rows: list[list]) -> int:
+    return len(rref(rows)[1])
+
+
+def nullspace(rows: list[list]) -> list[list]:
+    """Basis of the right nullspace, one vector per free column c: 1 at c,
+    0 at the other free columns."""
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return []
+    mat, pivots = rref(rows)
+    zero = rows[0][0] * 0
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [zero] * ncols
+        v[c] = zero + 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][c]
+        basis.append(v)
+    return basis

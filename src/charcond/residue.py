@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import CycloError, CycloNum, p_part
+from .cyclo import CycloError, CycloNum, p_part, prime_factors
 
 
 class ResidueError(ValueError):
@@ -71,19 +71,8 @@ def _is_irreducible(g: list[int], p: int) -> bool:
     # x^(p^f) = x mod g, and x^(p^(f/q)) - x coprime to g for prime q | f
     if _poly_powmod(x, p ** f, g, p) != _poly_rem(x[:], g, p):
         return False
-    m = f
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            m //= q
-            xq = _poly_powmod(x, p ** (f // q), g, p)
-            diff = _poly_trim([(a - b) % p for a, b in
-                               zip(xq + [0] * len(x), [0, 1] + [0] * len(xq))])
-            if len(_poly_gcd(g, diff, p)) != 1:
-                return False
-        q += 1
-    if m > 1:
-        xq = _poly_powmod(x, p ** (f // m), g, p)
+    for q in prime_factors(f):
+        xq = _poly_powmod(x, p ** (f // q), g, p)
         diff = _poly_trim([(a - b) % p for a, b in
                            zip(xq + [0] * len(x), [0, 1] + [0] * len(xq))])
         if len(_poly_gcd(g, diff, p)) != 1:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 from .cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
-                    conductor_p, lincomb, parse_cyclo)
+                    conductor_p, lincomb, p_part, parse_cyclo, prime_factors)
 
 
 class DatasetError(ValueError):
@@ -33,9 +34,19 @@ def _require(obj, key, kind, path):
     return val
 
 
-def _parse_value(expr, path) -> CycloNum:
+_ATOM = re.compile(r"E\s*\(\s*(\d+)")
+
+
+def _parse_value(expr, path, ambient: int) -> CycloNum:
+    """Parse one value; every E(n) must lie in Q(zeta_ambient), which is
+    checked before any arithmetic in Q(zeta_n) is set up."""
     if not isinstance(expr, str):
         raise DatasetError(f"{path}: cyclotomic values must be strings")
+    for atom in _ATOM.finditer(expr):
+        n = int(atom.group(1))
+        if n and ambient % n:
+            raise DatasetError(f"{path}: E({n}) does not lie in the declared "
+                               f"ambient Q(zeta_{ambient})")
     try:
         return parse_cyclo(expr)
     except CycloParseError as ex:
@@ -104,9 +115,6 @@ class ClassFunction:
                                    f"coordinates {coords} are not {k} integers")
             coords = ints
         self._coords = coords
-
-    def __call__(self, c: int) -> CycloNum:
-        return self.values[c]
 
     def _coords_with(self, other, op):
         if self._coords is None or other._coords is None:
@@ -210,9 +218,7 @@ def power_class(table: CharTable, c: int, k: int) -> int:
 def p_decompose(table: CharTable, c: int, p: int) -> tuple[int, int]:
     """Split g = u s = s u with u the p-part and s the p'-part of g."""
     m = table.classes[c].element_order
-    pa = 1
-    while m % (pa * p) == 0:
-        pa *= p
+    pa = p_part(m, p)
     mprime = m // pa
     if pa == 1:
         return table.identity_class, c
@@ -225,8 +231,7 @@ def p_decompose(table: CharTable, c: int, p: int) -> tuple[int, int]:
 
 def char_conductor(chi: ClassFunction, p: int | None = None) -> int:
     """Conductor of the value set of chi, or its p-part."""
-    values = set(chi.values)
-    return conductor(values) if p is None else conductor_p(values, p)
+    return conductor(chi.values) if p is None else conductor_p(chi.values, p)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +252,6 @@ class SubgroupEmbedding:
     subgroup: "GroupDataset"
     fusion: list[int]                     # subgroup class -> ambient class
     primes: dict[int, SubgroupPrimeInfo] = field(default_factory=dict)
-
-    @property
-    def subgroup_table(self) -> CharTable:
-        return self.subgroup.table
 
 
 @dataclass
@@ -315,20 +316,6 @@ def _prime_key(key: str, path: str) -> int:
     return q
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _validate_table(table: CharTable, path: str):
     classes = table.classes
     idents = [i for i, c in enumerate(classes) if c.element_order == 1]
@@ -336,7 +323,7 @@ def _validate_table(table: CharTable, path: str):
         raise DatasetError(f"{path}: need exactly one identity class of size 1")
     ident = idents[0]
     for i, c in enumerate(classes):
-        for q in _prime_factors(table.exponent):
+        for q in prime_factors(table.exponent):
             if q not in c.power_maps:
                 raise DatasetError(
                     f"{path}.classes[{i}] ({c.name}): missing power map for prime {q}")
@@ -394,7 +381,7 @@ def _parse_table(obj, path: str, ambient: int) -> CharTable:
                              f"{path}.classes", order)
     irr_raw = _require(obj, "irreducibles", list, path)
     irreducibles = [
-        [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]")
+        [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]", ambient)
          for j, expr in enumerate(row)]
         for i, row in enumerate(irr_raw)
     ]
@@ -403,7 +390,8 @@ def _parse_table(obj, path: str, ambient: int) -> CharTable:
     return table
 
 
-def _parse_prime_block(table: CharTable, obj, p: int, path: str):
+def _parse_prime_block(table: CharTable, obj, p: int, path: str,
+                       ambient: int):
     from .blocks import BrauerData, validate_brauer
     regular = _require(obj, "regular_classes", list, path)
     want_regular = [i for i, c in enumerate(table.classes)
@@ -412,7 +400,7 @@ def _parse_prime_block(table: CharTable, obj, p: int, path: str):
         raise DatasetError(f"{path}.regular_classes: got {regular}, the p-regular "
                            f"classes are {want_regular}")
     ibr_raw = _require(obj, "ibr", list, path)
-    ibr = [[_parse_value(expr, f"{path}.ibr[{i}][{j}]")
+    ibr = [[_parse_value(expr, f"{path}.ibr[{i}][{j}]", ambient)
             for j, expr in enumerate(row)] for i, row in enumerate(ibr_raw)]
     dec = _require(obj, "decomposition", list, path)
     for i, row in enumerate(dec):
@@ -442,7 +430,8 @@ def _parse_nested_dataset(obj, path: str, ambient: int, p: int) -> GroupDataset:
     primes_raw = obj.get("primes", {})
     for key, pobj in primes_raw.items():
         q = _prime_key(key, f"{path}.primes")
-        bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}")
+        bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}",
+                                ambient)
         ds.primes[q] = PrimeData(p=q, brauer=bd, sections=[])
     if p not in ds.primes:
         raise DatasetError(f"{path}.primes: missing Brauer data for p={p}")
@@ -497,18 +486,21 @@ def load_dataset(path) -> GroupDataset:
     if fmt != 1:
         raise DatasetError(f"{root}.format: unsupported format {fmt}")
     ambient = _require(raw, "ambient", int, root)
+    if ambient < 1:
+        raise DatasetError(f"{root}.ambient: must be a positive integer, "
+                           f"got {ambient}")
     table = _parse_table(raw, root, ambient)
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     for key, pobj in raw.get("primes", {}).items():
         p = _prime_key(key, f"{root}.primes")
         ppath = f"{root}.primes.{key}"
-        bd = _parse_prime_block(table, pobj, p, ppath)
+        bd = _parse_prime_block(table, pobj, p, ppath, ambient)
         sections = [
             _parse_section(table, sobj, p, f"{ppath}.sections[{i}]", ambient)
             for i, sobj in enumerate(pobj.get("sections", []))
         ]
         p_classes = sorted(i for i, c in enumerate(table.classes)
-                           if _is_p_power(c.element_order, p))
+                           if p_part(c.element_order, p) == c.element_order)
         if sorted(s.u_class for s in sections) != p_classes:
             raise DatasetError(f"{ppath}.sections: need exactly one section per "
                                f"p-element class {p_classes}")
@@ -542,15 +534,10 @@ def _parse_nested_subgroup(sobj, spath, ambient) -> GroupDataset:
     sub = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     for key, pobj in tobj.get("primes", {}).items():
         q = _prime_key(key, f"{spath}.table.primes")
-        bd = _parse_prime_block(table, pobj, q, f"{spath}.table.primes.{key}")
+        bd = _parse_prime_block(table, pobj, q, f"{spath}.table.primes.{key}",
+                                ambient)
         sub.primes[q] = PrimeData(p=q, brauer=bd, sections=[])
     return sub
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from charcond import cyclo
 from charcond.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
 from charcond.tables import default_corpus_dir
 
@@ -46,6 +47,35 @@ class TestValidate:
         code, _ = invoke("validate", "--corpus", str(corpus))
         assert code == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ambient,row,where,message", [
+        (4, ("irreducibles", 1, 1), "C4.json.irreducibles[1][1]",
+         "E(1009) does not lie in the declared ambient Q(zeta_4)"),
+        (4, ("primes", "2", "ibr", 0, 0), "C4.json.primes.2.ibr[0][0]",
+         "E(1009) does not lie in the declared ambient Q(zeta_4)"),
+        (0, ("irreducibles", 1, 1), "C4.json.ambient",
+         "must be a positive integer, got 0"),
+    ])
+    def test_root_outside_ambient_is_rejected_before_parsing(
+            self, tmp_path, capsys, monkeypatch, ambient, row, where, message):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        data["ambient"] = ambient
+        holder = data
+        for key in row[:-1]:
+            holder = holder[key]
+        holder[row[-1]] = "1+E(1009)"
+        path.write_text(json.dumps(data))
+        built = []
+        real_table = cyclo._power_table
+        monkeypatch.setattr(cyclo, "_power_table",
+                            lambda n: built.append(n) or real_table(n))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert f"{where}: {message}" in capsys.readouterr().err
+        assert 1009 not in built
 
 
 class TestConductors:

@@ -27,7 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from charcond import linalg                      # noqa: E402
-from charcond.cyclo import CycloNum, cyclo_to_str, p_part   # noqa: E402
+from charcond.cyclo import (CycloNum, cyclo_to_str, nu_p, p_part,  # noqa: E402
+                            prime_factors)
 from charcond.residue import build_residue_map, reduce_cyclo  # noqa: E402
 from charcond.tables import load_dataset         # noqa: E402
 
@@ -151,20 +152,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _find_ell(e: int, bound: int) -> int:
     ell = e + 1
     while not (_is_prime(ell) and ell > bound):
@@ -173,7 +160,7 @@ def _find_ell(e: int, bound: int) -> int:
 
 
 def _primitive_root(ell: int) -> int:
-    qs = _prime_factors(ell - 1)
+    qs = prime_factors(ell - 1)
     for g in range(2, ell):
         if all(pow(g, (ell - 1) // q, ell) != 1 for q in qs):
             return g
@@ -498,9 +485,8 @@ def brauer_data(rows, class_orders, group_order: int, p: int, hard_D=None):
         [[1 if i == j else 0 for i in range(k)] for j in range(k)]
     assert len(kernel) == ncols
     dcols_frac = [[Fraction(D[i][j]) for j in range(ncols)] for i in range(k)]
-    from charcond.cyclo import _solve_exact
     for v in kernel:
-        sol = _solve_exact(dcols_frac, [Fraction(x) for x in v])
+        sol = linalg.solve(dcols_frac, [Fraction(x) for x in v])
         assert sol is not None and all(f.denominator == 1 for f in sol), \
             "decomposition columns do not span the vanishing lattice"
     # blocks: connected components of Irr under shared decomposition columns
@@ -520,16 +506,9 @@ def brauer_data(rows, class_orders, group_order: int, p: int, hard_D=None):
     for i in range(k):
         comps.setdefault(find(i), []).append(i)
 
-    def vp(n):
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    npg = vp(group_order)
+    npg = nu_p(group_order, p)
     ordered = sorted(comps.values(),
-                     key=lambda irrs: (-(npg - min(vp(degrees[i]) for i in irrs)),
+                     key=lambda irrs: (-(npg - min(nu_p(degrees[i], p) for i in irrs)),
                                        min(irrs)))
     block_of_irr = [None] * k
     block_of_ibr = [None] * ncols
@@ -750,7 +729,7 @@ def main():
     groups = build_groups()
     manifest = {"format": 1, "groups": []}
     for name, G in groups.items():
-        primes = _prime_factors(G.order)
+        primes = prime_factors(G.order)
         if name == "S3":
             primes = primes + [5]       # exercises a prime not dividing |G|
         subgroups = []
