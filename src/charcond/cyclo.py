@@ -5,9 +5,13 @@ Q(zeta_n), with z = zeta_n, and are always normalised so that the stored
 order equals the conductor of the element (in particular rationals have
 order 1, and the order is never congruent to 2 mod 4).  This makes equality,
 hashing and integrality tests coefficient comparisons: the power basis is an
-integral basis of the ring of integers Z[zeta_n].  Sums of many terms go
-through `lincomb`, which embeds every term once and normalises only the
-result, instead of folding `+` over canonical partial sums.
+integral basis of the ring of integers Z[zeta_n].
+
+Products, embeddings Q(zeta_m) -> Q(zeta_n) and Galois images are maps on
+exponents followed by one reduction mod Phi_n (`_reduce`); no power, embedding
+or Galois tables are built or cached.  Sums of many terms go through
+`lincomb`, which maps every term into Q(zeta_N), reduces and normalises once,
+instead of folding `+` over canonical partial sums.
 """
 
 from __future__ import annotations
@@ -104,71 +108,24 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row e is z^e on the power basis of Q(zeta_n); covers products and e < n."""
-    k = euler_phi(n)
+def _reduce(n: int, terms) -> tuple[Fraction, ...]:
+    """sum c * z^e over pairs (e, c), on the power basis of Q(zeta_n): fold
+    the exponents mod n, then take the remainder by the monic Phi_n, working
+    on integer numerators over one common denominator."""
+    terms = [(e % n, c) for e, c in terms if c]
+    den = lcm(*[c.denominator for _, c in terms])
+    acc = [0] * n
+    for e, c in terms:
+        acc[e] += c.numerator * (den // c.denominator)
     phi_n = cyclotomic_poly(n)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * k
-    cur[0] = Fraction(1)
-    for _ in range(max(n, 2 * k - 1)):
-        rows.append(tuple(cur))
-        # multiply by z: shift, then reduce the overflow via z^k = -(lower part)
-        top = cur[k - 1]
-        cur = [Fraction(0)] + cur[: k - 1]
-        if top:
-            for j in range(k):
-                cur[j] -= top * phi_n[j]
-    return tuple(rows)
-
-
-def _zeta_power_vec(n: int, e: int) -> tuple[Fraction, ...]:
-    """z^e on the power basis of Q(zeta_n)."""
-    return _power_table(n)[e % n]
-
-
-def _mul_vecs(n: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    k = euler_phi(n)
-    table = _power_table(n)
-    conv = [Fraction(0)] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-    out = [Fraction(0)] * k
-    for e, ce in enumerate(conv):
-        if ce:
-            row = table[e]
-            for j in range(k):
-                out[j] += ce * row[j]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _embed_matrix(m: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns: images of the power basis of Q(zeta_m) inside Q(zeta_n), m | n."""
-    assert n % m == 0
-    step = n // m
-    return tuple(_zeta_power_vec(n, step * j) for j in range(euler_phi(m)))
-
-
-@lru_cache(maxsize=None)
-def _galois_matrix(n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns: images of z^j under z -> z^k."""
-    return tuple(_zeta_power_vec(n, (j * k) % n) for j in range(euler_phi(n)))
-
-
-def _apply_columns(cols: tuple[tuple[Fraction, ...], ...], vec) -> tuple[Fraction, ...]:
-    size = len(cols[0]) if cols else 0
-    out = [Fraction(0)] * size
-    for j, vj in enumerate(vec):
-        if vj:
-            col = cols[j]
-            for i in range(size):
-                out[i] += vj * col[i]
-    return tuple(out)
+    k = len(phi_n) - 1
+    low = [(j, a) for j, a in enumerate(phi_n[:k]) if a]
+    for top in range(n - 1, k - 1, -1):
+        c = acc[top]
+        if c:
+            for j, a in low:
+                acc[top - k + j] -= c * a
+    return tuple(Fraction(c, den) for c in acc[:k])
 
 
 @lru_cache(maxsize=None)
@@ -207,16 +164,8 @@ class CycloNum:
         """Build sum of c_e * zeta_n^e from a sparse exponent map."""
         if n < 1:
             raise CycloError(f"root-of-unity order must be positive, got {n}")
-        k = euler_phi(n)
-        vec = [Fraction(0)] * k
-        for e, c in coeffs.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            row = _zeta_power_vec(n, e % n)
-            for j in range(k):
-                vec[j] += c * row[j]
-        return CycloNum(n, tuple(vec))
+        return CycloNum(n, _reduce(n, ((e, Fraction(c))
+                                       for e, c in coeffs.items())))
 
     # -- views -------------------------------------------------------------
 
@@ -244,7 +193,8 @@ class CycloNum:
     def _embedded(self, n: int) -> tuple[Fraction, ...]:
         if n == self.order:
             return self._vec
-        return _apply_columns(_embed_matrix(self.order, n), self._vec)
+        step = n // self.order
+        return _reduce(n, ((step * j, c) for j, c in enumerate(self._vec)))
 
     def __add__(self, other) -> "CycloNum":
         other = _coerce(other)
@@ -275,7 +225,10 @@ class CycloNum:
         if other.order == 1:
             return other * self
         n = lcm(self.order, other.order)
-        return CycloNum(n, _mul_vecs(n, self._embedded(n), other._embedded(n)))
+        s, t = n // self.order, n // other.order
+        return CycloNum(n, _reduce(n, ((s * i + t * j, a * b)
+                                       for i, a in enumerate(self._vec) if a
+                                       for j, b in enumerate(other._vec) if b)))
 
     __rmul__ = __mul__
 
@@ -287,8 +240,8 @@ class CycloNum:
         if n == 1:
             return CycloNum.from_rational(1 / self._vec[0])
         k = euler_phi(n)
-        table = _power_table(n)
-        cols = [_mul_vecs(n, self._vec, table[j]) for j in range(k)]
+        cols = [_reduce(n, ((i + j, c) for i, c in enumerate(self._vec)))
+                for j in range(k)]
         rows = [[cols[j][i] for j in range(k)] for i in range(k)]
         rhs = [Fraction(1)] + [Fraction(0)] * (k - 1)
         sol = linalg.solve(rows, rhs)
@@ -311,7 +264,8 @@ class CycloNum:
         if n == 1 or k == 1:
             return self
         # conjugates share the conductor, so the result is already canonical
-        return CycloNum(n, _apply_columns(_galois_matrix(n, k), self._vec),
+        return CycloNum(n, _reduce(n, ((j * k, c)
+                                       for j, c in enumerate(self._vec))),
                         _canonical=True)
 
     def conjugate(self) -> "CycloNum":
@@ -349,18 +303,14 @@ def _coerce(x) -> CycloNum:
 
 
 def lincomb(terms) -> CycloNum:
-    """sum q*x over pairs (rational q, CycloNum x), accumulated in Q(zeta_N)
+    """sum q*x over pairs (rational q, CycloNum x), reduced once in Q(zeta_N)
     with N the lcm of the orders and normalised once."""
     terms = [(q, x) for q, x in terms if q and x]
     if not terms:
         return ZERO
     n = lcm(*[x.order for _, x in terms])
-    acc = [Fraction(0)] * euler_phi(n)
-    for q, x in terms:
-        for j, c in enumerate(x._embedded(n)):
-            if c:
-                acc[j] += q * c
-    return CycloNum(n, tuple(acc))
+    return CycloNum(n, _reduce(n, (((n // x.order) * j, c * q) for q, x in terms
+                                   for j, c in enumerate(x._vec) if c)))
 
 
 def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
@@ -370,12 +320,13 @@ def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, 
     if n == 1:
         return 1, vec
     for d in divisors(n):
-        if d % 4 == 2 or any(_apply_columns(_galois_matrix(n, k), vec) != vec
-                             for k in _fixing_exponents(n, d)):
+        if d % 4 == 2 or any(
+                _reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec
+                for k in _fixing_exponents(n, d)):
             continue
         if d == n:
             return n, vec
-        cols = _embed_matrix(d, n)
+        cols = [_reduce(n, ((j * (n // d), 1),)) for j in range(euler_phi(d))]
         rows = [[col[i] for col in cols] for i in range(len(vec))]
         sol = linalg.solve(rows, vec)
         assert sol is not None, "galois-fixed element must descend"
@@ -434,10 +385,10 @@ class _Parser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
+        if not (self.pos < len(self.text) and self.text[self.pos].isdecimal()):
             self.pos = start
             self.error("expected an integer")
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         return int(self.text[start:self.pos])
 

@@ -169,7 +169,7 @@ def test_criterion_09_restriction_suite(corpus, capsys):
             assert ti[f"chi{i}"].rhs == (values[i], values[i])
 
 
-def test_criterion_10_arithmetic_core(capsys):
+def test_criterion_10_arithmetic_core(capsys, galois_conductor):
     with criterion(capsys, 10, "10,000 seeded arithmetic property checks"):
         rng = random.Random(0)
         orders = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16)
@@ -185,8 +185,9 @@ def test_criterion_10_arithmetic_core(capsys):
             n = rng.choice(orders)
             a = rand(n)
             assert parse_cyclo(cyclo_to_str(a)) == a      # canonical round trip
-            c = conductor([a])
-            assert c == a.order and c % 4 != 2            # conductor canonical
+            c = conductor([a])                            # stored order is
+            assert galois_conductor(a) == a.order == c    # the conductor
+            assert c % 4 != 2                             # and canonical
             if a.order > 1:
                 k = rng.choice([k for k in range(1, a.order)
                                 if gcd(k, a.order) == 1])

@@ -69,13 +69,24 @@ class TestValidate:
         holder[row[-1]] = "1+E(1009)"
         path.write_text(json.dumps(data))
         built = []
-        real_table = cyclo._power_table
-        monkeypatch.setattr(cyclo, "_power_table",
-                            lambda n: built.append(n) or real_table(n))
+        real_poly = cyclo.cyclotomic_poly
+        monkeypatch.setattr(cyclo, "cyclotomic_poly",
+                            lambda n: built.append(n) or real_poly(n))
         code, _ = invoke("validate", "--corpus", str(corpus))
         assert code == EXIT_DATA
         assert f"{where}: {message}" in capsys.readouterr().err
         assert 1009 not in built
+
+    def test_non_decimal_digit_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        data["irreducibles"][1][1] = "E(2\u00b2)"
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert "C4.json.irreducibles[1][1]: " in capsys.readouterr().err
 
 
 class TestConductors:

@@ -4,13 +4,14 @@ embedding oracle and hand-computed field facts."""
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from charcond.cyclo import (ONE, ZERO, CycloNum, conductor, conductor_p,
-                            cyclo_to_str, cyclotomic_poly, divisors, euler_phi,
-                            lincomb, p_part, parse_cyclo)
+from charcond.cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
+                            conductor_p, cyclo_to_str, cyclotomic_poly,
+                            divisors, euler_phi, lincomb, p_part, parse_cyclo)
 
 
 def embed(a: CycloNum) -> complex:
@@ -148,6 +149,36 @@ class TestNumericOracle:
             if a:
                 assert a * a.invert() == CycloNum.from_rational(1)
 
+    def test_order_105(self):
+        # Phi_105 is the first cyclotomic polynomial with a coefficient of
+        # -2, so only here does the remainder step need more than its signs
+        assert -2 in cyclotomic_poly(105)
+        for e in range(105):
+            z = CycloNum.zeta(105, e)
+            assert abs(embed(z) - cmath.exp(2j * cmath.pi * e / 105)) < 1e-9
+        rng = random.Random(105)
+        for i in range(10):
+            a, b = random_cyclo(rng, 105), random_cyclo(rng, 105)
+            assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-9
+            # a 48 x 48 exact solve each, so fewer of them
+            if i % 4 == 0 and b:
+                assert abs(embed(b.invert()) - 1 / embed(b)) < 1e-9
+
+
+class TestMemory:
+    def test_large_prime_order_stays_small(self):
+        # one product and one Galois image in Q(zeta_1009) hold O(n)
+        # coefficients, not n x phi(n) tables
+        tracemalloc.start()
+        try:
+            product = CycloNum.zeta(1009) * CycloNum.zeta(1009, 2)
+            image = CycloNum.zeta(1009).galois(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert product == image == CycloNum.zeta(1009, 3)
+        assert peak < 4 * 2**20
+
 
 class TestParser:
     @pytest.mark.parametrize("text,value", [
@@ -168,9 +199,11 @@ class TestParser:
             a = random_cyclo(rng, rng.choice((1, 4, 5, 8, 9, 12)))
             assert parse_cyclo(cyclo_to_str(a)) == a
 
-    @pytest.mark.parametrize("bad", ["", "E()", "E(0)", "1+", "E(4)^", "x"])
+    # superscript digits pass str.isdigit() but not int()
+    @pytest.mark.parametrize("bad", ["", "E()", "E(0)", "1+", "E(4)^", "x",
+                                     "E(2\u00b2)", "E(4)^\u00b2"])
     def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(CycloParseError):
             parse_cyclo(bad)
 
 

@@ -21,18 +21,7 @@ def random_cyclo(rng, n, integral=False):
     return CycloNum.from_exponents(n, coeffs)
 
 
-def galois_conductor(a):
-    """Least d | a.order, d != 2 mod 4, such that a is fixed by every k = 1
-    mod d coprime to a.order: the conductor by Galois descent, independent
-    of the stored order except as the ambient field."""
-    n = a.order
-    for d in range(1, n + 1):
-        if n % d == 0 and d % 4 != 2 and all(
-                a.galois(k) == a for k in range(1, n + 1, d) if gcd(k, n) == 1):
-            return d
-
-
-def test_bulk_properties():
+def test_bulk_properties(galois_conductor):
     rng = random.Random(2024)
     checks = 0
     while checks < 10_000:
