@@ -1,9 +1,10 @@
-"""Exhaustive perfect-isometry search between two blocks.
+"""Complete perfect-isometry search between two blocks.
 
 The principal 5-blocks of A5 and of its local subgroup D10 both contain
-four irreducible characters.  All 2^4 * 4! = 384 signed bijections are
-enumerated; the perfect ones preserve conductor p-parts and map the
-vanishing lattice L0 into its counterpart.
+four irreducible characters, so there are 2^4 * 4! = 384 signed bijections.
+The search prunes them by the p-regular Gram form and checks each pair
+{m, -m} once, yet finds every perfect one; those preserve conductor p-parts
+and map the vanishing lattice L0 into its counterpart.
 """
 
 import json

@@ -1,4 +1,4 @@
-"""Perfect isometries between blocks: checking, exhaustive search, and the
+"""Perfect isometries between blocks: checking, complete search, and the
 conductor / vanishing-lattice preservation consequences.
 
 A candidate is a signed bijection between the irreducible characters of two
@@ -6,18 +6,24 @@ blocks.  Perfection is the two standard conditions on the associated
 character mu(g, g') = sum chi(g) Phi(chi)(g'): integrality (mu divided by
 either centralizer order is p-locally integral) and separation (mu vanishes
 when exactly one argument is p-regular).
+
+The search backtracks over partial assignments and prunes on the p-regular
+Gram form <chi^0, psi^0>: separation makes a perfect isometry commute with
+restriction to p-regular classes, so it carries one block's form onto the
+other's (Broue, Asterisque 181-182, 1990).  Every assignment that survives
+is still checked in full, so pruning decides only which candidates are
+checked, never which pass.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 
 from . import linalg
 from .blocks import Block
-from .cyclo import CycloNum, ZERO
+from .cyclo import CycloNum, lincomb
 from .tables import GroupDataset, char_conductor, virtual_character
 
 
@@ -145,10 +151,8 @@ def check_perfection(cand: IsometryCandidate, products=None,
     for g in range(s_tab.num_classes):
         cg = Fraction(1, s_tab.centralizer_order(g))
         for h in range(t_tab.num_classes):
-            mu = ZERO
-            for k in range(n):
-                term = products[k][cand.permutation[k]][g][h]
-                mu = mu + term if cand.signs[k] == 1 else mu - term
+            mu = lincomb((cand.signs[k], products[k][cand.permutation[k]][g][h])
+                         for k in range(n))
             if s_reg[g] != t_reg[h]:
                 if mu:
                     report.separation_ok = False
@@ -175,10 +179,44 @@ def check_perfection(cand: IsometryCandidate, products=None,
     return report
 
 
+def _gram(ref: BlockRef) -> list[list[CycloNum]]:
+    """The p-regular Gram form <chi_k^0, chi_l^0> of the block's characters:
+    the inner product of their restrictions to the p-regular classes."""
+    table = ref.dataset.table
+    regular = [c for c, cls in enumerate(table.classes)
+               if cls.element_order % ref.prime != 0]
+    rows = [table.irreducibles[i] for i in ref.irrs]
+    return [[lincomb((Fraction(1, table.centralizer_order(c)),
+                      a[c] * b[c].conjugate()) for c in regular)
+             for b in rows]
+            for a in rows]
+
+
+def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
+    """Extensions of a partial signed bijection, sign +1 at position 0, that
+    carry g_src onto g_tgt: g_tgt[perm[i]][perm[k]] = signs[i] * signs[k] *
+    g_src[i][k] for all positions i, k.  Yields (perm, signs) pairs."""
+    k = len(perm)
+    if k == len(g_src):
+        yield perm, signs
+        return
+    for j in range(len(g_tgt)):
+        if j in perm or g_tgt[j][j] != g_src[k][k]:
+            continue
+        for s in (1, -1) if k else (1,):
+            if all(g_tgt[pi][j] == (g_src[i][k] if s == si else -g_src[i][k])
+                   for i, (pi, si) in enumerate(zip(perm, signs))):
+                yield from _gram_matchings(g_src, g_tgt,
+                                           perm + (j,), signs + (s,))
+
+
 def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
                               bound: int = 6) -> list[IsometryCandidate]:
     """All signed bijections between the two blocks that are perfect
-    isometries, in lexicographic (permutation, signs) order."""
+    isometries, in lexicographic (permutation, signs) order, plus before
+    minus.  Only bijections that preserve the p-regular Gram form are
+    checked, and of each pair {m, -m} only the one with a plus at position 0:
+    -mu vanishes and is p-locally integral exactly where mu is."""
     n = len(src.irrs)
     if len(tgt.irrs) != n:
         raise IsometryError(
@@ -189,12 +227,12 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
             f"bound for {n} characters (bound {bound})")
     products = _value_products(src, tgt)
     found = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            cand = IsometryCandidate(src, tgt, perm, signs)
-            if check_perfection(cand, products,
-                                collect_witnesses=False).perfect:
-                found.append(cand)
+    for perm, signs in _gram_matchings(_gram(src), _gram(tgt)):
+        cand = IsometryCandidate(src, tgt, perm, signs)
+        if check_perfection(cand, products, collect_witnesses=False).perfect:
+            found += [cand, IsometryCandidate(src, tgt, perm,
+                                              tuple(-s for s in signs))]
+    found.sort(key=lambda c: (c.permutation, tuple(s < 0 for s in c.signs)))
     return found
 
 
@@ -258,12 +296,35 @@ def block_ref(ds: GroupDataset, p: int, block_id: str) -> BlockRef:
     raise IsometryError(f"{ds.name} has no block {block_id} at p={p}")
 
 
-def candidate_from_json(data: dict, corpus: dict) -> IsometryCandidate:
+def candidate_from_json(data, corpus: dict) -> IsometryCandidate:
     """Rebuild a candidate from its certificate, resolving group names
-    against a loaded corpus."""
-    def side(entry):
+    against a loaded corpus.  A malformed certificate raises IsometryError
+    saying what is wrong."""
+    if isinstance(data, list):
+        raise IsometryError("a certificate is one object from the list that "
+                            "isometry-search --json prints, not the list")
+    if not isinstance(data, dict):
+        raise IsometryError(f"a certificate is a JSON object, not "
+                            f"{type(data).__name__}")
+
+    def side(key):
+        entry = data.get(key)
+        if not isinstance(entry, dict):
+            raise IsometryError(f"certificate {key} must be an object with "
+                                f"group, prime and block")
+        for name, kind in (("group", str), ("prime", int), ("block", str)):
+            value = entry.get(name)
+            if type(value) is not kind:     # bool is not int here
+                raise IsometryError(f"certificate {key}.{name} must be of type "
+                                    f"{kind.__name__}, got {value!r}")
         if entry["group"] not in corpus:
             raise IsometryError(f"unknown group {entry['group']!r}")
         return block_ref(corpus[entry["group"]], entry["prime"], entry["block"])
-    return IsometryCandidate(side(data["source"]), side(data["target"]),
+
+    for key in ("permutation", "signs"):
+        value = data.get(key)
+        if type(value) is not list or any(type(x) is not int for x in value):
+            raise IsometryError(f"certificate {key} must be a list of "
+                                f"integers, got {value!r}")
+    return IsometryCandidate(side("source"), side("target"),
                              tuple(data["permutation"]), tuple(data["signs"]))

@@ -116,22 +116,23 @@ class ClassFunction:
             coords = ints
         self._coords = coords
 
-    def _coords_with(self, other, op):
-        if self._coords is None or other._coords is None:
-            return None
-        return [op(a, b) for a, b in zip(self._coords, other._coords)]
+    def _combine(self, other, op) -> "ClassFunction":
+        if self.table is not other.table:
+            raise DatasetError(f"cannot combine class functions on "
+                               f"{self.table.group_name} and "
+                               f"{other.table.group_name}")
+        coords = None
+        if self._coords is not None and other._coords is not None:
+            coords = [op(a, b) for a, b in zip(self._coords, other._coords)]
+        return ClassFunction(self.table,
+                             [op(a, b) for a, b in zip(self.values, other.values)],
+                             coords)
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        assert self.table is other.table
-        return ClassFunction(self.table,
-                             [a + b for a, b in zip(self.values, other.values)],
-                             self._coords_with(other, operator.add))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        assert self.table is other.table
-        return ClassFunction(self.table,
-                             [a - b for a, b in zip(self.values, other.values)],
-                             self._coords_with(other, operator.sub))
+        return self._combine(other, operator.sub)
 
     def __rmul__(self, k: int) -> "ClassFunction":
         coords = None

@@ -153,6 +153,59 @@ class TestIsometry:
         code, _ = invoke("isometry-check", str(cert_file))
         assert code == EXIT_CHECK
 
+    @pytest.fixture(scope="class")
+    def certs(self):
+        return invoke("isometry-search", "A5:5:B0", "D10:5:B0", "--json")[1]
+
+    def test_search_output_list_is_data_error(self, tmp_path, capsys, certs):
+        # the search prints a list; isometry-check takes one certificate
+        cert_file = tmp_path / "certs.json"
+        cert_file.write_text(certs)
+        code, _ = invoke("isometry-check", str(cert_file))
+        assert code == EXIT_DATA
+        assert "one object from the list" in capsys.readouterr().err
+
+    MALFORMED = {
+        "missing prime": (lambda c: c["source"].pop("prime"), "source.prime"),
+        "bool prime": (lambda c: c["target"].update(prime=True),
+                       "target.prime"),
+        "string prime": (lambda c: c["target"].update(prime="5"),
+                         "target.prime"),
+        "int group": (lambda c: c["source"].update(group=5), "source.group"),
+        "null block": (lambda c: c["target"].update(block=None),
+                       "target.block"),
+        "string side": (lambda c: c.update(source="A5:5:B0"),
+                        "certificate source"),
+        "missing side": (lambda c: c.pop("target"), "certificate target"),
+        "string sign": (lambda c: c["signs"].__setitem__(1, "-1"),
+                        "certificate signs"),
+        "bool sign": (lambda c: c["signs"].__setitem__(1, True),
+                      "certificate signs"),
+        "string permutation": (lambda c: c.update(permutation="0123"),
+                               "certificate permutation"),
+        "float index": (lambda c: c["permutation"].__setitem__(0, 0.0),
+                        "certificate permutation"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_certificate_is_data_error(self, tmp_path, capsys,
+                                                 certs, case):
+        mutate, message = self.MALFORMED[case]
+        cert = json.loads(certs)[0]
+        mutate(cert)
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        code, _ = invoke("isometry-check", str(cert_file))
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_non_object_certificate_is_data_error(self, tmp_path, capsys):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text('"A5:5:B0"')
+        code, _ = invoke("isometry-check", str(cert_file))
+        assert code == EXIT_DATA
+        assert "JSON object" in capsys.readouterr().err
+
     def test_bound_exceeded(self):
         code, _ = invoke("isometry-search", "A5:5:B0", "D10:5:B0",
                          "--bound", "3")

@@ -1,11 +1,48 @@
 """Perfect isometries: search, perfection conditions, preservation checks
 and certificates."""
 
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from charcond import isometry as iso
+from charcond.blocks import partition_blocks
+from charcond.cyclo import ZERO
+from charcond.tables import ClassFunction, inner_product
+
+
+def brute_force(src, tgt):
+    """The search before pruning: every signed bijection, fully checked, in
+    lexicographic (permutation, signs) order."""
+    n = len(src.irrs)
+    products = iso._value_products(src, tgt)
+    found = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            cand = iso.IsometryCandidate(src, tgt, perm, signs)
+            if iso.check_perfection(cand, products,
+                                    collect_witnesses=False).perfect:
+                found.append(cand)
+    return found
+
+
+def regular_gram(ref):
+    """<chi^0, psi^0> by inner products of the characters with their values
+    on p-singular classes set to zero."""
+    table = ref.dataset.table
+    restricted = [
+        ClassFunction(table, [v if cls.element_order % ref.prime else ZERO
+                              for v, cls in zip(table.irreducibles[i],
+                                                table.classes)])
+        for i in ref.irrs]
+    return [[inner_product(a, b) for b in restricted] for a in restricted]
+
+
+def keys(cands):
+    return [(c.permutation, c.signs) for c in cands]
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +54,24 @@ def a5_d10(corpus):
 @pytest.fixture(scope="module")
 def found(a5_d10):
     return iso.search_perfect_isometries(*a5_d10)
+
+
+@pytest.fixture(scope="module")
+def sweep(corpus, manifest):
+    """Every ordered pair of equal-size blocks with nonzero defect within
+    the default bound, with its brute-force certificates."""
+    refs = [iso.BlockRef(corpus[entry["name"]], p, b)
+            for entry in manifest["groups"] for p in entry["primes"]
+            for b in partition_blocks(corpus[entry["name"]], p)
+            if b.defect > 0 and len(b.irr_indices) <= 6]
+    return [(s, t, brute_force(s, t)) for s in refs for t in refs
+            if len(s.irrs) == len(t.irrs)]
+
+
+@pytest.fixture(scope="module")
+def sl23_self(corpus):
+    ref = iso.block_ref(corpus["SL(2,3)"], 2, "B0")
+    return ref, iso.search_perfect_isometries(ref, ref, bound=7)
 
 
 class TestGram:
@@ -76,6 +131,46 @@ class TestSearch:
             iso.search_perfect_isometries(*a5_d10, bound=3)
 
 
+class TestPrunedSearch:
+    def test_equals_brute_force_on_every_sweep_pair(self, sweep):
+        assert len(sweep) == 92
+        for src, tgt, brute in sweep:
+            assert keys(iso.search_perfect_isometries(src, tgt)) == keys(brute)
+
+    def test_gram_form_matches_inner_products(self, sweep):
+        for ref in {id(s): s for s, _, _ in sweep}.values():
+            assert iso._gram(ref) == regular_gram(ref)
+
+    def test_brute_force_certificates_preserve_gram_form(self, sweep):
+        # the pruning rule, checked on every certificate it could have lost
+        assert sum(len(brute) for _, _, brute in sweep) == 968
+        for src, tgt, brute in sweep:
+            g_src, g_tgt = regular_gram(src), regular_gram(tgt)
+            for c in brute:
+                pi, s = c.permutation, c.signs
+                for i, k in itertools.product(range(len(pi)), repeat=2):
+                    assert g_tgt[pi[i]][pi[k]] == s[i] * s[k] * g_src[i][k]
+
+    def test_sl23_self_isometries(self, sl23_self):
+        ref, found = sl23_self
+        n = len(ref.irrs)
+        assert n == 7 and len(found) == 48
+        for cand in found:
+            rep = iso.check_perfection(cand)
+            assert rep.perfect and rep.conductor_preserved \
+                and rep.l0_preserved and not rep.witnesses
+        got = keys(found)
+        assert (tuple(range(n)), (1,) * n) in got
+        assert {(p, tuple(-x for x in s)) for p, s in got} == set(got)
+        assert got == sorted(got, key=lambda k: (k[0],
+                                                 tuple(x < 0 for x in k[1])))
+
+    def test_sl23_refused_at_default_bound(self, sl23_self):
+        ref, _ = sl23_self
+        with pytest.raises(iso.IsometryError, match="645120"):
+            iso.search_perfect_isometries(ref, ref)
+
+
 class TestPerfection:
     def test_identity_self_isometry(self, corpus):
         ref = iso.block_ref(corpus["D10"], 5, "B0")
@@ -95,6 +190,51 @@ class TestPerfection:
         cand = found[0]
         rep = iso.check_perfection(cand)
         assert rep.integrality_ok
+
+    def test_witnesses_equal_a_term_by_term_fold(self, a5_d10):
+        """mu summed by one lincomb gives the witnesses a +/- fold gave."""
+        src, tgt = a5_d10
+        s_tab, t_tab = src.dataset.table, tgt.dataset.table
+        products = iso._value_products(src, tgt)
+        rng = random.Random(5)
+
+        def local_integer(x):
+            return all(f.denominator % 5 for f in x._vec)
+
+        checked = 0
+        kinds = set()
+        while checked < 12:
+            perm = tuple(rng.sample(range(4), 4))
+            signs = tuple(rng.choice((1, -1)) for _ in range(4))
+            cand = iso.IsometryCandidate(src, tgt, perm, signs)
+            rep = iso.check_perfection(cand)
+            if rep.perfect:
+                continue
+            checked += 1
+            expected = []
+            for g in range(s_tab.num_classes):
+                for h in range(t_tab.num_classes):
+                    mu = ZERO
+                    for k in range(4):
+                        term = products[k][perm[k]][g][h]
+                        mu = mu + term if signs[k] == 1 else mu - term
+                    s_reg = s_tab.classes[g].element_order % 5 != 0
+                    t_reg = t_tab.classes[h].element_order % 5 != 0
+                    if s_reg != t_reg:
+                        if mu:
+                            expected.append(("separation", g, h, str(mu)))
+                    elif not all(
+                            local_integer(Fraction(1, tab.centralizer_order(c))
+                                          * mu)
+                            for tab, c in ((s_tab, g), (t_tab, h))):
+                        expected.append(("integrality", g, h, str(mu)))
+            _, conductor = iso.check_conductor_preservation(cand, 5)
+            expected += [("conductor",) + w for w in conductor]
+            if not iso.check_l0_preservation(cand):
+                expected.append(("l0",))
+            assert rep.witnesses == expected
+            kinds |= {w[0] for w in expected}
+        assert kinds == {"separation", "integrality", "conductor", "l0"}
 
     def test_conductor_mismatch_witnessed(self, a5_d10):
         # pair the trivial character (conductor 1) with a conductor-5 one

@@ -138,6 +138,14 @@ class TestHeldCoords:
         with pytest.raises(DatasetError):
             ClassFunction(table, table.irreducibles[0], [Fraction(1, 2), 0, 0])
 
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_mixed_tables_raise(self, corpus, op):
+        # a check that raises, not an assert, so it holds under python -O
+        a5 = corpus["A5"].table.irreducible(0)
+        d10 = corpus["D10"].table.irreducible(0)
+        with pytest.raises(DatasetError, match="A5 and D10"):
+            getattr(a5, f"__{op}__")(d10)
+
 
 class TestPowerMaps:
     def test_power_class_inverse(self, corpus):
