@@ -35,40 +35,39 @@ def _build_parser() -> _Args:
                                "numbers and block data of small groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, extra=()):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--corpus", metavar="DIR",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--corpus", metavar="DIR",
                         help="dataset directory (default: shipped corpus)")
-        sp.add_argument("--group", metavar="NAME",
-                        help="restrict to one group")
-        sp.add_argument("--prime", type=int, metavar="P",
+    fmt = common.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit JSON records")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV records")
+    # each subcommand takes only the flags it reads; `_selection` reads both
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--group", metavar="NAME", help="restrict to one group")
+    select = argparse.ArgumentParser(add_help=False, parents=[group])
+    select.add_argument("--prime", type=int, metavar="P",
                         help="restrict to one prime")
-        fmt = sp.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true",
-                         help="emit JSON records")
-        fmt.add_argument("--csv", action="store_true",
-                         help="emit CSV records")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for random virtual characters (default 0)")
-        sp.add_argument("--bound", type=int, default=6,
-                        help="isometry search size bound (default 6)")
-        for args, kwargs in extra:
-            sp.add_argument(*args, **kwargs)
-        return sp
 
-    add("validate", "load and validate datasets")
-    add("conductors", "conductor table per irreducible character")
-    add("gendec", "dump the generalised decomposition matrix")
-    add("blocks", "block partition, defects and Cartan matrices")
-    add("verify", "run the theorem verification suites",
-        [(("--samples",), {"type": int, "default": 5,
-                           "help": "random virtual characters per block"})])
-    add("isometry-search", "exhaustive perfect-isometry search",
-        [(("source",), {"metavar": "GROUP:P:BLOCK"}),
-         (("target",), {"metavar": "GROUP:P:BLOCK"})])
-    add("isometry-check", "check an isometry certificate file",
-        [(("certificate",), {"metavar": "FILE"})])
-    add("restrict-check", "subgroup restriction conductor checks")
+    def add(name, help_text, *parents):
+        return sub.add_parser(name, help=help_text, parents=[common, *parents])
+
+    add("validate", "load and validate datasets", group)
+    add("conductors", "conductor table per irreducible character", select)
+    add("gendec", "dump the generalised decomposition matrix", select)
+    add("blocks", "block partition, defects and Cartan matrices", select)
+    verify_args = add("verify", "run the theorem verification suites", select)
+    verify_args.add_argument("--samples", type=int, default=5,
+                             help="random virtual characters per block")
+    verify_args.add_argument("--seed", type=int, default=0, help="seed for "
+                             "random virtual characters (default 0)")
+    search = add("isometry-search", "exhaustive perfect-isometry search")
+    search.add_argument("source", metavar="GROUP:P:BLOCK")
+    search.add_argument("target", metavar="GROUP:P:BLOCK")
+    search.add_argument("--bound", type=int, default=6,
+                        help="isometry search size bound (default 6)")
+    add("isometry-check", "check an isometry certificate file").add_argument(
+        "certificate", metavar="FILE")
+    add("restrict-check", "subgroup restriction conductor checks", select)
     return parser
 
 
@@ -206,7 +205,7 @@ def _cmd_verify(opts, out) -> int:
 
 def _parse_block_spec(spec: str, corpus):
     parts = spec.split(":")
-    if len(parts) != 3 or not parts[1].isdigit():
+    if len(parts) != 3 or not parts[1].isdecimal():
         raise DatasetError(f"bad block spec {spec!r}; expected GROUP:P:BLOCK")
     name, p, block_id = parts[0], int(parts[1]), parts[2]
     if name not in corpus:

@@ -1,17 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Elements are stored on the rational power basis 1, z, ..., z^(phi(n)-1) of
-Q(zeta_n), with z = zeta_n, and are always normalised so that the stored
-order equals the conductor of the element (in particular rationals have
-order 1, and the order is never congruent to 2 mod 4).  This makes equality,
-hashing and integrality tests coefficient comparisons: the power basis is an
-integral basis of the ring of integers Z[zeta_n].
+Q(zeta_n), z = zeta_n, at their conductor: rationals have order 1, and the
+order is never 2 mod 4.  Equality, hashing and integrality tests are then
+coefficient comparisons (the power basis is an integral basis of Z[zeta_n]).
+Products, embeddings and Galois images are maps on exponents followed by one
+reduction mod Phi_n (`_reduce`); `lincomb` sums many terms with one reduction
+and one normalisation.
 
-Products, embeddings Q(zeta_m) -> Q(zeta_n) and Galois images are maps on
-exponents followed by one reduction mod Phi_n (`_reduce`); no power, embedding
-or Galois tables are built or cached.  Sums of many terms go through
-`lincomb`, which maps every term into Q(zeta_N), reduces and normalises once,
-instead of folding `+` over canonical partial sums.
+Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
+prime q | n at a time, with no linear solve (`_descend`).  If q^2 | n, x lies
+in Q(zeta_(n/q)) iff its coordinates vanish off multiples of q; if n = 2 mod 4
+the fields are equal; otherwise x lies there iff a generator of the cyclic
+H = Gal(Q(zeta_n)/Q(zeta_(n/q))) fixes it, and then x = Tr_H(x)/(q-1).
+`_normalise` descends while some prime lets the element down; `invert`
+multiplies y by c, the product of its nontrivial H-conjugates, so that y*c =
+N_H(y) lies one field down, and collects the c on the way down to a rational.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from . import linalg
 
 
 class CycloError(ValueError):
@@ -40,19 +42,6 @@ def euler_phi(n: int) -> int:
     for q in prime_factors(n):
         result -= result // q
     return result
-
-
-@lru_cache(maxsize=None)
-def divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
 
 
 def nu_p(n: int, p: int) -> int:
@@ -99,13 +88,15 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            poly = _poly_divide_exact(poly, list(cyclotomic_poly(d)))
-    assert len(poly) == euler_phi(n) + 1
-    return tuple(poly)
+    """Coefficients (ascending) of the n-th cyclotomic polynomial: for a prime
+    q with n = qm, Phi_n(x) = Phi_m(x^q), divided by Phi_m(x) unless q | m."""
+    if n == 1:
+        return (-1, 1)
+    q = prime_factors(n)[0]
+    below = cyclotomic_poly(n // q)
+    poly = [0] * (q * (len(below) - 1) + 1)
+    poly[::q] = below
+    return tuple(poly if n % (q * q) == 0 else _poly_divide_exact(poly, below))
 
 
 def _reduce(n: int, terms) -> tuple[Fraction, ...]:
@@ -128,10 +119,31 @@ def _reduce(n: int, terms) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in acc[:k])
 
 
-@lru_cache(maxsize=None)
-def _fixing_exponents(n: int, d: int) -> tuple[int, ...]:
-    """All k with gcd(k, n) = 1, k = 1 mod d, k != 1: Gal(Q(zeta_n)/Q(zeta_d))."""
-    return tuple(k for k in range(2, n + 1) if gcd(k, n) == 1 and (k - 1) % d == 0)
+def _mul(n: int, a, s: int, b, t: int) -> tuple[Fraction, ...]:
+    """a * b in Q(zeta_n), for a in Q(zeta_(n/s)) and b in Q(zeta_(n/t))."""
+    return _reduce(n, ((s * i + t * j, x * y) for i, x in enumerate(a) if x
+                       for j, y in enumerate(b) if y))
+
+
+def _descend(n: int, q: int, vec: tuple) -> tuple[Fraction, ...] | None:
+    """Coordinates of x in Q(zeta_(n/q)), q | n prime, or None if x is not there."""
+    m = n // q
+    if m % q == 0:
+        # 1, z, ..., z^(q-1) is a basis of Q(zeta_n) over Q(zeta_m)
+        return None if any(any(vec[r::q]) for r in range(1, q)) else vec[::q]
+    if q == 2:  # zeta_n = -zeta_m^((m+1)/2)
+        return _reduce(m, ((j * (m + 1) // 2, -c if j % 2 else c)
+                           for j, c in enumerate(vec)))
+    # H is generated by the k = 1 mod m that is a primitive root g mod q
+    g = next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1
+                                           for r in prime_factors(q - 1)))
+    k = 1 + m * ((g - 1) * pow(m, -1, q) % q)
+    if _reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec:
+        return None
+    # Tr(zeta_n^j) is zeta_m^(j/q) times q-1 if q | j, and times -1 if not
+    u, w = pow(q, -1, m), Fraction(-1, q - 1)
+    return _reduce(m, ((j * u, c if j % q == 0 else c * w)
+                       for j, c in enumerate(vec)))
 
 
 class CycloNum:
@@ -225,29 +237,30 @@ class CycloNum:
         if other.order == 1:
             return other * self
         n = lcm(self.order, other.order)
-        s, t = n // self.order, n // other.order
-        return CycloNum(n, _reduce(n, ((s * i + t * j, a * b)
-                                       for i, a in enumerate(self._vec) if a
-                                       for j, b in enumerate(other._vec) if b)))
+        return CycloNum(n, _mul(n, self._vec, n // self.order,
+                                other._vec, n // other.order))
 
     __rmul__ = __mul__
 
     def invert(self) -> "CycloNum":
-        """Multiplicative inverse, via the multiplication-matrix linear system."""
+        """Multiplicative inverse, by norms down the tower of subfields."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        n = self.order
-        if n == 1:
-            return CycloNum.from_rational(1 / self._vec[0])
-        k = euler_phi(n)
-        cols = [_reduce(n, ((i + j, c) for i, c in enumerate(self._vec)))
-                for j in range(k)]
-        rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (k - 1)
-        sol = linalg.solve(rows, rhs)
-        assert sol is not None
+        n, y, cofactors = self.order, self._vec, []
+        while n > 1:
+            q = prime_factors(n)[0]
+            m, c = n // q, (Fraction(1),)
+            for k in range(1 + m, n, m):  # H less 1: k = 1 mod m, prime to n
+                if gcd(k, n) == 1:
+                    c = _mul(n, c, 1, _reduce(n, ((j * k, a) for j, a
+                                                  in enumerate(y))), 1)
+            cofactors.append((n, c))
+            n, y = m, _descend(n, q, _mul(n, y, 1, c, 1))
+        inv, order = (1 / y[0],), 1
+        for n, c in reversed(cofactors):
+            inv, order = _mul(n, inv, n // order, c, 1), n
         # Q(1/a) = Q(a), so the inverse is already stored at its conductor
-        return CycloNum(n, tuple(sol), _canonical=True)
+        return CycloNum(order, inv, _canonical=True)
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).invert()
@@ -314,24 +327,12 @@ def lincomb(terms) -> CycloNum:
 
 
 def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    """Descend to the conductor of the element; returns (order, coeffs)."""
-    assert len(vec) == euler_phi(n)
-    vec = tuple(vec)
-    if n == 1:
-        return 1, vec
-    for d in divisors(n):
-        if d % 4 == 2 or any(
-                _reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec
-                for k in _fixing_exponents(n, d)):
-            continue
-        if d == n:
-            return n, vec
-        cols = [_reduce(n, ((j * (n // d), 1),)) for j in range(euler_phi(d))]
-        rows = [[col[i] for col in cols] for i in range(len(vec))]
-        sol = linalg.solve(rows, vec)
-        assert sol is not None, "galois-fixed element must descend"
-        return d, tuple(sol)
-    raise AssertionError("unreachable: d = n is always a candidate")
+    """(conductor, coeffs there) of the element, one prime at a time; once x
+    is not in Q(zeta_(n/q)) it is in no Q(zeta_d), d | n/q, so q is done."""
+    for q in prime_factors(n):
+        while n % q == 0 and (down := _descend(n, q, vec)) is not None:
+            n, vec = n // q, down
+    return n, vec
 
 
 # ---------------------------------------------------------------------------

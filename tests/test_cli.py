@@ -215,6 +215,12 @@ class TestIsometry:
         code, _ = invoke("isometry-search", "A5", "D10:5:B0")
         assert code == EXIT_DATA
 
+    def test_non_decimal_prime_in_spec(self, capsys):
+        # a superscript two passes str.isdigit() but not int()
+        code, _ = invoke("isometry-search", "A5:\u00b2:B0", "D10:5:B0")
+        assert code == EXIT_DATA
+        assert "A5:\u00b2:B0" in capsys.readouterr().err
+
 
 class TestOther:
     def test_blocks_output(self):
@@ -233,4 +239,17 @@ class TestOther:
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run(["frobnicate"])
+        assert err.value.code == EXIT_USAGE
+
+    # each subcommand registers only the flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--bound", "3"],
+        ["validate", "--prime", "7"],
+        ["conductors", "--seed", "9"],
+        ["isometry-search", "A5:5:B0", "D10:5:B0", "--group", "A5"],
+        ["isometry-check", "cert.json", "--prime", "5"],
+    ])
+    def test_unread_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
         assert err.value.code == EXIT_USAGE

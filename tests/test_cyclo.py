@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from charcond import cyclo, linalg
 from charcond.cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
                             conductor_p, cyclo_to_str, cyclotomic_poly,
-                            divisors, euler_phi, lincomb, p_part, parse_cyclo)
+                            euler_phi, lincomb, p_part, parse_cyclo)
 
 
 def embed(a: CycloNum) -> complex:
@@ -31,9 +32,6 @@ class TestBasics:
         assert [euler_phi(n) for n in (1, 2, 3, 4, 8, 9, 12, 60)] == \
             [1, 1, 2, 2, 4, 6, 4, 16]
 
-    def test_divisors(self):
-        assert divisors(12) == (1, 2, 3, 4, 6, 12)
-
     def test_p_part(self):
         assert p_part(360, 2) == 8
         assert p_part(360, 5) == 5
@@ -44,6 +42,17 @@ class TestBasics:
         assert cyclotomic_poly(4) == (1, 0, 1)
         assert cyclotomic_poly(6) == (1, -1, 1)
         assert cyclotomic_poly(8) == (1, 0, 0, 0, 1)
+        # x^n - 1 is the product of Phi_d over the d | n
+        for n in range(1, 121):
+            product = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    out = [0] * (len(product) + len(cyclotomic_poly(d)) - 1)
+                    for i, a in enumerate(product):
+                        for j, b in enumerate(cyclotomic_poly(d)):
+                            out[i + j] += a * b
+                    product = out
+            assert product == [-1] + [0] * (n - 1) + [1]
 
     def test_i_squared(self):
         i = CycloNum.zeta(4)
@@ -156,12 +165,13 @@ class TestNumericOracle:
         for e in range(105):
             z = CycloNum.zeta(105, e)
             assert abs(embed(z) - cmath.exp(2j * cmath.pi * e / 105)) < 1e-9
+            assert abs(embed(z.invert())
+                       - cmath.exp(-2j * cmath.pi * e / 105)) < 1e-9
         rng = random.Random(105)
-        for i in range(10):
+        for _ in range(10):
             a, b = random_cyclo(rng, 105), random_cyclo(rng, 105)
             assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-9
-            # a 48 x 48 exact solve each, so fewer of them
-            if i % 4 == 0 and b:
+            if b:
                 assert abs(embed(b.invert()) - 1 / embed(b)) < 1e-9
 
 
@@ -250,3 +260,101 @@ class TestLincomb:
         i = CycloNum.zeta(4)
         s = lincomb([(2, CycloNum.zeta(12, 2)), (-1, ONE), (0, i)])
         assert s.order == 3 and (s * s).rational_value() == -3
+
+
+def normalise_by_solve(n, vec):
+    """Reference conductor descent: the least d | n, d != 2 mod 4, such that
+    every k = 1 mod d prime to n fixes the element, then a dense linear solve
+    for its coordinates in Q(zeta_d)."""
+    for d in range(1, n + 1):
+        fixing = [k for k in range(2, n + 1)
+                  if math.gcd(k, n) == 1 and (k - 1) % d == 0]
+        if n % d or d % 4 == 2 or any(
+                cyclo._reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec
+                for k in fixing):
+            continue
+        if d == n:
+            return n, vec
+        cols = [cyclo._reduce(n, ((j * (n // d), 1),))
+                for j in range(euler_phi(d))]
+        rows = [[col[i] for col in cols] for i in range(len(vec))]
+        return d, tuple(linalg.solve(rows, list(vec)))
+
+
+def invert_by_solve(a):
+    """Reference inverse: solve a * x = 1 with the dense phi(n) x phi(n)
+    multiplication matrix of a."""
+    n = a.order
+    k = euler_phi(n)
+    cols = [cyclo._reduce(n, ((i + j, c) for i, c in enumerate(a._vec)))
+            for j in range(k)]
+    rows = [[cols[j][i] for j in range(k)] for i in range(k)]
+    return n, tuple(linalg.solve(rows, [Fraction(1)] + [Fraction(0)] * (k - 1)))
+
+
+class TestDescentAgainstSolve:
+    """The prime-by-prime descent and the inverse down the Galois tower give
+    the same canonical (order, coordinates) as the dense linear solves."""
+
+    @pytest.mark.parametrize("orders", [
+        pytest.param((2, 6, 10, 30, 42), id="n_2_mod_4"),
+        pytest.param((8, 9, 16, 25, 27, 36, 72), id="q_squared_divides_n"),
+        pytest.param((7, 15, 21, 35, 105), id="odd_q_exactly_divides_n"),
+    ])
+    def test_normalise(self, orders):
+        rng = random.Random(orders[-1])
+        for n in orders:
+            for _ in range(12):
+                # draw the powers of zeta_n from a random subfield Q(zeta_d),
+                # so that most elements descend below n
+                d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+                coeffs = {(n // d) * rng.randrange(d):
+                          Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 4))}
+                if rng.random() < 0.5:
+                    # the sum over <k> for a random unit k lies in the field
+                    # <k> fixes, which need not be cyclotomic
+                    k = rng.choice([k for k in range(1, n + 1)
+                                    if math.gcd(k, n) == 1])
+                    orbit = {pow(k, i, n) for i in range(n)}
+                    summed = {}
+                    for e, c in coeffs.items():
+                        for t in orbit:
+                            summed[e * t % n] = summed.get(e * t % n, 0) + c
+                    coeffs = summed
+                x = CycloNum.from_exponents(n, coeffs)
+                assert (x.order, x._vec) == normalise_by_solve(
+                    n, cyclo._reduce(n, coeffs.items()))
+
+    def test_lincomb(self):
+        # two independently drawn orders, so lcms up to 240
+        orders = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16)
+        rng = random.Random(240)
+        for _ in range(60):
+            pair = (rng.choice(orders), rng.choice(orders))
+            terms = [(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                      random_cyclo(rng, rng.choice(pair)))
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:  # cancel one term, so the sum can descend
+                q, x = rng.choice(terms)
+                terms.append((-q, x))
+            terms = [(q, x) for q, x in terms if q and x]
+            s = lincomb(terms)
+            if not terms:
+                assert s == ZERO
+                continue
+            n = math.lcm(*[x.order for _, x in terms])
+            vec = cyclo._reduce(n, (((n // x.order) * j, c * q)
+                                    for q, x in terms
+                                    for j, c in enumerate(x._vec)))
+            assert (s.order, s._vec) == normalise_by_solve(n, vec)
+
+    def test_invert(self):
+        rng = random.Random(48)
+        for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 35, 36,
+                  40, 60, 72, 105):
+            for _ in range(1 if n == 105 else 4):
+                a = random_cyclo(rng, n)
+                if a:
+                    inv = a.invert()
+                    assert (inv.order, inv._vec) == invert_by_solve(a)
