@@ -5,7 +5,7 @@ agree after reduction modulo a prime ideal above p.  The partition computed
 here is cross-checked against the labels shipped with each dataset.
 """
 
-from charcond import cartan_matrix, load_corpus, partition_blocks
+from charcond import cartan_matrix, load_corpus
 
 corpus = load_corpus()
 
@@ -13,7 +13,7 @@ for name, p in (("S3", 2), ("S3", 3), ("A5", 5), ("SL(2,3)", 3)):
     ds = corpus[name]
     print(f"\n{name} at p={p}:")
     cartan = cartan_matrix(ds.brauer(p))
-    for b in partition_blocks(ds, p):
+    for b in ds.blocks(p):
         ibr = sorted(b.ibr_indices)
         sub = [[cartan[i][j] for j in ibr] for i in ibr]
         print(f"  {b.id}: Irr {sorted(b.irr_indices)}, IBr {ibr}, "

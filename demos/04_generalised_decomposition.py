@@ -6,14 +6,14 @@ Brauer reciprocity and by an exact linear solve) and asserted equal; the
 u = 1 slice is the ordinary decomposition matrix.
 """
 
-from charcond import gendec_all, load_corpus
+from charcond import load_corpus
 from charcond.cyclo import cyclo_to_str
 
 corpus = load_corpus()
 
 for name, p in (("S3", 3), ("A5", 5), ("C4", 2)):
     ds = corpus[name]
-    gm = gendec_all(ds, p)
+    gm = ds.gendec(p)
     print(f"\n{name} at p={p}: columns (u class, phi)")
     header = [f"({ds.table.classes[u].name},{phi})" for u, phi in gm.columns]
     print("        " + "  ".join(f"{h:>10}" for h in header))

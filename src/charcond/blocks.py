@@ -2,7 +2,8 @@
 
 Blocks are recovered from central-character residues and cross-checked
 against the block labels shipped with each dataset; a mismatch is treated as
-data corruption, not a soft failure.
+data corruption, not a soft failure.  Callers read `GroupDataset.blocks(p)`
+and `.projectives(p)`, which hold these results once per dataset and prime.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ import json
 import sys
 
 from . import isometry, verify
-from .blocks import BlockError, cartan_matrix, partition_blocks
+from .blocks import BlockError, cartan_matrix
 from .cyclo import cyclo_to_str
-from .gendec import GendecError, check_second_main, gendec_all
+from .gendec import GendecError, check_second_main
 from .tables import (DatasetError, char_conductor, default_corpus_dir,
                      load_corpus, load_manifest)
 
@@ -141,7 +141,7 @@ def _cmd_gendec(opts, out) -> int:
     _, pairs = _selection(opts)
     rows = []
     for ds, p in pairs:
-        gm = gendec_all(ds, p)
+        gm = ds.gendec(p)
         for u, phi in gm.columns:
             col = gm.entries[(u, phi)]
             for chi, val in enumerate(col):
@@ -158,7 +158,7 @@ def _cmd_blocks(opts, out) -> int:
     for ds, p in pairs:
         bd = ds.brauer(p)
         cartan = cartan_matrix(bd)
-        for b in partition_blocks(ds, p):
+        for b in ds.blocks(p):
             ibr = sorted(b.ibr_indices)
             sub_cartan = [[cartan[i][j] for j in ibr] for i in ibr]
             rows.append([ds.name, p, b.id, b.defect,
@@ -175,12 +175,11 @@ def _cmd_verify(opts, out) -> int:
     rows = []
     failed = False
     for ds, p in pairs:
-        gm = gendec_all(ds, p)
         reports = [
             verify.theorem1_suite(ds, p, samples=opts.samples,
-                                  seed=opts.seed, gm=gm),
-            verify.cor05_suite(ds, p, gm=gm),
-            verify.projective_invariance_suite(ds, p, gm=gm),
+                                  seed=opts.seed),
+            verify.cor05_suite(ds, p),
+            verify.projective_invariance_suite(ds, p),
             verify.check_restriction_props(ds, p),
         ]
         for rep in reports:
@@ -194,7 +193,7 @@ def _cmd_verify(opts, out) -> int:
                 detail = f"{bad.check} {bad.character}: {bad.lhs} != {bad.rhs}"
                 failed = True
             rows.append([ds.name, p, rep.check_name, status, detail])
-        violations = check_second_main(ds, p, gm)
+        violations = check_second_main(ds, p)
         rows.append([ds.name, p, "section-vanishing",
                      "PASS" if not violations else "FAIL",
                      f"{len(violations)} violations"])

@@ -4,7 +4,8 @@ For a p-element u with centralizer C = C_G(u) and s running over the
 p-regular classes of C, the numbers d^u_{chi,phi} are the unique cyclotomic
 integers with chi(us) = sum_phi d^u_{chi,phi} phi(s).  They are computed
 both by Brauer reciprocity against the projective characters of C and by an
-exact linear solve, and the two results are asserted equal.
+exact linear solve, and the two results are asserted equal.  Callers read
+`GroupDataset.gendec(p)`, which holds the result once per dataset and prime.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .blocks import partition_blocks, projective_characters
 from .cyclo import CycloNum, lincomb, nu_p, p_part
 
 
@@ -76,7 +76,6 @@ class GendecMatrix:
     """All numbers d^u_{chi,phi} at one prime, keyed by (u_class, phi index)."""
 
     p: int
-    u_classes: list[int]                       # sorted, includes the identity
     columns: list[tuple[int, int]]             # (u_class, IBr(C_G(u)) index)
     entries: dict[tuple[int, int], list[CycloNum]] = field(default_factory=dict)
     # entries[(u_class, phi)] is the column over Irr(G)
@@ -98,14 +97,12 @@ def section_values(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
             for s in _regular_classes(sec, p)]
 
 
-def gendec_reciprocity(table, chi: int, sec: SectionData, p: int,
-                       projectives=None) -> list[CycloNum]:
-    """d^u_{chi,.} = (1/|C|) sum_{s in C_{p'}} chi(us) Psi(s^{-1}); pass the
-    centralizer's `projectives` at p to share them across characters."""
+def gendec_reciprocity(table, chi: int, sec: SectionData, p: int
+                       ) -> list[CycloNum]:
+    """d^u_{chi,.} = (1/|C|) sum_{s in C_{p'}} chi(us) Psi(s^{-1}), with Psi
+    the centralizer's projective characters at p."""
     from .tables import power_class
     cent = sec.centralizer.table
-    if projectives is None:
-        projectives = projective_characters(cent, sec.centralizer.brauer(p))
     regular = _regular_classes(sec, p)
     weights = [Fraction(cent.classes[s].size, cent.group_order)
                for s in regular]
@@ -114,7 +111,7 @@ def gendec_reciprocity(table, chi: int, sec: SectionData, p: int,
     chi_us = section_values(table, chi, sec, p)
     return [lincomb((w, val * psi.values[sinv])
                     for w, val, sinv in zip(weights, chi_us, inverses))
-            for psi in projectives]
+            for psi in sec.centralizer.projectives(p)]
 
 
 def gendec_solve(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
@@ -145,15 +142,14 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     sections = ds.sections(p)
     if not sections:
         raise GendecError(f"{ds.name}: no section data at p={p}")
-    gm = GendecMatrix(p=p, u_classes=[s.u_class for s in sections], columns=[])
+    gm = GendecMatrix(p=p, columns=[])
     ident = table.identity_class
     for sec in sections:
         bd = sec.centralizer.brauer(p)
-        projectives = projective_characters(sec.centralizer.table, bd)
         u_order = table.classes[sec.u_class].element_order
         cols = [[] for _ in range(bd.num_ibr)]
         for chi in range(table.num_classes):
-            rec = gendec_reciprocity(table, chi, sec, p, projectives)
+            rec = gendec_reciprocity(table, chi, sec, p)
             sol = gendec_solve(table, chi, sec, p)
             if rec != sol:
                 raise GendecError(
@@ -181,17 +177,15 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     return gm
 
 
-def check_second_main(ds, p: int, gm: GendecMatrix | None = None) -> list[tuple]:
+def check_second_main(ds, p: int) -> list[tuple]:
     """Vanishing constraints on d^u; returns the list of violations.
 
     d^u_{chi,phi} must vanish when chi's block is not the correspondent of
     phi's centralizer block, and when order(u) exceeds p^defect of chi's block.
     """
-    if gm is None:
-        gm = gendec_all(ds, p)
+    gm = ds.gendec(p)
     table = ds.table
-    blocks = partition_blocks(ds, p)
-    block_of_chi = {i: b for b in blocks for i in b.irr_indices}
+    block_of_chi = {i: b for b in ds.blocks(p) for i in b.irr_indices}
     violations = []
     for sec in ds.sections(p):
         bd = sec.centralizer.brauer(p)

@@ -289,8 +289,7 @@ def check_l0_preservation(cand: IsometryCandidate) -> bool:
 
 
 def block_ref(ds: GroupDataset, p: int, block_id: str) -> BlockRef:
-    from .blocks import partition_blocks
-    for b in partition_blocks(ds, p):
+    for b in ds.blocks(p):
         if b.id == block_id:
             return BlockRef(ds, p, b)
     raise IsometryError(f"{ds.name} has no block {block_id} at p={p}")

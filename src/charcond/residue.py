@@ -139,9 +139,6 @@ class ResidueMap:
     def zero(self) -> PrimeFieldElem:
         return self._elem([])
 
-    def from_int(self, n: int) -> PrimeFieldElem:
-        return self._elem([n % self.p])
-
 
 def _multiplicative_order(p: int, n: int) -> int:
     f, acc = 1, p % n
@@ -199,11 +196,11 @@ def reduce_cyclo(m: ResidueMap, a: CycloNum) -> PrimeFieldElem:
         d = pow(pa, -1, nprime)
         zeta_n_image = m.root_image ** d
     base = zeta_n_image ** (N // a.order)  # image of zeta_{order(a)}
-    out = m.zero
+    out = [0] * m.field_degree
     power = m.one
     prev_e = 0
     for e, c in sorted(a.exponent_coeffs().items()):
         power = power * base ** (e - prev_e)
         prev_e = e
-        out = out + m.from_int(int(c)) * power
-    return out
+        out = [x + int(c) * y for x, y in zip(out, power.coords)]
+    return m._elem(out)

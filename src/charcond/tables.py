@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
+from . import blocks as _blocks
+from . import gendec as _gendec
 from .cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
                     conductor_p, lincomb, p_part, parse_cyclo, prime_factors)
 
@@ -243,7 +245,6 @@ def char_conductor(chi: ClassFunction, p: int | None = None) -> int:
 class SubgroupPrimeInfo:
     correspondent_block: dict[str, str]   # G-block id -> subgroup block id
     ti: bool = False
-    covers_centralizer: bool = False
     cyclic_defect: bool = False
 
 
@@ -257,26 +258,53 @@ class SubgroupEmbedding:
 
 @dataclass
 class PrimeData:
-    p: int
     brauer: "object"                      # blocks.BrauerData
     sections: list["object"]              # gendec.SectionData, in u_class order
+    # blocks, projectives and gendec, each computed on first use
+    derived: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
 class GroupDataset:
+    """A validated group.  Nothing mutates it after loading, so what is
+    derived from it at a prime is computed once, held on that `PrimeData`."""
+
     name: str
     table: CharTable
     ambient: int
     primes: dict[int, PrimeData] = field(default_factory=dict)
     subgroups: list[SubgroupEmbedding] = field(default_factory=list)
 
-    def brauer(self, p: int):
+    def _prime(self, p: int) -> PrimeData:
         if p not in self.primes:
             raise DatasetError(f"{self.name}: no Brauer data for p={p}")
-        return self.primes[p].brauer
+        return self.primes[p]
+
+    def brauer(self, p: int):
+        return self._prime(p).brauer
 
     def sections(self, p: int):
-        return self.primes[p].sections
+        return self._prime(p).sections
+
+    def _held(self, p: int, key: str, compute, *args):
+        held = self._prime(p).derived
+        if key not in held:
+            held[key] = compute(*args)
+        return held[key]
+
+    def blocks(self, p: int) -> list:
+        """The p-blocks, by `blocks.partition_blocks`."""
+        return self._held(p, "blocks", _blocks.partition_blocks, self, p)
+
+    def projectives(self, p: int) -> list:
+        """The projective characters at p in IBr order, by
+        `blocks.projective_characters`."""
+        return self._held(p, "projectives", _blocks.projective_characters,
+                          self.table, self.brauer(p))
+
+    def gendec(self, p: int):
+        """All d^u at p, by `gendec.gendec_all`."""
+        return self._held(p, "gendec", _gendec.gendec_all, self, p)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +421,6 @@ def _parse_table(obj, path: str, ambient: int) -> CharTable:
 
 def _parse_prime_block(table: CharTable, obj, p: int, path: str,
                        ambient: int):
-    from .blocks import BrauerData, validate_brauer
     regular = _require(obj, "regular_classes", list, path)
     want_regular = [i for i, c in enumerate(table.classes)
                     if c.element_order % p != 0]
@@ -416,43 +443,58 @@ def _parse_prime_block(table: CharTable, obj, p: int, path: str,
     block_of_ibr = _require(obj, "block_of_ibr", list, path)
     if len(block_of_irr) != table.num_classes or len(block_of_ibr) != len(ibr):
         raise DatasetError(f"{path}: block label lists have wrong lengths")
-    bd = BrauerData(p=p, regular_classes=list(regular), ibr=ibr,
-                    decomposition=[list(r) for r in dec],
-                    block_of_irr=list(block_of_irr),
-                    block_of_ibr=list(block_of_ibr))
-    validate_brauer(table, bd, path)
+    bd = _blocks.BrauerData(p=p, regular_classes=list(regular), ibr=ibr,
+                            decomposition=[list(r) for r in dec],
+                            block_of_irr=list(block_of_irr),
+                            block_of_ibr=list(block_of_ibr))
+    _blocks.validate_brauer(table, bd, path)
     return bd
 
 
-def _parse_nested_dataset(obj, path: str, ambient: int, p: int) -> GroupDataset:
-    """Centralizer / subgroup dataset: a table plus Brauer data, no sections."""
+def _parse_group(obj, path: str, ambient: int) -> GroupDataset:
+    """A table plus its Brauer data at each prime, without sections."""
     table = _parse_table(obj, path, ambient)
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
-    primes_raw = obj.get("primes", {})
-    for key, pobj in primes_raw.items():
+    for key, pobj in obj.get("primes", {}).items():
         q = _prime_key(key, f"{path}.primes")
         bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}",
                                 ambient)
-        ds.primes[q] = PrimeData(p=q, brauer=bd, sections=[])
-    if p not in ds.primes:
-        raise DatasetError(f"{path}.primes: missing Brauer data for p={p}")
+        ds.primes[q] = PrimeData(brauer=bd, sections=[])
     return ds
 
 
-def _parse_section(ds_table: CharTable, obj, p: int, path: str, ambient: int):
-    from .gendec import SectionData, validate_section
+def _block_map(obj, path: str, source: GroupDataset, target: GroupDataset,
+               p: int) -> dict[str, str]:
+    """A correspondence of p-block labels, read from obj's optional
+    "correspondent_block": each key names a block of `source` and each value
+    one of `target`."""
+    mapping = obj.get("correspondent_block", {})
+    path += ".correspondent_block"
+    if not isinstance(mapping, dict):
+        raise DatasetError(f"{path}: expected an object")
+    for key, val in mapping.items():
+        for label, ds in ((key, source), (val, target)):
+            if p not in ds.primes or label not in ds.brauer(p).block_of_irr:
+                raise DatasetError(f"{path}.{key}: {ds.name} has no block "
+                                   f"{label!r} at p={p}")
+    return mapping
+
+
+def _parse_section(ds: GroupDataset, obj, p: int, path: str, ambient: int):
     u_class = _require(obj, "u_class", int, path)
-    cent = _parse_nested_dataset(_require(obj, "centralizer", dict, path),
-                                 f"{path}.centralizer", ambient, p)
+    cent = _parse_group(_require(obj, "centralizer", dict, path),
+                        f"{path}.centralizer", ambient)
+    if p not in cent.primes:
+        raise DatasetError(f"{path}.centralizer.primes: missing Brauer data "
+                           f"for p={p}")
     fusion = _require(obj, "fusion", list, path)
     u_in_centralizer = _require(obj, "u_in_centralizer", int, path)
     u_times = _require(obj, "u_times", list, path)
-    corr = obj.get("correspondent_block", {})
-    sec = SectionData(u_class=u_class, centralizer=cent, fusion=list(fusion),
-                      u_in_centralizer=u_in_centralizer,
-                      u_times=list(u_times),
-                      correspondent_block=dict(corr))
-    validate_section(ds_table, sec, p, path)
+    sec = _gendec.SectionData(
+        u_class=u_class, centralizer=cent, fusion=list(fusion),
+        u_in_centralizer=u_in_centralizer, u_times=list(u_times),
+        correspondent_block=_block_map(obj, path, cent, ds, p))
+    _gendec.validate_section(ds.table, sec, p, path)
     return sec
 
 
@@ -490,30 +532,27 @@ def load_dataset(path) -> GroupDataset:
     if ambient < 1:
         raise DatasetError(f"{root}.ambient: must be a positive integer, "
                            f"got {ambient}")
-    table = _parse_table(raw, root, ambient)
-    ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
+    ds = _parse_group(raw, root, ambient)
     for key, pobj in raw.get("primes", {}).items():
-        p = _prime_key(key, f"{root}.primes")
-        ppath = f"{root}.primes.{key}"
-        bd = _parse_prime_block(table, pobj, p, ppath, ambient)
+        p, ppath = int(key), f"{root}.primes.{key}"
         sections = [
-            _parse_section(table, sobj, p, f"{ppath}.sections[{i}]", ambient)
+            _parse_section(ds, sobj, p, f"{ppath}.sections[{i}]", ambient)
             for i, sobj in enumerate(pobj.get("sections", []))
         ]
-        p_classes = sorted(i for i, c in enumerate(table.classes)
+        p_classes = sorted(i for i, c in enumerate(ds.table.classes)
                            if p_part(c.element_order, p) == c.element_order)
         if sorted(s.u_class for s in sections) != p_classes:
             raise DatasetError(f"{ppath}.sections: need exactly one section per "
                                f"p-element class {p_classes}")
-        sections.sort(key=lambda s: s.u_class)
-        ds.primes[p] = PrimeData(p=p, brauer=bd, sections=sections)
+        ds.primes[p].sections = sorted(sections, key=lambda s: s.u_class)
     for i, sobj in enumerate(raw.get("subgroups", [])):
         spath = f"{root}.subgroups[{i}]"
         name = _require(sobj, "name", str, spath)
         fusion = _require(sobj, "fusion", list, spath)
         sub_primes_meta = sobj.get("primes", {})
-        sub = _parse_nested_subgroup(sobj, spath, ambient)
-        _validate_fusion(sub.table, table, fusion, f"{spath}.fusion")
+        sub = _parse_group(_require(sobj, "table", dict, spath),
+                           f"{spath}.table", ambient)
+        _validate_fusion(sub.table, ds.table, fusion, f"{spath}.fusion")
         emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=list(fusion))
         for key, meta in sub_primes_meta.items():
             q = _prime_key(key, f"{spath}.primes")
@@ -521,24 +560,12 @@ def load_dataset(path) -> GroupDataset:
                 raise DatasetError(f"{spath}.primes.{key}: subgroup table has no "
                                    f"Brauer data at p={q}")
             emb.primes[q] = SubgroupPrimeInfo(
-                correspondent_block=dict(meta.get("correspondent_block", {})),
+                correspondent_block=_block_map(meta, f"{spath}.primes.{key}",
+                                               ds, sub, q),
                 ti=bool(meta.get("ti", False)),
-                covers_centralizer=bool(meta.get("covers_centralizer", False)),
                 cyclic_defect=bool(meta.get("cyclic_defect", False)))
         ds.subgroups.append(emb)
     return ds
-
-
-def _parse_nested_subgroup(sobj, spath, ambient) -> GroupDataset:
-    tobj = _require(sobj, "table", dict, spath)
-    table = _parse_table(tobj, f"{spath}.table", ambient)
-    sub = GroupDataset(name=table.group_name, table=table, ambient=ambient)
-    for key, pobj in tobj.get("primes", {}).items():
-        q = _prime_key(key, f"{spath}.table.primes")
-        bd = _parse_prime_block(table, pobj, q, f"{spath}.table.primes.{key}",
-                                ambient)
-        sub.primes[q] = PrimeData(p=q, brauer=bd, sections=[])
-    return sub
 
 
 # ---------------------------------------------------------------------------

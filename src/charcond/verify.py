@@ -1,7 +1,8 @@
 """Executable forms of the conductor identities, with witness reports.
 
 A failing record here is evidence of corrupted dataset ingredients, not a
-soft condition: the identities are theorems.
+soft condition: the identities are theorems.  Checks read the blocks,
+projectives and d^u a dataset holds per prime (`GroupDataset.blocks` etc.).
 """
 
 from __future__ import annotations
@@ -9,10 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .blocks import (block_component, block_of, partition_blocks,
-                     projective_characters)
+from .blocks import block_component, block_of
 from .cyclo import conductor_p, lincomb, p_part
-from .gendec import GendecMatrix, gendec_all
+from .gendec import GendecMatrix
 from .tables import (ClassFunction, DatasetError, GroupDataset,
                      SubgroupEmbedding, char_conductor, virtual_character)
 
@@ -49,25 +49,20 @@ def virtual_gendec_row(gm: GendecMatrix, coords) -> dict:
 
 
 def check_theorem1(ds: GroupDataset, p: int, psi: ClassFunction,
-                   gm: GendecMatrix | None = None,
                    label: str = "psi") -> CheckRecord:
     """c(psi)_p equals the conductor p-part of all its d^u values."""
-    if gm is None:
-        gm = gendec_all(ds, p)
     lhs = char_conductor(psi, p)
-    row = virtual_gendec_row(gm, psi.integer_coords())
+    row = virtual_gendec_row(ds.gendec(p), psi.integer_coords())
     rhs = conductor_p(row.values(), p)
     return CheckRecord("conductor-identity", label, lhs, rhs,
                        passed=(lhs == rhs))
 
 
 def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
-                gm: GendecMatrix | None = None,
                 label: str = "psi") -> CheckRecord:
     """c(psi)_p is the maximum of the single-entry conductors c(d^u_{psi,phi}),
     with a maximising (u_class, phi) witness."""
-    if gm is None:
-        gm = gendec_all(ds, p)
+    gm = ds.gendec(p)
     lhs = char_conductor(psi, p)
     row = virtual_gendec_row(gm, psi.integer_coords())
     best, witness = 1, None
@@ -79,26 +74,19 @@ def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
                        passed=(lhs == best))
 
 
-def check_projective_invariance(ds: GroupDataset, p: int, chi: int,
-                                gm: GendecMatrix | None = None,
-                                blocks=None, projectives=None) -> CheckRecord:
+def check_projective_invariance(ds: GroupDataset, p: int,
+                                chi: int) -> CheckRecord:
     """Adding a projective character of chi's block changes neither the
-    non-ordinary d^u rows nor the conductor p-part.  Pass the `blocks` and
-    `projectives` of ds at p to share them across characters."""
-    if gm is None:
-        gm = gendec_all(ds, p)
+    non-ordinary d^u rows nor the conductor p-part."""
+    gm = ds.gendec(p)
     table = ds.table
-    if blocks is None:
-        blocks = partition_blocks(ds, p)
-    if projectives is None:
-        projectives = projective_characters(table, ds.brauer(p))
-    b = block_of(blocks, chi)
+    b = block_of(ds.blocks(p), chi)
     chi_fn = table.irreducible(chi)
     base_row = virtual_gendec_row(gm, chi_fn.integer_coords())
     base_cond = char_conductor(chi_fn, p)
     ident = table.identity_class
     for j in sorted(b.ibr_indices):
-        psi = chi_fn + projectives[j]
+        psi = chi_fn + ds.projectives(p)[j]
         row = virtual_gendec_row(gm, psi.integer_coords())
         for col in gm.columns:
             if col[0] != ident and row[col] != base_row[col]:
@@ -204,11 +192,10 @@ def check_restriction_props(ds: GroupDataset, p: int) -> VerificationReport:
         report.not_applicable = True
         return report
     table = ds.table
-    g_blocks = partition_blocks(ds, p)
+    g_blocks = ds.blocks(p)
     for emb in embs:
         info = emb.primes[p]
-        h_blocks = partition_blocks(emb.subgroup, p)
-        h_by_id = {b.id: b for b in h_blocks}
+        h_by_id = {b.id: b for b in emb.subgroup.blocks(p)}
         for chi in range(table.num_classes):
             chi_fn = table.irreducible(chi)
             lhs = char_conductor(chi_fn, p)
@@ -241,7 +228,7 @@ def random_virtual_characters(ds: GroupDataset, p: int, count: int,
     yields (label, ClassFunction)."""
     rng = random.Random(seed)
     table = ds.table
-    for b in partition_blocks(ds, p):
+    for b in ds.blocks(p):
         irrs = sorted(b.irr_indices)
         for t in range(count):
             coords = [0] * table.num_classes
@@ -251,40 +238,28 @@ def random_virtual_characters(ds: GroupDataset, p: int, count: int,
 
 
 def theorem1_suite(ds: GroupDataset, p: int, samples: int = 0,
-                   seed: int = 0,
-                   gm: GendecMatrix | None = None) -> VerificationReport:
-    if gm is None:
-        gm = gendec_all(ds, p)
+                   seed: int = 0) -> VerificationReport:
     report = VerificationReport("conductor-identity", ds.name, p)
     for chi in range(ds.table.num_classes):
-        report.add(check_theorem1(ds, p, ds.table.irreducible(chi), gm,
+        report.add(check_theorem1(ds, p, ds.table.irreducible(chi),
                                   label=f"chi{chi}"))
     if samples:
         for label, psi in random_virtual_characters(ds, p, samples, seed):
-            report.add(check_theorem1(ds, p, psi, gm, label=label))
+            report.add(check_theorem1(ds, p, psi, label=label))
     return report
 
 
-def cor05_suite(ds: GroupDataset, p: int,
-                gm: GendecMatrix | None = None) -> VerificationReport:
-    if gm is None:
-        gm = gendec_all(ds, p)
+def cor05_suite(ds: GroupDataset, p: int) -> VerificationReport:
     report = VerificationReport("conductor-maximum", ds.name, p)
     for chi in range(ds.table.num_classes):
-        report.add(check_cor05(ds, p, ds.table.irreducible(chi), gm,
+        report.add(check_cor05(ds, p, ds.table.irreducible(chi),
                                label=f"chi{chi}"))
     return report
 
 
-def projective_invariance_suite(ds: GroupDataset, p: int,
-                                gm: GendecMatrix | None = None
-                                ) -> VerificationReport:
-    if gm is None:
-        gm = gendec_all(ds, p)
+def projective_invariance_suite(ds: GroupDataset,
+                                p: int) -> VerificationReport:
     report = VerificationReport("projective-invariance", ds.name, p)
-    blocks = partition_blocks(ds, p)
-    projectives = projective_characters(ds.table, ds.brauer(p))
     for chi in range(ds.table.num_classes):
-        report.add(check_projective_invariance(ds, p, chi, gm, blocks,
-                                               projectives))
+        report.add(check_projective_invariance(ds, p, chi))
     return report

@@ -9,23 +9,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from charcond import isometry as iso
 from charcond import verify
 from charcond.blocks import nu_p, partition_blocks
 from charcond.cyclo import (ZERO, CycloNum, conductor, cyclo_to_str,
                             parse_cyclo)
-from charcond.gendec import (check_second_main, gendec_all,
-                             gendec_reciprocity, gendec_solve,
-                             section_values)
+from charcond.gendec import (check_second_main, gendec_reciprocity,
+                             gendec_solve, section_values)
 from charcond.residue import build_residue_map, reduce_cyclo
-
-
-@pytest.fixture(scope="module")
-def gms(corpus, group_primes):
-    return {(name, p): gendec_all(corpus[name], p)
-            for name, p in group_primes}
 
 
 @contextmanager
@@ -40,20 +31,19 @@ def criterion(capsys, number, title):
         print(f"CRITERION {number:2d}: PASS - {title}")
 
 
-def test_criterion_01_conductor_identity(corpus, group_primes, gms, capsys):
+def test_criterion_01_conductor_identity(corpus, group_primes, capsys):
     with criterion(capsys, 1, "conductor identity on all irreducibles and "
                               "200 random virtual characters per block"):
         for name, p in group_primes:
-            rep = verify.theorem1_suite(corpus[name], p, samples=200,
-                                        seed=0, gm=gms[(name, p)])
+            rep = verify.theorem1_suite(corpus[name], p, samples=200, seed=0)
             assert rep.passed, (name, p)
 
 
-def test_criterion_02_conductor_maximum(corpus, group_primes, gms, capsys):
+def test_criterion_02_conductor_maximum(corpus, group_primes, capsys):
     with criterion(capsys, 2, "conductor equals the max single-entry "
                               "conductor, with witness"):
         for name, p in group_primes:
-            rep = verify.cor05_suite(corpus[name], p, gm=gms[(name, p)])
+            rep = verify.cor05_suite(corpus[name], p)
             assert rep.passed, (name, p)
             assert all(r.witness is not None for r in rep.records)
 
@@ -74,11 +64,11 @@ def test_criterion_03_method_equivalence(corpus, group_primes, capsys):
                         assert rec == want
 
 
-def test_criterion_04_round_trip(corpus, group_primes, gms, capsys):
+def test_criterion_04_round_trip(corpus, group_primes, capsys):
     with criterion(capsys, 4, "sum d^u * phi(s) reproduces every chi(us)"):
         for name, p in group_primes:
             ds = corpus[name]
-            gm = gms[(name, p)]
+            gm = ds.gendec(p)
             for sec in ds.sections(p):
                 bd = sec.centralizer.brauer(p)
                 for chi in range(ds.table.num_classes):
@@ -90,16 +80,16 @@ def test_criterion_04_round_trip(corpus, group_primes, gms, capsys):
                         assert got == want[k]
 
 
-def test_criterion_05_second_main_vanishing(corpus, group_primes, gms, capsys):
+def test_criterion_05_second_main_vanishing(corpus, group_primes, capsys):
     with criterion(capsys, 5, "zero block/defect vanishing violations"):
         for name, p in group_primes:
-            assert check_second_main(corpus[name], p, gms[(name, p)]) == []
+            assert check_second_main(corpus[name], p) == []
         # named spot checks
-        s3, gm = corpus["S3"], gms[("S3", 2)]
+        s3, gm = corpus["S3"], corpus["S3"].gendec(2)
         sec = next(s for s in s3.sections(2)
                    if s3.table.classes[s.u_class].element_order == 2)
         assert all(not v for v in gm.section_row(2, sec.u_class))
-        a5, gm = corpus["A5"], gms[("A5", 5)]
+        a5, gm = corpus["A5"], corpus["A5"].gendec(5)
         for sec in a5.sections(5):
             if a5.table.classes[sec.u_class].element_order == 5:
                 assert all(not v for v in gm.section_row(4, sec.u_class))
@@ -125,12 +115,11 @@ def test_criterion_06_block_partition(corpus, group_primes, capsys):
         assert len(a5) == 2 and min(b.defect for b in a5) == 0
 
 
-def test_criterion_07_projective_invariance(corpus, group_primes, gms, capsys):
+def test_criterion_07_projective_invariance(corpus, group_primes, capsys):
     with criterion(capsys, 7, "projective shifts change neither non-ordinary "
                               "rows nor conductors"):
         for name, p in group_primes:
-            rep = verify.projective_invariance_suite(corpus[name], p,
-                                                     gm=gms[(name, p)])
+            rep = verify.projective_invariance_suite(corpus[name], p)
             assert rep.passed, (name, p)
 
 

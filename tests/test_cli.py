@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from charcond import cyclo
+from charcond import blocks, cyclo, gendec
 from charcond.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
 from charcond.tables import default_corpus_dir
 
@@ -88,6 +88,35 @@ class TestValidate:
         assert code == EXIT_DATA
         assert "C4.json.irreducibles[1][1]: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,mapping,message", [
+        ("subgroup", {"B0": "B9"}, "A5.json.subgroups[0].primes.5."
+         "correspondent_block.B0: D10 has no block 'B9' at p=5"),
+        ("subgroup", {"B9": "B0"}, "A5.json.subgroups[0].primes.5."
+         "correspondent_block.B9: A5 has no block 'B9' at p=5"),
+        ("section", {"B0": "B9"}, "A5.json.primes.5.sections[1]."
+         "correspondent_block.B0: A5 has no block 'B9' at p=5"),
+        ("section", {"B9": "B0"}, "A5.json.primes.5.sections[1]."
+         "correspondent_block.B9: C_A5(5a) has no block 'B9' at p=5"),
+        ("section", ["B0"], "A5.json.primes.5.sections[1]."
+         "correspondent_block: expected an object"),
+    ], ids=["subgroup-value", "subgroup-key", "section-value", "section-key",
+            "section-list"])
+    def test_unknown_correspondent_block_is_data_error(
+            self, tmp_path, capsys, where, mapping, message):
+        # a subgroup's map sends group blocks to subgroup blocks; a
+        # section's sends centralizer blocks to group blocks
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "A5.json"
+        data = json.loads(path.read_text())
+        holder = data["subgroups"][0]["primes"]["5"] if where == "subgroup" \
+            else data["primes"]["5"]["sections"][1]
+        holder["correspondent_block"] = mapping
+        path.write_text(json.dumps(data))
+        code, _ = invoke("restrict-check", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
 
 class TestConductors:
     def test_a5_at_5(self):
@@ -130,6 +159,30 @@ class TestVerify:
         a = invoke("verify", "--group", "S4", "--seed", "7")
         b = invoke("verify", "--group", "S4", "--seed", "7")
         assert a == b
+
+    def test_structure_computed_once_per_dataset_and_prime(self, monkeypatch):
+        # blocks, projectives and d^u are read from the dataset that holds
+        # them; key each computation by (dataset or table object, p)
+        calls = {}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                obj, p = key(*args)
+                calls.setdefault((name, id(obj), p), []).append(obj)
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(blocks, "partition_blocks", lambda ds, p: (ds, p))
+        counted(blocks, "projective_characters",
+                lambda table, bd: (table, bd.p))
+        counted(gendec, "gendec_all", lambda ds, p: (ds, p))
+        code, text = invoke("verify")
+        assert code == EXIT_OK and "FAIL" not in text
+        assert {name for name, _, _ in calls} == \
+            {"partition_blocks", "projective_characters", "gendec_all"}
+        assert all(len(objs) == 1 for objs in calls.values())
 
 
 class TestIsometry:

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from charcond.blocks import projective_characters
+from charcond.blocks import partition_blocks, projective_characters
 from charcond.cyclo import CycloNum
+from charcond.gendec import gendec_all
 from charcond.tables import (ClassFunction, DatasetError, char_conductor,
-                             default_corpus_dir, inner_product, load_dataset,
-                             p_decompose, power_class, virtual_character)
+                             default_corpus_dir, inner_product, load_corpus,
+                             load_dataset, p_decompose, power_class,
+                             virtual_character)
 
 ONE = CycloNum.from_rational(1)
 
@@ -145,6 +147,41 @@ class TestHeldCoords:
         d10 = corpus["D10"].table.irreducible(0)
         with pytest.raises(DatasetError, match="A5 and D10"):
             getattr(a5, f"__{op}__")(d10)
+
+
+class TestHeldStructure:
+    """A dataset computes its blocks, projectives and d^u at a prime once and
+    then returns the same object; it equals a fresh computation."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return load_corpus()
+
+    def test_accessors_hold_their_value(self, fresh, group_primes):
+        for name, p in group_primes:
+            ds = fresh[name]
+            assert ds.blocks(p) is ds.blocks(p)
+            assert ds.projectives(p) is ds.projectives(p)
+            assert ds.gendec(p) is ds.gendec(p)
+            for sec in ds.sections(p):
+                cent = sec.centralizer
+                assert cent.projectives(p) is cent.projectives(p)
+
+    def test_held_equals_fresh_computation(self, fresh, group_primes):
+        for name, p in group_primes:
+            ds = fresh[name]
+            assert ds.blocks(p) == partition_blocks(ds, p)
+            assert ds.projectives(p) == \
+                projective_characters(ds.table, ds.brauer(p))
+            assert ds.gendec(p) == gendec_all(ds, p)
+        for emb in fresh["A5"].subgroups:
+            assert emb.subgroup.blocks(5) == partition_blocks(emb.subgroup, 5)
+
+    @pytest.mark.parametrize("accessor", ["blocks", "projectives", "gendec",
+                                          "brauer", "sections"])
+    def test_uncovered_prime_is_data_error(self, fresh, accessor):
+        with pytest.raises(DatasetError, match="A5: no Brauer data for p=7"):
+            getattr(fresh["A5"], accessor)(7)
 
 
 class TestPowerMaps:

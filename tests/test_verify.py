@@ -1,6 +1,5 @@
 """Verification suites for the conductor identities."""
 
-from charcond.gendec import gendec_all
 from charcond.tables import virtual_character
 from charcond.verify import (check_cor05, check_projective_invariance,
                              check_restriction_props, check_theorem1,
@@ -33,8 +32,7 @@ class TestConductorIdentity:
 
     def test_single_character(self, corpus):
         ds = corpus["A5"]
-        gm = gendec_all(ds, 5)
-        rec = check_theorem1(ds, 5, ds.table.irreducible(1), gm)
+        rec = check_theorem1(ds, 5, ds.table.irreducible(1))
         assert rec.passed and rec.lhs == rec.rhs == 5
 
 
@@ -45,8 +43,7 @@ class TestConductorMaximum:
 
     def test_witness_is_recorded(self, corpus):
         ds = corpus["A5"]
-        gm = gendec_all(ds, 5)
-        rec = check_cor05(ds, 5, ds.table.irreducible(1), gm)
+        rec = check_cor05(ds, 5, ds.table.irreducible(1))
         assert rec.passed and rec.witness is not None
         u_class, phi = rec.witness
         assert ds.table.classes[u_class].element_order == 5

@@ -167,58 +167,57 @@ def _primitive_root(ell: int) -> int:
     raise AssertionError
 
 
+class GF:
+    """An element of F_ell with the +, -, *, truth testing and 1 / x that
+    `linalg`'s elimination needs; ints mix in as their residues."""
+
+    __slots__ = ("v", "ell")
+
+    def __init__(self, v: int, ell: int):
+        self.v, self.ell = v % ell, ell
+
+    def _new(self, v):
+        return GF(v, self.ell)
+
+    def __add__(self, other):
+        return self._new(self.v + getattr(other, "v", other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._new(self.v - getattr(other, "v", other))
+
+    def __mul__(self, other):
+        return self._new(self.v * getattr(other, "v", other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._new(-self.v)
+
+    def __rtruediv__(self, other):
+        return self._new(other * pow(self.v, -1, self.ell))
+
+    def __bool__(self):
+        return bool(self.v)
+
+
+def _gf_rows(mat, ell):
+    return [[GF(x, ell) for x in row] for row in mat]
+
+
 def _nullspace(mat, ell):
-    """Basis of the right nullspace of a square matrix over F_ell."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] % ell), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, ell)
-        m[r] = [x * inv % ell for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] % ell:
-                f = m[i][c]
-                m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for pc, pr in pivots.items():
-            v[pc] = (-m[pr][c]) % ell
-        basis.append(v)
-    return basis
+    """Basis of the right nullspace of a matrix over F_ell."""
+    return [[x.v for x in v] for v in linalg.nullspace(_gf_rows(mat, ell))]
 
 
 def _solve_mod(mat, rhs, ell):
     """Unique solution of an n x d system over F_ell (full column rank)."""
-    n, d = len(mat), len(mat[0])
-    aug = [mat[i][:] + [rhs[i]] for i in range(n)]
-    r = 0
-    pivots = []
-    for c in range(d):
-        pr = next((i for i in range(r, n) if aug[i][c] % ell), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, ell)
-        aug[r] = [x * inv % ell for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % ell:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % ell for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    assert len(pivots) == d
-    return [aug[i][-1] for i in range(d)]
+    d = len(mat[0])
+    red, pivots = linalg.rref(_gf_rows([[*row, b] for row, b in zip(mat, rhs)],
+                                       ell))
+    assert pivots == list(range(d))
+    return [red[i][-1].v for i in range(d)]
 
 
 # ---------------------------------------------------------------------------
