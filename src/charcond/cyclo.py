@@ -5,8 +5,8 @@ Q(zeta_n), z = zeta_n, at their conductor: rationals have order 1, and the
 order is never 2 mod 4.  Equality, hashing and integrality tests are then
 coefficient comparisons (the power basis is an integral basis of Z[zeta_n]).
 Products, embeddings and Galois images are maps on exponents followed by one
-reduction mod Phi_n (`_reduce`); `lincomb` sums many terms with one reduction
-and one normalisation.
+reduction mod Phi_n (`_reduce`, on integers `reduce_int`); `lincomb` sums
+many terms with one reduction and one normalisation.
 
 Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
 prime q | n at a time, with no linear solve (`_descend`).  If q^2 | n, x lies
@@ -99,15 +99,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly if n % (q * q) == 0 else _poly_divide_exact(poly, below))
 
 
-def _reduce(n: int, terms) -> tuple[Fraction, ...]:
-    """sum c * z^e over pairs (e, c), on the power basis of Q(zeta_n): fold
-    the exponents mod n, then take the remainder by the monic Phi_n, working
-    on integer numerators over one common denominator."""
-    terms = [(e % n, c) for e, c in terms if c]
-    den = lcm(*[c.denominator for _, c in terms])
-    acc = [0] * n
-    for e, c in terms:
-        acc[e] += c.numerator * (den // c.denominator)
+def reduce_int(n: int, acc: list[int]) -> list[int]:
+    """sum acc[e] * z^e on the power basis of Z[zeta_n]: the remainder by
+    the monic Phi_n, computed in place in the integer list acc."""
     phi_n = cyclotomic_poly(n)
     k = len(phi_n) - 1
     low = [(j, a) for j, a in enumerate(phi_n[:k]) if a]
@@ -116,7 +110,18 @@ def _reduce(n: int, terms) -> tuple[Fraction, ...]:
         if c:
             for j, a in low:
                 acc[top - k + j] -= c * a
-    return tuple(Fraction(c, den) for c in acc[:k])
+    return acc[:k]
+
+
+def _reduce(n: int, terms) -> tuple[Fraction, ...]:
+    """sum c * z^e over pairs (e, c) on the power basis of Q(zeta_n), by
+    `reduce_int` on integer numerators over one common denominator."""
+    terms = [(e % n, c) for e, c in terms if c]
+    den = lcm(*[c.denominator for _, c in terms])
+    acc = [0] * n
+    for e, c in terms:
+        acc[e] += c.numerator * (den // c.denominator)
+    return tuple(Fraction(c, den) for c in reduce_int(n, acc))
 
 
 def _mul(n: int, a, s: int, b, t: int) -> tuple[Fraction, ...]:

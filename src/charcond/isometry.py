@@ -7,23 +7,28 @@ character mu(g, g') = sum chi(g) Phi(chi)(g'): integrality (mu divided by
 either centralizer order is p-locally integral) and separation (mu vanishes
 when exactly one argument is p-regular).
 
+Both blocks' values lie in Z[zeta_N], N the lcm of their orders, with an
+integral power basis: mu(g, g') is a signed sum of integer vectors, tested
+for zero (separation) or divisibility by centralizer p-parts (integrality).
+
 The search backtracks over partial assignments and prunes on the p-regular
-Gram form <chi^0, psi^0>: separation makes a perfect isometry commute with
-restriction to p-regular classes, so it carries one block's form onto the
-other's (Broue, Asterisque 181-182, 1990).  Every assignment that survives
-is still checked in full, so pruning decides only which candidates are
-checked, never which pass.
+Gram form <chi^0, psi^0>, held per block on the dataset: separation makes a
+perfect isometry commute with restriction to p-regular classes, so it
+carries one block's form onto the other's (Broue, Asterisque 181-182, 1990).
+Every assignment that survives is still checked in full, so pruning decides
+only which candidates are checked, never which pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 
 from . import linalg
 from .blocks import Block
-from .cyclo import CycloNum, lincomb
+from .cyclo import CycloNum, p_part, reduce_int
 from .tables import GroupDataset, char_conductor, virtual_character
 
 
@@ -111,64 +116,72 @@ def check_isometry(cand: IsometryCandidate) -> bool:
     return gram_isometry(cand.matrix)
 
 
-def _regular_flags(ds: GroupDataset, p: int) -> list[bool]:
-    return [c.element_order % p != 0 for c in ds.table.classes]
+class _PairKernel:
+    """mu on two blocks over Z[zeta_N].  `cells` are the class pairs (g, g'),
+    each with whether mu must vanish there and the modulus that must divide
+    it; `slice(k, j)` is chi_k(g) * psi_j(g') on every cell, on first use."""
+
+    def __init__(self, src: BlockRef, tgt: BlockRef):
+        s_tab, t_tab = src.dataset.table, tgt.dataset.table
+        s_rows = [s_tab.irreducibles[i] for i in src.irrs]
+        t_rows = [t_tab.irreducibles[j] for j in tgt.irrs]
+        self.order = n = lcm(*[v.order for row in s_rows + t_rows for v in row])
+
+        def terms(v):  # pairs (e, c) for c * zeta_n^e
+            if not v.is_algebraic_integer():
+                raise IsometryError(f"value {v} is not an algebraic integer")
+            return [(e * (n // v.order), int(c))
+                    for e, c in v.exponent_coeffs().items()]
+        self._src = [list(map(terms, row)) for row in s_rows]
+        self._tgt = [list(map(terms, row)) for row in t_rows]
+        s_reg = [c.element_order % src.prime != 0 for c in s_tab.classes]
+        t_reg = [c.element_order % tgt.prime != 0 for c in t_tab.classes]
+        self.cells = [
+            (g, h, s_reg[g] != t_reg[h],
+             lcm(p_part(s_tab.centralizer_order(g), src.prime),
+                 p_part(t_tab.centralizer_order(h), tgt.prime)))
+            for g in range(s_tab.num_classes) for h in range(t_tab.num_classes)]
+        self._slices = {}
+
+    def slice(self, k: int, j: int) -> list[list[int]]:
+        if (k, j) not in self._slices:
+            self._slices[k, j] = [self._product(x, y) for x in self._src[k]
+                                  for y in self._tgt[j]]
+        return self._slices[k, j]
+
+    def _product(self, x, y) -> list[int]:
+        n = self.order
+        acc = [0] * n
+        for e, a in x:
+            for f, b in y:
+                acc[(e + f) % n] += a * b
+        return reduce_int(n, acc)
 
 
-def _p_locally_integral(x: CycloNum, p: int) -> bool:
-    """True when x lies in the p-localisation of the cyclotomic integers:
-    every coefficient denominator over the integral power basis is coprime
-    to p (multiplying by a prime-to-p integer can clear such denominators)."""
-    return all(f.denominator % p != 0 for f in x._vec)
-
-
-def _value_products(src: BlockRef, tgt: BlockRef):
-    """prod[k][j][g][g'] = chi_k(g) * chi'_j(g') over all class pairs."""
-    s_tab, t_tab = src.dataset.table, tgt.dataset.table
-    return [
-        [
-            [[s_tab.irreducibles[i][g] * t_tab.irreducibles[j][h]
-              for h in range(t_tab.num_classes)]
-             for g in range(s_tab.num_classes)]
-            for j in tgt.irrs
-        ]
-        for i in src.irrs
-    ]
-
-
-def check_perfection(cand: IsometryCandidate, products=None,
-                     collect_witnesses: bool = True) -> PerfectionReport:
+def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
+                     kernel: _PairKernel | None = None) -> PerfectionReport:
+    """`kernel`, the pair's `_PairKernel`, may be shared by many candidates."""
     src, tgt = cand.source, cand.target
     report = PerfectionReport(check_isometry(cand), True, True)
     if not report.is_isometry:
         return report
-    if products is None:
-        products = _value_products(src, tgt)
-    s_tab, t_tab = src.dataset.table, tgt.dataset.table
-    s_reg = _regular_flags(src.dataset, src.prime)
-    t_reg = _regular_flags(tgt.dataset, tgt.prime)
-    n = len(cand.permutation)
-    for g in range(s_tab.num_classes):
-        cg = Fraction(1, s_tab.centralizer_order(g))
-        for h in range(t_tab.num_classes):
-            mu = lincomb((cand.signs[k], products[k][cand.permutation[k]][g][h])
-                         for k in range(n))
-            if s_reg[g] != t_reg[h]:
-                if mu:
-                    report.separation_ok = False
-                    if collect_witnesses:
-                        report.witnesses.append(("separation", g, h, str(mu)))
-                    else:
-                        return report
+    kernel = kernel or _PairKernel(src, tgt)
+    slices = [kernel.slice(k, j) for k, j in enumerate(cand.permutation)]
+    for cell, (g, h, separating, modulus) in enumerate(kernel.cells):
+        mu = [sum(map(operator.mul, cand.signs, col))
+              for col in zip(*[sl[cell] for sl in slices])]
+        if separating:
+            if not any(mu):
                 continue
-            ch = Fraction(1, t_tab.centralizer_order(h))
-            if not _p_locally_integral(cg * mu, src.prime) \
-                    or not _p_locally_integral(ch * mu, tgt.prime):
-                report.integrality_ok = False
-                if collect_witnesses:
-                    report.witnesses.append(("integrality", g, h, str(mu)))
-                else:
-                    return report
+            report.separation_ok, kind = False, "separation"
+        elif any(c % modulus for c in mu):
+            report.integrality_ok, kind = False, "integrality"
+        else:
+            continue
+        if not collect_witnesses:
+            return report
+        value = CycloNum(kernel.order, tuple(map(Fraction, mu)))
+        report.witnesses.append((kind, g, h, str(value)))
     if collect_witnesses:
         ok, wits = check_conductor_preservation(cand, src.prime)
         report.conductor_preserved = ok
@@ -177,19 +190,6 @@ def check_perfection(cand: IsometryCandidate, products=None,
         if not report.l0_preserved:
             report.witnesses.append(("l0",))
     return report
-
-
-def _gram(ref: BlockRef) -> list[list[CycloNum]]:
-    """The p-regular Gram form <chi_k^0, chi_l^0> of the block's characters:
-    the inner product of their restrictions to the p-regular classes."""
-    table = ref.dataset.table
-    regular = [c for c, cls in enumerate(table.classes)
-               if cls.element_order % ref.prime != 0]
-    rows = [table.irreducibles[i] for i in ref.irrs]
-    return [[lincomb((Fraction(1, table.centralizer_order(c)),
-                      a[c] * b[c].conjugate()) for c in regular)
-             for b in rows]
-            for a in rows]
 
 
 def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
@@ -225,11 +225,14 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
         raise IsometryError(
             f"search size 2^{n} * {n}! = {2 ** n * factorial(n)} exceeds the "
             f"bound for {n} characters (bound {bound})")
-    products = _value_products(src, tgt)
+    kernel = _PairKernel(src, tgt)
     found = []
-    for perm, signs in _gram_matchings(_gram(src), _gram(tgt)):
+    for perm, signs in _gram_matchings(
+            src.dataset.regular_gram(src.prime, src.block),
+            tgt.dataset.regular_gram(tgt.prime, tgt.block)):
         cand = IsometryCandidate(src, tgt, perm, signs)
-        if check_perfection(cand, products, collect_witnesses=False).perfect:
+        if check_perfection(cand, collect_witnesses=False,
+                            kernel=kernel).perfect:
             found += [cand, IsometryCandidate(src, tgt, perm,
                                               tuple(-s for s in signs))]
     found.sort(key=lambda c: (c.permutation, tuple(s < 0 for s in c.signs)))

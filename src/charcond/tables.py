@@ -26,11 +26,12 @@ class DatasetError(ValueError):
     offending field path or the failing identity."""
 
 
-def _require(obj, key, kind, path):
-    if not isinstance(obj, dict) or key not in obj:
+def _require(obj, key, kind, path, default=None):
+    """obj[key], which must be a `kind`; `default` if absent and given."""
+    if not isinstance(obj, dict) or key not in obj and default is None:
         raise DatasetError(f"{path}: missing field {key!r}")
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    val = obj.get(key, default)
+    if not isinstance(val, kind):
         raise DatasetError(f"{path}.{key}: expected {kind.__name__}, "
                            f"got {type(val).__name__}")
     return val
@@ -260,7 +261,7 @@ class SubgroupEmbedding:
 class PrimeData:
     brauer: "object"                      # blocks.BrauerData
     sections: list["object"]              # gendec.SectionData, in u_class order
-    # blocks, projectives and gendec, each computed on first use
+    # blocks, projectives, gendec and Gram forms, each computed on first use
     derived: dict = field(default_factory=dict, repr=False)
 
 
@@ -286,7 +287,7 @@ class GroupDataset:
     def sections(self, p: int):
         return self._prime(p).sections
 
-    def _held(self, p: int, key: str, compute, *args):
+    def _held(self, p: int, key, compute, *args):
         held = self._prime(p).derived
         if key not in held:
             held[key] = compute(*args)
@@ -305,6 +306,22 @@ class GroupDataset:
     def gendec(self, p: int):
         """All d^u at p, by `gendec.gendec_all`."""
         return self._held(p, "gendec", _gendec.gendec_all, self, p)
+
+    def regular_gram(self, p: int, block) -> list[list[CycloNum]]:
+        """<chi_k^0, chi_l^0> over the block's characters in index order: the
+        inner products of their restrictions to the p-regular classes."""
+        return self._held(p, ("gram", block.id), _regular_gram, self.table, p,
+                          sorted(block.irr_indices))
+
+
+def _regular_gram(table: CharTable, p: int, irrs) -> list[list[CycloNum]]:
+    regular = [c for c, cls in enumerate(table.classes)
+               if cls.element_order % p != 0]
+    rows = [table.irreducibles[i] for i in irrs]
+    return [[lincomb((Fraction(1, table.centralizer_order(c)),
+                      a[c] * b[c].conjugate()) for c in regular)
+             for b in rows]
+            for a in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +390,11 @@ def _validate_table(table: CharTable, path: str):
                 raise DatasetError(
                     f"{path}.irreducibles[{i}][{j}]: value of conductor {v.order} "
                     f"outside Q(zeta_{table.exponent})")
+            if not v.is_algebraic_integer():
+                raise DatasetError(f"{path}.irreducibles[{i}][{j}]: value {v} "
+                                   f"is not an algebraic integer")
         deg = row[ident]
-        if not deg.is_rational or deg.rational_value() < 1 \
-                or deg.rational_value().denominator != 1:
+        if not deg.is_rational or deg.rational_value() < 1:
             raise DatasetError(f"{path}.irreducibles[{i}]: degree {deg} is not a "
                                f"positive integer")
     # orthogonality, both ways, exact
@@ -455,7 +474,7 @@ def _parse_group(obj, path: str, ambient: int) -> GroupDataset:
     """A table plus its Brauer data at each prime, without sections."""
     table = _parse_table(obj, path, ambient)
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
-    for key, pobj in obj.get("primes", {}).items():
+    for key, pobj in _require(obj, "primes", dict, path, {}).items():
         q = _prime_key(key, f"{path}.primes")
         bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}",
                                 ambient)
@@ -537,7 +556,7 @@ def load_dataset(path) -> GroupDataset:
         p, ppath = int(key), f"{root}.primes.{key}"
         sections = [
             _parse_section(ds, sobj, p, f"{ppath}.sections[{i}]", ambient)
-            for i, sobj in enumerate(pobj.get("sections", []))
+            for i, sobj in enumerate(_require(pobj, "sections", list, ppath, []))
         ]
         p_classes = sorted(i for i, c in enumerate(ds.table.classes)
                            if p_part(c.element_order, p) == c.element_order)
@@ -545,17 +564,19 @@ def load_dataset(path) -> GroupDataset:
             raise DatasetError(f"{ppath}.sections: need exactly one section per "
                                f"p-element class {p_classes}")
         ds.primes[p].sections = sorted(sections, key=lambda s: s.u_class)
-    for i, sobj in enumerate(raw.get("subgroups", [])):
+    for i, sobj in enumerate(_require(raw, "subgroups", list, root, [])):
         spath = f"{root}.subgroups[{i}]"
         name = _require(sobj, "name", str, spath)
         fusion = _require(sobj, "fusion", list, spath)
-        sub_primes_meta = sobj.get("primes", {})
+        sub_primes_meta = _require(sobj, "primes", dict, spath, {})
         sub = _parse_group(_require(sobj, "table", dict, spath),
                            f"{spath}.table", ambient)
         _validate_fusion(sub.table, ds.table, fusion, f"{spath}.fusion")
         emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=list(fusion))
         for key, meta in sub_primes_meta.items():
             q = _prime_key(key, f"{spath}.primes")
+            if not isinstance(meta, dict):
+                raise DatasetError(f"{spath}.primes.{key}: expected an object")
             if q not in sub.primes:
                 raise DatasetError(f"{spath}.primes.{key}: subgroup table has no "
                                    f"Brauer data at p={q}")

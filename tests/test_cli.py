@@ -88,6 +88,32 @@ class TestValidate:
         assert code == EXIT_DATA
         assert "C4.json.irreducibles[1][1]: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,value,message", [
+        (("subgroups", 0, "primes", "5"), ["B0"],
+         "A5.json.subgroups[0].primes.5: expected an object"),
+        (("primes", "5", "sections"), 5,
+         "A5.json.primes.5.sections: expected list, got int"),
+        (("subgroups",), {}, "A5.json.subgroups: expected list, got dict"),
+        (("irreducibles", 3, 2), "1/2*E(5)",
+         "A5.json.irreducibles[3][2]: value 1/2*E(5) is not an algebraic "
+         "integer"),
+    ], ids=["subgroup-primes-list", "sections-int", "subgroups-object",
+            "non-integral-value"])
+    def test_mistyped_field_is_data_error(self, tmp_path, capsys, where,
+                                          value, message):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "A5.json"
+        data = json.loads(path.read_text())
+        holder = data
+        for key in where[:-1]:
+            holder = holder[key]
+        holder[where[-1]] = value
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("where,mapping,message", [
         ("subgroup", {"B0": "B9"}, "A5.json.subgroups[0].primes.5."
          "correspondent_block.B0: D10 has no block 'B9' at p=5"),

@@ -217,6 +217,26 @@ class TestParser:
             parse_cyclo(bad)
 
 
+class TestIntegerReduction:
+    def test_matches_reduce_times_denominator(self):
+        """reduce_int on integer numerators equals _reduce on the rationals
+        scaled by their common denominator, at every order 1 to 120, with
+        exponents folded mod n first."""
+        rng = random.Random(120)
+        for n in range(1, 121):
+            for _ in range(3):
+                terms = [(rng.randrange(-2 * n, 2 * n),
+                          Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                         for _ in range(rng.randint(1, 6))]
+                den = math.lcm(*[c.denominator for _, c in terms])
+                acc = [0] * n
+                for e, c in terms:
+                    acc[e % n] += int(c * den)
+                got = cyclo.reduce_int(n, acc)
+                assert len(got) == euler_phi(n)
+                assert got == [c * den for c in cyclo._reduce(n, terms)]
+
+
 class TestLincomb:
     """lincomb (one embedding, one normalisation) against the left fold of
     `+` and `*` that it replaces."""

@@ -10,23 +10,80 @@ import pytest
 
 from charcond import isometry as iso
 from charcond.blocks import partition_blocks
-from charcond.cyclo import ZERO
-from charcond.tables import ClassFunction, inner_product
+from charcond.cyclo import ZERO, CycloNum, lincomb
+from charcond.tables import (ClassFunction, default_corpus_dir,
+                              inner_product, load_dataset)
+
+
+def value_products(src, tgt):
+    """prod[k][j][g][h] = chi_k(g) * psi_j(h), by CycloNum multiplication."""
+    s_tab, t_tab = src.dataset.table, tgt.dataset.table
+    return [[[[s_tab.irreducibles[i][g] * t_tab.irreducibles[j][h]
+               for h in range(t_tab.num_classes)]
+              for g in range(s_tab.num_classes)]
+             for j in tgt.irrs]
+            for i in src.irrs]
+
+
+def reference_perfection(cand, products, collect_witnesses=True):
+    """check_perfection on CycloNum values: mu by one lincomb over the
+    products, integrality by the denominators of mu / |C(g)| and mu / |C(h)|
+    over the power basis at mu's conductor."""
+    src, tgt = cand.source, cand.target
+    report = iso.PerfectionReport(iso.check_isometry(cand), True, True)
+    if not report.is_isometry:
+        return report
+    s_tab, t_tab = src.dataset.table, tgt.dataset.table
+
+    def local_integer(x, p):
+        return all(f.denominator % p for f in x._vec)
+
+    for g in range(s_tab.num_classes):
+        s_reg = s_tab.classes[g].element_order % src.prime != 0
+        for h in range(t_tab.num_classes):
+            mu = lincomb((s, products[k][j][g][h]) for k, (j, s)
+                         in enumerate(zip(cand.permutation, cand.signs)))
+            if s_reg != (t_tab.classes[h].element_order % tgt.prime != 0):
+                if not mu:
+                    continue
+                report.separation_ok, kind = False, "separation"
+            elif local_integer(Fraction(1, s_tab.centralizer_order(g)) * mu,
+                               src.prime) and local_integer(
+                    Fraction(1, t_tab.centralizer_order(h)) * mu, tgt.prime):
+                continue
+            else:
+                report.integrality_ok, kind = False, "integrality"
+            if not collect_witnesses:
+                return report
+            report.witnesses.append((kind, g, h, str(mu)))
+    if collect_witnesses:
+        ok, wits = iso.check_conductor_preservation(cand, src.prime)
+        report.conductor_preserved = ok
+        report.witnesses.extend(("conductor",) + w for w in wits)
+        report.l0_preserved = iso.check_l0_preservation(cand)
+        if not report.l0_preserved:
+            report.witnesses.append(("l0",))
+    return report
 
 
 def brute_force(src, tgt):
-    """The search before pruning: every signed bijection, fully checked, in
-    lexicographic (permutation, signs) order."""
+    """The search before pruning: every signed bijection, fully checked by
+    the reference, in lexicographic (permutation, signs) order."""
     n = len(src.irrs)
-    products = iso._value_products(src, tgt)
+    products = value_products(src, tgt)
     found = []
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
             cand = iso.IsometryCandidate(src, tgt, perm, signs)
-            if iso.check_perfection(cand, products,
+            if reference_perfection(cand, products,
                                     collect_witnesses=False).perfect:
                 found.append(cand)
     return found
+
+
+def outcome(report):
+    return (report.perfect, report.integrality_ok, report.separation_ok,
+            report.conductor_preserved, report.l0_preserved, report.witnesses)
 
 
 def regular_gram(ref):
@@ -139,7 +196,25 @@ class TestPrunedSearch:
 
     def test_gram_form_matches_inner_products(self, sweep):
         for ref in {id(s): s for s, _, _ in sweep}.values():
-            assert iso._gram(ref) == regular_gram(ref)
+            assert ref.dataset.regular_gram(ref.prime, ref.block) == \
+                regular_gram(ref)
+
+    def test_kernel_matches_reference_on_every_leaf(self, sweep):
+        # every candidate the pruned sweep checks, in both modes
+        leaves = 0
+        for src, tgt, _ in sweep:
+            kernel = iso._PairKernel(src, tgt)
+            products = value_products(src, tgt)
+            for perm, signs in iso._gram_matchings(
+                    src.dataset.regular_gram(src.prime, src.block),
+                    tgt.dataset.regular_gram(tgt.prime, tgt.block)):
+                cand = iso.IsometryCandidate(src, tgt, perm, signs)
+                leaves += 1
+                for collect in (False, True):
+                    got = iso.check_perfection(cand, collect, kernel)
+                    want = reference_perfection(cand, products, collect)
+                    assert outcome(got) == outcome(want)
+        assert leaves == 548
 
     def test_brute_force_certificates_preserve_gram_form(self, sweep):
         # the pruning rule, checked on every certificate it could have lost
@@ -185,6 +260,31 @@ class TestPerfection:
         rep = iso.check_perfection(cand)
         assert not rep.perfect and rep.witnesses
 
+    def test_kernel_matches_reference_on_every_bijection(self, a5_d10):
+        products = value_products(*a5_d10)
+        kernel = iso._PairKernel(*a5_d10)
+        kinds = set()
+        for perm in itertools.permutations(range(4)):
+            for signs in itertools.product((1, -1), repeat=4):
+                cand = iso.IsometryCandidate(*a5_d10, perm, signs)
+                for collect in (False, True):
+                    got = iso.check_perfection(cand, collect, kernel)
+                    want = reference_perfection(cand, products, collect)
+                    assert outcome(got) == outcome(want)
+                kinds |= {w[0] for w in got.witnesses}
+        assert kinds == {"separation", "integrality", "conductor", "l0"}
+
+    def test_non_integral_value_raises(self):
+        ds = load_dataset(default_corpus_dir() / "D10.json")
+        ref = iso.block_ref(ds, 5, "B0")
+        n = len(ref.irrs)
+        cand = iso.IsometryCandidate(ref, ref, tuple(range(n)), (1,) * n)
+        assert iso.check_perfection(cand).perfect
+        ds.table.irreducibles[ref.irrs[-1]][0] = CycloNum.from_rational(
+            Fraction(1, 2))
+        with pytest.raises(iso.IsometryError, match="1/2 is not an algebraic"):
+            iso.check_perfection(cand)
+
     def test_mu_at_identity_pair(self, found):
         # mu(1,1) passes both integrality divisions for a perfect candidate
         cand = found[0]
@@ -195,7 +295,7 @@ class TestPerfection:
         """mu summed by one lincomb gives the witnesses a +/- fold gave."""
         src, tgt = a5_d10
         s_tab, t_tab = src.dataset.table, tgt.dataset.table
-        products = iso._value_products(src, tgt)
+        products = value_products(src, tgt)
         rng = random.Random(5)
 
         def local_integer(x):
