@@ -2,8 +2,10 @@
 
 Blocks are recovered from central-character residues and cross-checked
 against the block labels shipped with each dataset; a mismatch is treated as
-data corruption, not a soft failure.  Callers read `GroupDataset.blocks(p)`
-and `.projectives(p)`, which hold these results once per dataset and prime.
+data corruption, not a soft failure.  Brauer data is checked against its
+validated table, so IBr independence is a count.  Callers read
+`GroupDataset.blocks(p)` and `.projectives(p)`, which hold these results once
+per dataset and prime.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .cyclo import CycloNum, lincomb, nu_p
 from .residue import build_residue_map, reduce_cyclo
 
@@ -45,7 +46,7 @@ class Block:
 
 
 def validate_brauer(table, bd: BrauerData, path: str):
-    """Eager consistency checks for ingested Brauer data."""
+    """Eager consistency checks of ingested Brauer data on a valid table."""
     for j, row in enumerate(bd.ibr):
         if len(row) != len(bd.regular_classes):
             raise BlockError(f"{path}.ibr[{j}]: expected "
@@ -61,7 +62,10 @@ def validate_brauer(table, bd: BrauerData, path: str):
                 raise BlockError(
                     f"{path}: decomposition row {i} does not reproduce the "
                     f"character value on regular class {s}")
-    if linalg.rank(bd.ibr) != len(bd.ibr):
+    # the valid table X is invertible, so its columns at the r distinct
+    # p-regular classes have rank r; they equal D * IBr, so rank IBr = r, and
+    # the IBr rows are independent exactly when there are r of them
+    if len(bd.ibr) != len(bd.regular_classes):
         raise BlockError(f"{path}.ibr: rows are linearly dependent")
     # D couples an Irr and an IBr only inside one block
     for i, drow in enumerate(bd.decomposition):

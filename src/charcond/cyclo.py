@@ -5,8 +5,8 @@ Q(zeta_n), z = zeta_n, at their conductor: rationals have order 1, and the
 order is never 2 mod 4.  Equality, hashing and integrality tests are then
 coefficient comparisons (the power basis is an integral basis of Z[zeta_n]).
 Products, embeddings and Galois images are maps on exponents followed by one
-reduction mod Phi_n (`_reduce`, on integers `reduce_int`); `lincomb` sums
-many terms with one reduction and one normalisation.
+reduction mod Phi_n (`_reduce`, on integers `reduce_int`); `lincomb` and
+`parse_cyclo` sum many terms with one reduction and one normalisation.
 
 Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
 prime q | n at a time, with no linear solve (`_descend`).  If q^2 | n, x lies
@@ -113,6 +113,17 @@ def reduce_int(n: int, acc: list[int]) -> list[int]:
     return acc[:k]
 
 
+def sum_products_int(n: int, triples) -> list[int]:
+    """sum w * x * y over triples (integer w, x, y), x and y given as
+    `int_terms(n)`, on the power basis of Z[zeta_n] by one `reduce_int`."""
+    acc = [0] * n
+    for w, x, y in triples:
+        for e, a in x:
+            for f, b in y:
+                acc[(e + f) % n] += w * a * b
+    return reduce_int(n, acc)
+
+
 def _reduce(n: int, terms) -> tuple[Fraction, ...]:
     """sum c * z^e over pairs (e, c) on the power basis of Q(zeta_n), by
     `reduce_int` on integer numerators over one common denominator."""
@@ -186,10 +197,6 @@ class CycloNum:
 
     # -- views -------------------------------------------------------------
 
-    def exponent_coeffs(self) -> dict[int, Fraction]:
-        """Sparse map e -> coefficient of zeta_order^e (canonical basis view)."""
-        return {e: c for e, c in enumerate(self._vec) if c}
-
     @property
     def is_rational(self) -> bool:
         return self.order == 1
@@ -201,6 +208,14 @@ class CycloNum:
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self._vec)
+
+    def int_terms(self, n: int) -> list[tuple[int, int]] | None:
+        """Pairs (e, c), self = sum c * zeta_n^e for n a multiple of the
+        order; None if self is not an algebraic integer."""
+        if not self.is_algebraic_integer():
+            return None
+        step = n // self.order
+        return [(step * e, int(c)) for e, c in enumerate(self._vec) if c]
 
     def __bool__(self) -> bool:
         return any(self._vec)
@@ -398,8 +413,8 @@ class _Parser:
             self.pos += 1
         return int(self.text[start:self.pos])
 
-    def atom(self) -> CycloNum:
-        # 'E(' n ')' ['^' e]
+    def atom(self) -> tuple[int, int]:
+        # 'E(' n ')' ['^' e] as (n, e); a term c * E(n)^e is (c, n, e)
         self.take("E")
         self.take("(")
         n = self.integer()
@@ -410,11 +425,11 @@ class _Parser:
         if self.peek() == "^":
             self.take("^")
             e = self.integer()
-        return CycloNum.zeta(n, e)
+        return n, e
 
-    def term(self) -> CycloNum:
+    def term(self) -> tuple[Fraction, int, int]:
         if self.peek() == "E":
-            return self.atom()
+            return (Fraction(1),) + self.atom()
         num = self.integer()
         if self.peek() == "/":
             self.take("/")
@@ -426,24 +441,26 @@ class _Parser:
             coeff = Fraction(num)
         if self.peek() == "*":
             self.take("*")
-            return CycloNum.from_rational(coeff) * self.atom()
-        return CycloNum.from_rational(coeff)
+            return (coeff,) + self.atom()
+        return coeff, 1, 0
 
     def expr(self) -> CycloNum:
-        sign = 1
-        if self.peek() == "-":
+        op, terms = self.peek(), []
+        if op == "-":
             self.take("-")
-            sign = -1
-        total = self.term() * sign
-        while self.peek() in ("+", "-"):
+        while True:
+            c, n, e = self.term()
+            terms.append((-c if op == "-" else c, n, e))
             op = self.peek()
+            if op not in ("+", "-"):
+                break
             self.pos += 1
-            t = self.term()
-            total = total + t if op == "+" else total - t
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"unexpected {self.text[self.pos]!r}")
-        return total
+        order = lcm(*[n for _, n, _ in terms])
+        return CycloNum(order, _reduce(order, ((e * (order // n), c)
+                                               for c, n, e in terms)))
 
 
 def parse_cyclo(expr: str) -> CycloNum:

@@ -28,7 +28,7 @@ from math import factorial, lcm
 
 from . import linalg
 from .blocks import Block
-from .cyclo import CycloNum, p_part, reduce_int
+from .cyclo import CycloNum, p_part, sum_products_int
 from .tables import GroupDataset, char_conductor, virtual_character
 
 
@@ -57,16 +57,6 @@ class IsometryCandidate:
     permutation: tuple[int, ...]
     signs: tuple[int, ...]
 
-    @property
-    def matrix(self) -> list[list[int]]:
-        """The map as an integer matrix: rows index the source block's
-        characters, columns the target block's."""
-        n = len(self.permutation)
-        m = [[0] * n for _ in range(n)]
-        for k in range(n):
-            m[k][self.permutation[k]] = self.signs[k]
-        return m
-
     def to_json(self) -> dict:
         return {
             "source": {"group": self.source.dataset.name,
@@ -92,28 +82,16 @@ class PerfectionReport:
         return self.is_isometry and self.integrality_ok and self.separation_ok
 
 
-def gram_isometry(matrix) -> bool:
-    """Gram identity for an integer matrix: the columns are orthonormal,
-    so the map preserves the inner product on virtual characters."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        return False
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(matrix[k][i] * matrix[k][j] for k in range(n))
-            if dot != (1 if i == j else 0):
-                return False
-    return True
-
-
 def check_isometry(cand: IsometryCandidate) -> bool:
+    """The map's matrix, signs[k] at (k, permutation[k]), has orthonormal
+    columns exactly when the permutation is a bijection of range(n) and
+    every sign is +1 or -1."""
     n = len(cand.source.irrs)
     if len(cand.target.irrs) != n:
         raise IsometryError("blocks have different numbers of characters")
-    if len(cand.permutation) != n or len(cand.signs) != n \
-            or any(not 0 <= x < n for x in cand.permutation):
-        return False
-    return gram_isometry(cand.matrix)
+    return (len(cand.permutation) == n and len(cand.signs) == n
+            and set(cand.permutation) == set(range(n))
+            and all(s in (1, -1) for s in cand.signs))
 
 
 class _PairKernel:
@@ -127,11 +105,10 @@ class _PairKernel:
         t_rows = [t_tab.irreducibles[j] for j in tgt.irrs]
         self.order = n = lcm(*[v.order for row in s_rows + t_rows for v in row])
 
-        def terms(v):  # pairs (e, c) for c * zeta_n^e
-            if not v.is_algebraic_integer():
+        def terms(v):
+            if (out := v.int_terms(n)) is None:
                 raise IsometryError(f"value {v} is not an algebraic integer")
-            return [(e * (n // v.order), int(c))
-                    for e, c in v.exponent_coeffs().items()]
+            return out
         self._src = [list(map(terms, row)) for row in s_rows]
         self._tgt = [list(map(terms, row)) for row in t_rows]
         s_reg = [c.element_order % src.prime != 0 for c in s_tab.classes]
@@ -145,17 +122,9 @@ class _PairKernel:
 
     def slice(self, k: int, j: int) -> list[list[int]]:
         if (k, j) not in self._slices:
-            self._slices[k, j] = [self._product(x, y) for x in self._src[k]
-                                  for y in self._tgt[j]]
+            self._slices[k, j] = [sum_products_int(self.order, ((1, x, y),))
+                                  for x in self._src[k] for y in self._tgt[j]]
         return self._slices[k, j]
-
-    def _product(self, x, y) -> list[int]:
-        n = self.order
-        acc = [0] * n
-        for e, a in x:
-            for f, b in y:
-                acc[(e + f) % n] += a * b
-        return reduce_int(n, acc)
 
 
 def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,

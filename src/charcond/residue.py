@@ -199,8 +199,8 @@ def reduce_cyclo(m: ResidueMap, a: CycloNum) -> PrimeFieldElem:
     out = [0] * m.field_degree
     power = m.one
     prev_e = 0
-    for e, c in sorted(a.exponent_coeffs().items()):
+    for e, c in a.int_terms(a.order):
         power = power * base ** (e - prev_e)
         prev_e = e
-        out = [x + int(c) * y for x, y in zip(out, power.coords)]
+        out = [x + c * y for x, y in zip(out, power.coords)]
     return m._elem(out)

@@ -3,6 +3,8 @@
 All structural data (tables, power maps, fusions, decomposition matrices) is
 ingested from JSON files and validated eagerly; the toolkit never multiplies
 group elements.  See `docs in README` for the file format ("format": 1).
+A table's exponent rules are checked before its values are parsed, and its
+orthogonality on integers, in Z[zeta_N] (`_validate_table`).
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 
 from . import blocks as _blocks
 from . import gendec as _gendec
-from .cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
-                    conductor_p, lincomb, p_part, parse_cyclo, prime_factors)
+from .cyclo import (CycloNum, CycloParseError, conductor, conductor_p,
+                    euler_phi, lincomb, p_part, parse_cyclo, prime_factors,
+                    sum_products_int)
 
 
 class DatasetError(ValueError):
@@ -397,23 +401,28 @@ def _validate_table(table: CharTable, path: str):
         if not deg.is_rational or deg.rational_value() < 1:
             raise DatasetError(f"{path}.irreducibles[{i}]: degree {deg} is not a "
                                f"positive integer")
-    # orthogonality, both ways, exact
+    # orthogonality, exact, on algebraic integers: |G| <chi_i, chi_j> and each
+    # column sum is a sum of w * x * conj(y) in Z[zeta_n], n the lcm of the
+    # value orders; only a failing row pair has its inner product built
+    n = lcm(*[v.order for row in table.irreducibles for v in row])
+    rows = [[v.int_terms(n) for v in row] for row in table.irreducibles]
+    conj = [[[(-e, a) for e, a in x] for x in row] for row in rows]
+
+    def fails(triples, want):
+        return sum_products_int(n, triples) != [want] + [0] * (euler_phi(n) - 1)
+
     for i in range(k):
-        chi_i = table.irreducible(i)
         for j in range(i, k):
-            ip = inner_product(chi_i, table.irreducible(j))
-            want = ONE if i == j else ZERO
-            if ip != want:
+            if fails(zip([c.size for c in classes], rows[i], conj[j]),
+                     table.group_order if i == j else 0):
+                ip = inner_product(table.irreducible(i), table.irreducible(j))
                 raise DatasetError(
                     f"{path}: row orthogonality fails for rows {i},{j} "
                     f"(inner product {ip})")
     for c in range(k):
         for cprime in range(c, k):
-            acc = lincomb((1, row[c] * row[cprime].conjugate())
-                          for row in table.irreducibles)
-            want = CycloNum.from_rational(table.centralizer_order(c)) \
-                if c == cprime else ZERO
-            if acc != want:
+            if fails(((1, row[c], cj[cprime]) for row, cj in zip(rows, conj)),
+                     table.centralizer_order(c) if c == cprime else 0):
                 raise DatasetError(
                     f"{path}: column orthogonality fails for classes {c},{cprime}")
 
@@ -422,11 +431,18 @@ def _parse_table(obj, path: str, ambient: int) -> CharTable:
     name = _require(obj, "name", str, path)
     order = _require(obj, "order", int, path)
     exponent = _require(obj, "exponent", int, path)
-    if ambient % exponent != 0:
+    if exponent < 1 or ambient % exponent != 0:
         raise DatasetError(f"{path}.exponent: {exponent} does not divide the "
                            f"declared ambient order {ambient}")
     classes = _parse_classes(_require(obj, "classes", list, path),
                              f"{path}.classes", order)
+    orders_lcm = lcm(*[c.element_order for c in classes])
+    if exponent != orders_lcm:
+        raise DatasetError(f"{path}.exponent: {exponent} is not the lcm "
+                           f"{orders_lcm} of the class element orders")
+    if order % exponent != 0:
+        raise DatasetError(f"{path}.exponent: {exponent} does not divide the "
+                           f"group order {order}")
     irr_raw = _require(obj, "irreducibles", list, path)
     irreducibles = [
         [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]", ambient)
@@ -551,6 +567,10 @@ def load_dataset(path) -> GroupDataset:
     if ambient < 1:
         raise DatasetError(f"{root}.ambient: must be a positive integer, "
                            f"got {ambient}")
+    exponent = _require(raw, "exponent", int, root)
+    if exponent != ambient:
+        raise DatasetError(f"{root}.exponent: {exponent} is not the declared "
+                           f"ambient order {ambient}")
     ds = _parse_group(raw, root, ambient)
     for key, pobj in raw.get("primes", {}).items():
         p, ppath = int(key), f"{root}.primes.{key}"

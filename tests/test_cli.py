@@ -114,6 +114,57 @@ class TestValidate:
         assert code == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table,changes,message", [
+        ((), {("ambient",): 8}, "C4.json.exponent: 4 is not the declared "
+         "ambient order 8"),
+        ((), {("ambient",): 8, ("exponent",): 8}, "C4.json.exponent: 8 is "
+         "not the lcm 4 of the class element orders"),
+        ((), {("ambient",): 12, ("exponent",): 12, ("classes", 2, "order"): 3},
+         "C4.json.exponent: 12 does not divide the group order 4"),
+        (("primes", "2", "sections", 0, "centralizer"), {("exponent",): 0},
+         "C4.json.primes.2.sections[0].centralizer.exponent: 0 does not "
+         "divide the declared ambient order 4"),
+    ], ids=["top-exponent-not-ambient", "exponent-not-lcm",
+            "exponent-not-dividing-order", "nested-exponent-zero"])
+    def test_structure_checked_before_values(self, tmp_path, capsys, table,
+                                             changes, message):
+        # a value of the same table that does not parse is never reached
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        holder = data
+        for key in table:
+            holder = holder[key]
+        holder["irreducibles"][1][1] = "E("
+        for where, value in changes.items():
+            target = holder
+            for key in where[:-1]:
+                target = target[key]
+            target[where[-1]] = value
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_repeated_ibr_row_is_data_error(self, tmp_path, capsys):
+        # a copy of IBr row 0 with a zero decomposition column reproduces
+        # every ordinary value; only the independence test rejects it
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "A5.json"
+        data = json.loads(path.read_text())
+        pdata = data["primes"]["5"]
+        pdata["ibr"].append(list(pdata["ibr"][0]))
+        for row in pdata["decomposition"]:
+            row.append(0)
+        pdata["block_of_ibr"].append(pdata["block_of_ibr"][0])
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert "A5.json.primes.5.ibr: rows are linearly dependent" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("where,mapping,message", [
         ("subgroup", {"B0": "B9"}, "A5.json.subgroups[0].primes.5."
          "correspondent_block.B0: D10 has no block 'B9' at p=5"),

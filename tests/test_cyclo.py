@@ -2,6 +2,7 @@
 embedding oracle and hand-computed field facts."""
 
 import cmath
+import json
 import math
 import random
 import tracemalloc
@@ -13,12 +14,13 @@ from charcond import cyclo, linalg
 from charcond.cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
                             conductor_p, cyclo_to_str, cyclotomic_poly,
                             euler_phi, lincomb, p_part, parse_cyclo)
+from charcond.tables import default_corpus_dir
 
 
 def embed(a: CycloNum) -> complex:
     """Numeric image of a under zeta_n -> exp(2 pi i / n)."""
     return sum(complex(f) * cmath.exp(2j * cmath.pi * e / a.order)
-               for e, f in a.exponent_coeffs().items())
+               for e, f in enumerate(a._vec))
 
 
 def random_cyclo(rng, n: int) -> CycloNum:
@@ -215,6 +217,122 @@ class TestParser:
     def test_rejects_garbage(self, bad):
         with pytest.raises(CycloParseError):
             parse_cyclo(bad)
+
+
+class FoldParser(cyclo._Parser):
+    """The parser before terms were collected: one CycloNum.zeta per atom
+    and one + or - per term, each normalised."""
+
+    def atom(self):
+        # 'E(' n ')' ['^' e]
+        self.take("E")
+        self.take("(")
+        n = self.integer()
+        if n <= 0:
+            self.error(f"E({n}) is not a valid root of unity")
+        self.take(")")
+        e = 1
+        if self.peek() == "^":
+            self.take("^")
+            e = self.integer()
+        return CycloNum.zeta(n, e)
+
+    def term(self):
+        if self.peek() == "E":
+            return self.atom()
+        num = self.integer()
+        if self.peek() == "/":
+            self.take("/")
+            den = self.integer()
+            if den <= 0:
+                self.error("denominator must be a positive integer")
+            coeff = Fraction(num, den)
+        else:
+            coeff = Fraction(num)
+        if self.peek() == "*":
+            self.take("*")
+            return CycloNum.from_rational(coeff) * self.atom()
+        return CycloNum.from_rational(coeff)
+
+    def expr(self):
+        sign = 1
+        if self.peek() == "-":
+            self.take("-")
+            sign = -1
+        total = self.term() * sign
+        while self.peek() in ("+", "-"):
+            op = self.peek()
+            self.pos += 1
+            t = self.term()
+            total = total + t if op == "+" else total - t
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        return total
+
+
+def corpus_value_strings():
+    """Every character value string in the shipped corpus files."""
+    out = []
+
+    def walk(node, key=None):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, key)
+        elif isinstance(node, str) and key in ("irreducibles", "ibr"):
+            out.append(node)
+
+    for path in sorted(default_corpus_dir().glob("*.json")):
+        walk(json.loads(path.read_text()))
+    return out
+
+
+class TestParseOnce:
+    """parse_cyclo, one reduction at the lcm of the orders written, equals
+    the term-by-term fold in order and coordinates, and fails the same way."""
+
+    ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16)
+
+    @staticmethod
+    def same(text):
+        try:
+            want = FoldParser(text).expr()
+        except CycloParseError as ex:
+            with pytest.raises(CycloParseError) as got:
+                parse_cyclo(text)
+            assert (str(got.value), got.value.pos) == (str(ex), ex.pos)
+            return
+        got = parse_cyclo(text)
+        assert (got.order, got._vec) == (want.order, want._vec), text
+
+    def test_seeded_expressions(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            parts = []
+            for k in range(rng.randint(1, 4)):
+                n = rng.choice(self.ORDERS)
+                atom = rng.choice([f"E({n})", f"E({n})^{rng.randint(-2 * n, 2 * n)}"])
+                num, den = rng.randint(-6, 6), rng.randint(1, 4)
+                coeff = f"{abs(num)}/{den}" if den > 1 else str(abs(num))
+                body = rng.choice([atom, coeff, f"{coeff}*{atom}"])
+                sign = "-" if num < 0 else "+" if k else ""
+                parts.append(sign + rng.choice(["", " "]) + body)
+            self.same(" ".join(parts) if rng.random() < 0.2 else "".join(parts))
+
+    def test_corpus_values(self):
+        values = corpus_value_strings()
+        assert len(values) > 1000
+        for text in set(values):
+            self.same(text)
+
+    @pytest.mark.parametrize("bad", ["", "E()", "E(0)", "1+", "E(4)^", "x",
+                                     "E(2\u00b2)", "E(4)^\u00b2", "1/0",
+                                     "E(4)-", "--1", "2*3", "E(-3)", "1 2"])
+    def test_errors(self, bad):
+        self.same(bad)
 
 
 class TestIntegerReduction:

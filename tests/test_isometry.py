@@ -9,10 +9,45 @@ from fractions import Fraction
 import pytest
 
 from charcond import isometry as iso
-from charcond.blocks import partition_blocks
+from charcond.blocks import Block, partition_blocks
 from charcond.cyclo import ZERO, CycloNum, lincomb
 from charcond.tables import (ClassFunction, default_corpus_dir,
                               inner_product, load_dataset)
+
+
+def signed_matrix(cand):
+    """The map as an integer matrix: rows index the source block's
+    characters, columns the target block's."""
+    n = len(cand.permutation)
+    m = [[0] * n for _ in range(n)]
+    for k in range(n):
+        m[k][cand.permutation[k]] = cand.signs[k]
+    return m
+
+
+def gram_isometry(matrix) -> bool:
+    """Gram identity for an integer matrix: the columns are orthonormal,
+    so the map preserves the inner product on virtual characters."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        return False
+    for i in range(n):
+        for j in range(i, n):
+            dot = sum(matrix[k][i] * matrix[k][j] for k in range(n))
+            if dot != (1 if i == j else 0):
+                return False
+    return True
+
+
+def reference_isometry(cand):
+    """check_isometry by the Gram identity of the candidate's matrix."""
+    n = len(cand.source.irrs)
+    if len(cand.target.irrs) != n:
+        raise iso.IsometryError("blocks have different numbers of characters")
+    if len(cand.permutation) != n or len(cand.signs) != n \
+            or any(not 0 <= x < n for x in cand.permutation):
+        return False
+    return gram_isometry(signed_matrix(cand))
 
 
 def value_products(src, tgt):
@@ -30,7 +65,7 @@ def reference_perfection(cand, products, collect_witnesses=True):
     products, integrality by the denominators of mu / |C(g)| and mu / |C(h)|
     over the power basis at mu's conductor."""
     src, tgt = cand.source, cand.target
-    report = iso.PerfectionReport(iso.check_isometry(cand), True, True)
+    report = iso.PerfectionReport(reference_isometry(cand), True, True)
     if not report.is_isometry:
         return report
     s_tab, t_tab = src.dataset.table, tgt.dataset.table
@@ -133,15 +168,35 @@ def sl23_self(corpus):
 
 class TestGram:
     def test_signed_permutation_matrices(self):
-        assert iso.gram_isometry([[1, 0], [0, -1]])
-        assert iso.gram_isometry([[0, 1], [-1, 0]])
+        assert gram_isometry([[1, 0], [0, -1]])
+        assert gram_isometry([[0, 1], [-1, 0]])
 
     def test_repeated_column_rejected(self):
-        assert not iso.gram_isometry([[1, 1], [1, 1]])
+        assert not gram_isometry([[1, 1], [1, 1]])
 
     def test_non_square_rejected(self):
-        assert not iso.gram_isometry([[1, 0, 0], [0, 1, 0]])
+        assert not gram_isometry([[1, 0, 0], [0, 1, 0]])
 
+    def test_check_isometry_matches_gram_identity(self, corpus):
+        """Every signed map at n <= 3, with targets -1..n (out of range and
+        repeated ones) and signs -1, 0, 1, 2, and maps of the wrong length:
+        the O(n) test agrees with the Gram identity of the matrix."""
+        ds = corpus["D10"]
+        seen = set()
+        for n in range(1, 4):
+            ref = iso.BlockRef(ds, 5, Block("X", frozenset(range(n)),
+                                            frozenset(), 0))
+            maps = list(itertools.product(
+                itertools.product(range(-1, n + 1), repeat=n),
+                itertools.product((-1, 0, 1, 2), repeat=n)))
+            maps += [(tuple(range(m)), (1,) * s)
+                     for m in (n - 1, n, n + 1) for s in (n - 1, n, n + 1)]
+            for perm, signs in maps:
+                cand = iso.IsometryCandidate(ref, ref, perm, signs)
+                got = iso.check_isometry(cand)
+                assert got == reference_isometry(cand), (perm, signs)
+                seen.add(got)
+        assert seen == {True, False}
 
 class TestSearch:
     def test_nonempty(self, found):

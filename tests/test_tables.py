@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from charcond.blocks import partition_blocks, projective_characters
-from charcond.cyclo import CycloNum
+from charcond import linalg, tables
+from charcond.blocks import (BlockError, BrauerData, partition_blocks,
+                             projective_characters, validate_brauer)
+from charcond.cyclo import CycloNum, lincomb
 from charcond.gendec import gendec_all
-from charcond.tables import (ClassFunction, DatasetError, char_conductor,
-                             default_corpus_dir, inner_product, load_corpus,
-                             load_dataset, p_decompose, power_class,
-                             virtual_character)
+from charcond.tables import (CharTable, ClassFunction, DatasetError,
+                             char_conductor, default_corpus_dir, inner_product,
+                             load_corpus, load_dataset, p_decompose,
+                             power_class, virtual_character)
 
 ONE = CycloNum.from_rational(1)
 
@@ -229,7 +231,9 @@ class TestValidation:
         data, _ = self._raw()
         data = copy.deepcopy(data)
         data["irreducibles"][2][1] = "1"
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match=r"^broken\.json: row "
+                           r"orthogonality fails for rows 0,2 \(inner "
+                           r"product 1/2\)$"):
             self._load(data, tmp_path)
 
     def test_tampered_class_size(self, tmp_path):
@@ -256,3 +260,130 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises((DatasetError, OSError)):
             load_dataset(tmp_path / "nope.json")
+
+
+def reference_orthogonality(table, path):
+    """Orthogonality over Q: inner products and column sums by lincomb of
+    CycloNum products."""
+    k = table.num_classes
+    for i in range(k):
+        chi_i = table.irreducible(i)
+        for j in range(i, k):
+            ip = inner_product(chi_i, table.irreducible(j))
+            want = ONE if i == j else CycloNum.from_rational(0)
+            if ip != want:
+                raise DatasetError(
+                    f"{path}: row orthogonality fails for rows {i},{j} "
+                    f"(inner product {ip})")
+    for c in range(k):
+        for cprime in range(c, k):
+            acc = lincomb((1, row[c] * row[cprime].conjugate())
+                          for row in table.irreducibles)
+            want = CycloNum.from_rational(table.centralizer_order(c)) \
+                if c == cprime else CycloNum.from_rational(0)
+            if acc != want:
+                raise DatasetError(
+                    f"{path}: column orthogonality fails for classes {c},{cprime}")
+
+
+def reference_independent(bd):
+    """The IBr rows are linearly independent, by elimination."""
+    return linalg.rank(bd.ibr) == len(bd.ibr)
+
+
+def all_datasets(corpus):
+    """Every dataset the corpus loads: the groups, their section
+    centralizers and their subgroups."""
+    out = []
+    for ds in corpus.values():
+        out.append(ds)
+        out += [sec.centralizer for p in ds.primes for sec in ds.sections(p)]
+        out += [emb.subgroup for emb in ds.subgroups]
+    return out
+
+
+class TestIntegerValidation:
+    """The integer orthogonality check and the IBr count test give the
+    verdicts and messages of the references they replace."""
+
+    @staticmethod
+    def verdict(check, table):
+        """The message check raises on table, or None."""
+        try:
+            check(table, "T")
+        except DatasetError as ex:
+            return str(ex)
+        return None
+
+    @staticmethod
+    def mutations(table, rng):
+        """Copies of the table with one value changed to another algebraic
+        integer, two different values swapped within a column, or one row
+        negated at a class that is not the identity, two of each.  Each
+        passes every check of _validate_table before orthogonality."""
+        k, ident = table.num_classes, table.identity_class
+        for kind in ("change", "swap", "negate") * 2:
+            rows = [list(r) for r in table.irreducibles]
+            i, c = rng.randrange(k), rng.randrange(k)
+            if kind == "change":
+                rows[i][c] += 1 if c == ident else \
+                    CycloNum.zeta(table.exponent, rng.randrange(table.exponent))
+            elif kind == "swap":
+                c, i, j = rng.choice([(c, i, j) for c in range(k)
+                                      for i in range(k) for j in range(i)
+                                      if rows[i][c] != rows[j][c]])
+                rows[i][c], rows[j][c] = rows[j][c], rows[i][c]
+            else:
+                c = rng.choice([c for c in range(k)
+                                if c != ident and rows[i][c]] or [ident])
+                rows[i][c] = -rows[i][c]
+            yield CharTable(table.group_name, table.group_order,
+                            table.exponent, table.classes, rows)
+
+    def test_corpus_tables_pass_both_ways(self, corpus):
+        datasets = all_datasets(corpus)
+        assert len(datasets) == 65
+        for ds in datasets:
+            assert self.verdict(tables._validate_table, ds.table) is None
+            assert self.verdict(reference_orthogonality, ds.table) is None
+
+    def test_mutations_rejected_with_the_reference_message(self, corpus):
+        rng = random.Random(9)
+        rejected = 0
+        for ds in all_datasets(corpus):
+            for bad in self.mutations(ds.table, rng):
+                got = self.verdict(tables._validate_table, bad)
+                assert got == self.verdict(reference_orthogonality, bad)
+                rejected += got is not None
+        # the other 5 are swaps of 1 and -1 in a table of C2, which relabel it
+        assert rejected == 385
+
+    def test_rank_verdict_equals_count(self, corpus):
+        pairs = 0
+        for ds in all_datasets(corpus):
+            for p in ds.primes:
+                bd = ds.brauer(p)
+                assert reference_independent(bd)
+                assert len(bd.ibr) == len(bd.regular_classes)
+                pairs += 1
+        assert pairs == 74
+
+    def test_repeated_ibr_row_is_dependent(self, corpus):
+        """An extra IBr row, a copy or a sum of existing rows, with a zero
+        decomposition column reproduces the ordinary values; both tests
+        call it dependent."""
+        for ds in all_datasets(corpus):
+            for p in ds.primes:
+                bd = ds.brauer(p)
+                extra = [bd.ibr[0]]
+                if len(bd.ibr) > 1:
+                    extra.append([a + b for a, b in zip(bd.ibr[0], bd.ibr[-1])])
+                for row in extra:
+                    bad = BrauerData(p, bd.regular_classes, bd.ibr + [row],
+                                     [r + [0] for r in bd.decomposition],
+                                     bd.block_of_irr,
+                                     bd.block_of_ibr + [bd.block_of_ibr[0]])
+                    assert not reference_independent(bad)
+                    with pytest.raises(BlockError, match=r"^T\.ibr: rows are "
+                                       r"linearly dependent$"):
+                        validate_brauer(ds.table, bad, "T")
