@@ -51,12 +51,17 @@ def _build_parser() -> _Args:
     def add(name, help_text, *parents):
         return sub.add_parser(name, help=help_text, parents=[common, *parents])
 
+    def count(text: str) -> int:  # an integer N >= 0
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"{text} is negative")
+        return int(text)
+
     add("validate", "load and validate datasets", group)
     add("conductors", "conductor table per irreducible character", select)
     add("gendec", "dump the generalised decomposition matrix", select)
     add("blocks", "block partition, defects and Cartan matrices", select)
     verify_args = add("verify", "run the theorem verification suites", select)
-    verify_args.add_argument("--samples", type=int, default=5,
+    verify_args.add_argument("--samples", type=count, default=5,
                              help="random virtual characters per block")
     verify_args.add_argument("--seed", type=int, default=0, help="seed for "
                              "random virtual characters (default 0)")

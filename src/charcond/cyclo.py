@@ -16,6 +16,7 @@ H = Gal(Q(zeta_n)/Q(zeta_(n/q))) fixes it, and then x = Tr_H(x)/(q-1).
 `_normalise` descends while some prime lets the element down; `invert`
 multiplies y by c, the product of its nontrivial H-conjugates, so that y*c =
 N_H(y) lies one field down, and collects the c on the way down to a rational.
+`conductor_p_int` runs the same tests at one prime, on integer coordinates.
 """
 
 from __future__ import annotations
@@ -141,6 +142,13 @@ def _mul(n: int, a, s: int, b, t: int) -> tuple[Fraction, ...]:
                        for j, y in enumerate(b) if y))
 
 
+def _generator(n: int, q: int) -> int:
+    """k = 1 mod n/q generating Gal(Q(zeta_n)/Q(zeta_(n/q))), odd q || n."""
+    g = next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1
+                                           for r in prime_factors(q - 1)))
+    return 1 + n // q * ((g - 1) * pow(n // q, -1, q) % q)
+
+
 def _descend(n: int, q: int, vec: tuple) -> tuple[Fraction, ...] | None:
     """Coordinates of x in Q(zeta_(n/q)), q | n prime, or None if x is not there."""
     m = n // q
@@ -150,10 +158,7 @@ def _descend(n: int, q: int, vec: tuple) -> tuple[Fraction, ...] | None:
     if q == 2:  # zeta_n = -zeta_m^((m+1)/2)
         return _reduce(m, ((j * (m + 1) // 2, -c if j % 2 else c)
                            for j, c in enumerate(vec)))
-    # H is generated by the k = 1 mod m that is a primitive root g mod q
-    g = next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1
-                                           for r in prime_factors(q - 1)))
-    k = 1 + m * ((g - 1) * pow(m, -1, q) % q)
+    k = _generator(n, q)
     if _reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec:
         return None
     # Tr(zeta_n^j) is zeta_m^(j/q) times q-1 if q | j, and times -1 if not
@@ -374,6 +379,23 @@ def conductor(values) -> int:
 def conductor_p(values, p: int) -> int:
     """The exact p-part of conductor(values)."""
     return p_part(conductor(values), p)
+
+
+def conductor_p_int(n: int, vec: list[int], p: int) -> int:
+    """The p-part of the conductor c of x = sum vec[j] * z^j in Z[zeta_n], on
+    `reduce_int`'s basis, by `_descend`'s tests at p alone: Q(zeta_a) and
+    Q(zeta_b) meet in Q(zeta_gcd(a, b)) and c is never 2 mod 4, so x lies in
+    Q(zeta_(n/p)) exactly when p does not divide c / gcd(c, n/p)."""
+    while n % (p * p) == 0:
+        if any(any(vec[r::p]) for r in range(1, p)):
+            return p_part(n, p)
+        n, vec = n // p, vec[::p]
+    if n % p or p == 2:  # Q(zeta_n) = Q(zeta_(n/2)) when n = 2 mod 4
+        return 1
+    k, acc = _generator(n, p), [0] * n
+    for j, c in enumerate(vec):
+        acc[j * k % n] += c
+    return 1 if reduce_int(n, acc) == vec else p
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     """Assemble d^u for all p-element classes; both methods must agree.
 
     Also asserts the u = 1 block equals the ingested decomposition matrix and
-    that every entry lies in Q(zeta_{order(u)}).
+    that every entry is an algebraic integer in Q(zeta_{order(u)}).
     """
     table = ds.table
     sections = ds.sections(p)
@@ -156,10 +156,11 @@ def gendec_all(ds, p: int) -> GendecMatrix:
                     f"{ds.name} p={p}: reciprocity and solve disagree at "
                     f"u_class {sec.u_class}, character {chi}")
             for phi, val in enumerate(rec):
-                if u_order % val.order != 0:
+                if u_order % val.order or not val.is_algebraic_integer():
                     raise GendecError(
-                        f"{ds.name} p={p}: d^u entry of conductor {val.order} "
-                        f"outside Q(zeta_{u_order}) at u_class {sec.u_class}")
+                        f"{ds.name} p={p}: d^u entry {val} at u_class "
+                        f"{sec.u_class} is not an algebraic integer of "
+                        f"Q(zeta_{u_order})")
                 cols[phi].append(val)
         if sec.u_class == ident:
             for chi in range(table.num_classes):

@@ -44,9 +44,10 @@ def _require(obj, key, kind, path, default=None):
 _ATOM = re.compile(r"E\s*\(\s*(\d+)")
 
 
-def _parse_value(expr, path, ambient: int) -> CycloNum:
+def _parse_value(expr, path, ambient: int, parsed: dict) -> CycloNum:
     """Parse one value; every E(n) must lie in Q(zeta_ambient), which is
-    checked before any arithmetic in Q(zeta_n) is set up."""
+    checked before any arithmetic in Q(zeta_n) is set up; `parsed` holds
+    this load's parsed strings."""
     if not isinstance(expr, str):
         raise DatasetError(f"{path}: cyclotomic values must be strings")
     for atom in _ATOM.finditer(expr):
@@ -54,10 +55,12 @@ def _parse_value(expr, path, ambient: int) -> CycloNum:
         if n and ambient % n:
             raise DatasetError(f"{path}: E({n}) does not lie in the declared "
                                f"ambient Q(zeta_{ambient})")
-    try:
-        return parse_cyclo(expr)
-    except CycloParseError as ex:
-        raise DatasetError(f"{path}: {ex}") from ex
+    if expr not in parsed:
+        try:
+            parsed[expr] = parse_cyclo(expr)
+        except CycloParseError as ex:
+            raise DatasetError(f"{path}: {ex}") from ex
+    return parsed[expr]
 
 
 @dataclass(frozen=True)
@@ -427,7 +430,7 @@ def _validate_table(table: CharTable, path: str):
                     f"{path}: column orthogonality fails for classes {c},{cprime}")
 
 
-def _parse_table(obj, path: str, ambient: int) -> CharTable:
+def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
     name = _require(obj, "name", str, path)
     order = _require(obj, "order", int, path)
     exponent = _require(obj, "exponent", int, path)
@@ -445,7 +448,7 @@ def _parse_table(obj, path: str, ambient: int) -> CharTable:
                            f"group order {order}")
     irr_raw = _require(obj, "irreducibles", list, path)
     irreducibles = [
-        [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]", ambient)
+        [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]", ambient, parsed)
          for j, expr in enumerate(row)]
         for i, row in enumerate(irr_raw)
     ]
@@ -455,7 +458,7 @@ def _parse_table(obj, path: str, ambient: int) -> CharTable:
 
 
 def _parse_prime_block(table: CharTable, obj, p: int, path: str,
-                       ambient: int):
+                       ambient: int, parsed: dict):
     regular = _require(obj, "regular_classes", list, path)
     want_regular = [i for i, c in enumerate(table.classes)
                     if c.element_order % p != 0]
@@ -463,7 +466,7 @@ def _parse_prime_block(table: CharTable, obj, p: int, path: str,
         raise DatasetError(f"{path}.regular_classes: got {regular}, the p-regular "
                            f"classes are {want_regular}")
     ibr_raw = _require(obj, "ibr", list, path)
-    ibr = [[_parse_value(expr, f"{path}.ibr[{i}][{j}]", ambient)
+    ibr = [[_parse_value(expr, f"{path}.ibr[{i}][{j}]", ambient, parsed)
             for j, expr in enumerate(row)] for i, row in enumerate(ibr_raw)]
     dec = _require(obj, "decomposition", list, path)
     for i, row in enumerate(dec):
@@ -486,14 +489,14 @@ def _parse_prime_block(table: CharTable, obj, p: int, path: str,
     return bd
 
 
-def _parse_group(obj, path: str, ambient: int) -> GroupDataset:
+def _parse_group(obj, path: str, ambient: int, parsed: dict) -> GroupDataset:
     """A table plus its Brauer data at each prime, without sections."""
-    table = _parse_table(obj, path, ambient)
+    table = _parse_table(obj, path, ambient, parsed)
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     for key, pobj in _require(obj, "primes", dict, path, {}).items():
         q = _prime_key(key, f"{path}.primes")
         bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}",
-                                ambient)
+                                ambient, parsed)
         ds.primes[q] = PrimeData(brauer=bd, sections=[])
     return ds
 
@@ -515,10 +518,11 @@ def _block_map(obj, path: str, source: GroupDataset, target: GroupDataset,
     return mapping
 
 
-def _parse_section(ds: GroupDataset, obj, p: int, path: str, ambient: int):
+def _parse_section(ds: GroupDataset, obj, p: int, path: str, ambient: int,
+                   parsed: dict):
     u_class = _require(obj, "u_class", int, path)
     cent = _parse_group(_require(obj, "centralizer", dict, path),
-                        f"{path}.centralizer", ambient)
+                        f"{path}.centralizer", ambient, parsed)
     if p not in cent.primes:
         raise DatasetError(f"{path}.centralizer.primes: missing Brauer data "
                            f"for p={p}")
@@ -571,11 +575,13 @@ def load_dataset(path) -> GroupDataset:
     if exponent != ambient:
         raise DatasetError(f"{root}.exponent: {exponent} is not the declared "
                            f"ambient order {ambient}")
-    ds = _parse_group(raw, root, ambient)
+    parsed = {}  # value string -> CycloNum, for this load only
+    ds = _parse_group(raw, root, ambient, parsed)
     for key, pobj in raw.get("primes", {}).items():
         p, ppath = int(key), f"{root}.primes.{key}"
         sections = [
-            _parse_section(ds, sobj, p, f"{ppath}.sections[{i}]", ambient)
+            _parse_section(ds, sobj, p, f"{ppath}.sections[{i}]", ambient,
+                           parsed)
             for i, sobj in enumerate(_require(pobj, "sections", list, ppath, []))
         ]
         p_classes = sorted(i for i, c in enumerate(ds.table.classes)
@@ -590,7 +596,7 @@ def load_dataset(path) -> GroupDataset:
         fusion = _require(sobj, "fusion", list, spath)
         sub_primes_meta = _require(sobj, "primes", dict, spath, {})
         sub = _parse_group(_require(sobj, "table", dict, spath),
-                           f"{spath}.table", ambient)
+                           f"{spath}.table", ambient, parsed)
         _validate_fusion(sub.table, ds.table, fusion, f"{spath}.fusion")
         emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=list(fusion))
         for key, meta in sub_primes_meta.items():

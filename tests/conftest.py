@@ -1,7 +1,10 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from charcond import gendec
+from charcond.cyclo import CycloNum
 from charcond.tables import load_corpus, load_manifest
 
 
@@ -36,3 +39,13 @@ def _galois_conductor(a):
 @pytest.fixture(scope="session")
 def galois_conductor():
     return _galois_conductor
+
+
+@pytest.fixture
+def half_gendec_entries(monkeypatch):
+    """Both d^u methods return entries 1/2: they agree, but not on integers."""
+    def halves(table, chi, sec, p):
+        num_ibr = sec.centralizer.brauer(p).num_ibr
+        return [CycloNum.from_rational(Fraction(1, 2))] * num_ibr
+    monkeypatch.setattr(gendec, "gendec_reciprocity", halves)
+    monkeypatch.setattr(gendec, "gendec_solve", halves)

@@ -88,6 +88,20 @@ class TestValidate:
         assert code == EXIT_DATA
         assert "C4.json.irreducibles[1][1]: " in capsys.readouterr().err
 
+    def test_bad_value_at_two_paths_reports_the_first(self, tmp_path,
+                                                       capsys):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        data["irreducibles"][2][1] = data["irreducibles"][1][3] = "E(4)^"
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "C4.json.irreducibles[1][3]: expected an integer" in err
+        assert "irreducibles[2][1]" not in err
+
     @pytest.mark.parametrize("where,value,message", [
         (("subgroups", 0, "primes", "5"), ["B0"],
          "A5.json.subgroups[0].primes.5: expected an object"),
@@ -260,6 +274,26 @@ class TestVerify:
         assert {name for name, _, _ in calls} == \
             {"partition_blocks", "projective_characters", "gendec_all"}
         assert all(len(objs) == 1 for objs in calls.values())
+
+
+    @pytest.mark.parametrize("samples", ["-3", "-1"])
+    def test_negative_samples_is_usage_error(self, capsys, samples):
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "--samples", samples])
+        assert err.value.code == EXIT_USAGE
+        assert f"argument --samples: {samples} is negative" in \
+            capsys.readouterr().err
+
+    def test_zero_samples_checks_irreducibles_only(self):
+        code, text = invoke("verify", "--group", "C4", "--samples", "0")
+        assert code == EXIT_OK and "conductor-identity     PASS    4 records" \
+            in text
+
+    def test_non_integral_gendec_entry_is_data_error(self, capsys,
+                                                     half_gendec_entries):
+        code, _ = invoke("verify", "--group", "S3")
+        assert code == EXIT_DATA
+        assert "is not an algebraic integer" in capsys.readouterr().err
 
 
 class TestIsometry:

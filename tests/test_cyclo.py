@@ -355,6 +355,59 @@ class TestIntegerReduction:
                 assert got == [c * den for c in cyclo._reduce(n, terms)]
 
 
+class TestConductorPInt:
+    """conductor_p_int, descent at p alone on integer coordinates, against
+    conductor_p([x], p), which reads the order a full normalisation stores."""
+
+    @staticmethod
+    def coords(x, n):
+        return cyclo.sum_products_int(n, [(1, x.int_terms(n), [(0, 1)])])
+
+    def test_seeded_integers_up_to_240(self):
+        rng = random.Random(240)
+        seen = set()
+        for n in range(1, 241):
+            subfields = [d for d in range(1, n + 1) if n % d == 0]
+            for _ in range(4):
+                # an algebraic integer of a random Q(zeta_d), d | n, or 0
+                d = rng.choice(subfields + [n, n])
+                x = CycloNum.from_exponents(d, {
+                    rng.randrange(d): rng.randint(-3, 3)
+                    for _ in range(rng.randint(0, 4))})
+                if rng.random() < 0.3:  # a sum of Galois conjugates
+                    step = max(1, d // 3)
+                    x = sum((x.galois(k) for k in range(1, d + 1, step)
+                             if math.gcd(k, d) == 1), ZERO)
+                vec = self.coords(x, n)
+                for p in cyclo.prime_factors(n):
+                    want = conductor_p([x], p)
+                    assert cyclo.conductor_p_int(n, vec, p) == want, (x, n, p)
+                    v = cyclo.nu_p(n, p)
+                    case = ("p^2 | n" if p > 2 and v > 1 else
+                            "8 | n" if v > 2 else "4 || n" if v == 2 else
+                            "2 || n" if p == 2 else "odd p || n")
+                    seen.add((case, want == p_part(n, p)))
+        # every descent case, both when x stays at n's p-part and when it
+        # descends; at n = 2 mod 4 the p-part is always 1
+        assert seen == {(case, stays) for stays in (True, False)
+                        for case in ("p^2 | n", "8 | n", "4 || n",
+                                     "odd p || n")} | {("2 || n", False)}
+
+    @pytest.mark.parametrize("n,p,want", [
+        (9, 3, 9), (27, 3, 27), (8, 2, 8), (4, 2, 4), (12, 2, 4), (12, 3, 3),
+        (20, 5, 5), (6, 2, 1), (10, 2, 1), (45, 3, 9), (45, 5, 5)])
+    def test_primitive_roots(self, n, p, want):
+        # zeta_n has conductor n (n != 2 mod 4)
+        assert cyclo.conductor_p_int(n, self.coords(CycloNum.zeta(n), n),
+                                     p) == want
+
+    def test_zero_and_rationals(self):
+        for n in (1, 2, 4, 9, 12, 25, 60):
+            for x in (ZERO, ONE, CycloNum.from_rational(-7)):
+                for p in cyclo.prime_factors(n):
+                    assert cyclo.conductor_p_int(n, self.coords(x, n), p) == 1
+
+
 class TestLincomb:
     """lincomb (one embedding, one normalisation) against the left fold of
     `+` and `*` that it replaces."""

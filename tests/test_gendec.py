@@ -1,8 +1,10 @@
 """Generalised decomposition numbers: method agreement, round trips and
 vanishing constraints, plus hand-computed small cases."""
 
+import pytest
+
 from charcond.cyclo import ZERO, CycloNum, p_part
-from charcond.gendec import (check_second_main, gendec_all,
+from charcond.gendec import (GendecError, check_second_main, gendec_all,
                              gendec_reciprocity, gendec_solve,
                              section_values)
 
@@ -101,3 +103,11 @@ class TestSmallCases:
             for col in gm.entries.values():
                 for val in col:
                     assert val.order == p_part(val.order, p) or not val
+
+
+class TestIntegrality:
+    def test_non_integral_entry_is_rejected(self, corpus,
+                                            half_gendec_entries):
+        with pytest.raises(GendecError, match="d\\^u entry 1/2 at u_class "
+                           ".* is not an algebraic integer of Q\\(zeta_"):
+            gendec_all(corpus["S3"], 3)

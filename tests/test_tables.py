@@ -189,6 +189,30 @@ class TestHeldStructure:
             getattr(fresh["A5"], accessor)(7)
 
 
+class TestParseOnce:
+    def test_each_distinct_string_parsed_once_per_load(self, monkeypatch):
+        parsed = []
+        real = tables.parse_cyclo
+        monkeypatch.setattr(tables, "parse_cyclo",
+                            lambda text: parsed.append(text) or real(text))
+
+        def strings(node, key=None):
+            if isinstance(node, dict):
+                return [s for k, v in node.items() for s in strings(v, k)]
+            if isinstance(node, list):
+                return [s for v in node for s in strings(v, key)]
+            return [node] if key in ("irreducibles", "ibr") else []
+
+        for path in sorted(default_corpus_dir().glob("*.json")):
+            if path.name == "manifest.json":
+                continue
+            parsed.clear()
+            tables.load_dataset(path)
+            values = strings(json.loads(path.read_text()))
+            assert len(values) > len(parsed) == len(set(parsed))
+            assert set(parsed) == set(values), path.name
+
+
 class TestPowerMaps:
     def test_power_class_inverse(self, corpus):
         for ds in corpus.values():

@@ -1,10 +1,39 @@
 """Verification suites for the conductor identities."""
 
-from charcond.tables import virtual_character
+import pytest
+
+from charcond import verify
+from charcond.cyclo import CycloNum, conductor_p
+from charcond.tables import (ClassFunction, char_conductor, load_corpus,
+                             virtual_character)
 from charcond.verify import (check_cor05, check_projective_invariance,
                              check_restriction_props, check_theorem1,
                              cor05_suite, projective_invariance_suite,
-                             random_virtual_characters, theorem1_suite)
+                             random_virtual_characters, theorem1_suite,
+                             virtual_gendec_row)
+
+
+def reference_theorem1(ds, p, psi, label):
+    """The CycloNum path the integer records replace: psi's values, its d^u
+    row by one lincomb per column, conductors read off the stored orders."""
+    lhs = char_conductor(psi, p)
+    rhs = conductor_p(virtual_gendec_row(ds.gendec(p),
+                                         psi.integer_coords()).values(), p)
+    return label, lhs, rhs, lhs == rhs
+
+
+def reference_suite(ds, p, samples, seed):
+    table = ds.table
+    out = [reference_theorem1(ds, p, table.irreducible(chi), f"chi{chi}")
+           for chi in range(table.num_classes)]
+    for label, coords in random_virtual_characters(ds, p, samples, seed):
+        out.append(reference_theorem1(ds, p, virtual_character(table, coords),
+                                      label))
+    return out
+
+
+def records(report):
+    return [(r.character, r.lhs, r.rhs, r.passed) for r in report.records]
 
 
 class TestConductorIdentity:
@@ -21,19 +50,70 @@ class TestConductorIdentity:
 
     def test_sampling_is_deterministic(self, corpus):
         ds = corpus["A5"]
-        a = [psi.values for _, psi in
-             random_virtual_characters(ds, 5, 5, seed=42)]
-        b = [psi.values for _, psi in
-             random_virtual_characters(ds, 5, 5, seed=42)]
-        assert a == b
-        c = [psi.values for _, psi in
-             random_virtual_characters(ds, 5, 5, seed=43)]
-        assert a != c
+
+        def values(seed):
+            return [virtual_character(ds.table, coords).values for _, coords
+                    in random_virtual_characters(ds, 5, 5, seed=seed)]
+        a = values(42)
+        assert a == values(42)
+        assert a != values(43)
 
     def test_single_character(self, corpus):
         ds = corpus["A5"]
         rec = check_theorem1(ds, 5, ds.table.irreducible(1))
         assert rec.passed and rec.lhs == rec.rhs == 5
+
+
+class TestIntegerRecords:
+    """theorem1_suite on integers against the CycloNum path it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_corpus_pair(self, corpus, group_primes, seed):
+        for name, p in group_primes:
+            ds = corpus[name]
+            assert records(theorem1_suite(ds, p, samples=50, seed=seed)) == \
+                reference_suite(ds, p, 50, seed), (name, p)
+
+    def test_check_theorem1_recovers_coordinates(self, corpus, group_primes):
+        # psi given by its values only: coordinates come from inner products
+        for name, p in group_primes:
+            ds = corpus[name]
+            for label, coords in random_virtual_characters(ds, p, 3, seed=5):
+                psi = ClassFunction(ds.table,
+                                    virtual_character(ds.table, coords).values)
+                rec = check_theorem1(ds, p, psi, label)
+                assert (rec.character, rec.lhs, rec.rhs, rec.passed) == \
+                    reference_theorem1(ds, p, psi, label)
+
+    def test_columns_held_once_per_dataset_and_prime(self, monkeypatch):
+        calls = []
+        real = verify._int_columns
+        monkeypatch.setattr(verify, "_int_columns",
+                            lambda ds, p: calls.append((id(ds), p))
+                            or real(ds, p))
+        ds = load_corpus()["A5"]
+        for p in (2, 3, 5, 2, 3, 5):
+            theorem1_suite(ds, p, samples=2)
+            check_theorem1(ds, p, ds.table.irreducible(1))
+        assert calls == [(id(ds), 2), (id(ds), 3), (id(ds), 5)]
+
+    @pytest.mark.parametrize("name,p", [("A5", 2), ("S4", 3), ("D8", 2)])
+    def test_tampered_gendec_entry_fails_like_reference(self, name, p):
+        # a non-ordinary d^u entry plus zeta_(p^3) has a larger conductor
+        # p-part than any d^u of the corpus; tamper before the first check
+        ds = load_corpus()[name]
+        gm = ds.gendec(p)
+        ident = ds.table.identity_class
+        col = next(c for c in gm.columns if c[0] != ident)
+        chi = len(gm.entries[col]) - 1
+        gm.entries[col][chi] += CycloNum.zeta(p ** 3)
+        report = theorem1_suite(ds, p, samples=20, seed=3)
+        assert not report.passed
+        got, want = records(report), reference_suite(ds, p, 20, 3)
+        assert got == want
+        first = next(r for r in got if not r[3])
+        assert first == next(r for r in want if not r[3])
+        assert first[2] == p ** 3
 
 
 class TestConductorMaximum:
