@@ -1,8 +1,8 @@
 """Generalised decomposition numbers d^u_{chi,phi}.
 
 For each p-element u, chi(us) = sum_phi d^u_{chi,phi} phi(s) over the
-p-regular s in the centralizer of u.  The numbers are computed twice (by
-Brauer reciprocity and by an exact linear solve) and asserted equal; the
+p-regular s in the centralizer of u.  The numbers come from Brauer
+reciprocity, on integers, and are checked to reproduce every chi(us); the
 u = 1 slice is the ordinary decomposition matrix.
 """
 

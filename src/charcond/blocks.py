@@ -3,17 +3,18 @@
 Blocks are recovered from central-character residues and cross-checked
 against the block labels shipped with each dataset; a mismatch is treated as
 data corruption, not a soft failure.  Brauer data is checked against its
-validated table, so IBr independence is a count.  Callers read
-`GroupDataset.blocks(p)` and `.projectives(p)`, which hold these results once
-per dataset and prime.
+validated table, on integers in Z[zeta_n], so IBr independence is a count.
+Callers read `GroupDataset.blocks(p)` and `.projectives(p)`, which hold these
+results once per dataset and prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cyclo import CycloNum, lincomb, nu_p
+from .cyclo import CycloNum, lincomb_int, nu_p
 from .residue import build_residue_map, reduce_cyclo
 
 
@@ -54,11 +55,19 @@ def validate_brauer(table, bd: BrauerData, path: str):
     if len(bd.decomposition) != table.num_classes:
         raise BlockError(f"{path}.decomposition: expected one row per "
                          f"irreducible character")
-    # chi(s) = sum_phi D[chi,phi] phi(s) on every p-regular class
-    for i, drow in enumerate(bd.decomposition):
-        for col, s in enumerate(bd.regular_classes):
-            acc = lincomb((e, ibr_row[col]) for e, ibr_row in zip(drow, bd.ibr))
-            if acc != table.irreducibles[i][s]:
+    # chi(s) = sum_phi D[chi,phi] phi(s) on every p-regular class s, as one
+    # integer sum in Z[zeta_n], n the lcm of the value orders at s
+    for col, s in enumerate(bd.regular_classes):
+        values = [row[col] for row in bd.ibr]
+        chis = [row[s] for row in table.irreducibles]
+        n = lcm(*[x.order for x in values + chis])
+        ibr = [x.int_terms(n) for x in values]
+        if None in ibr:
+            j = ibr.index(None)
+            raise BlockError(f"{path}.ibr[{j}][{col}]: value {values[j]} is "
+                             f"not an algebraic integer")
+        for i, (drow, chi) in enumerate(zip(bd.decomposition, chis)):
+            if any(lincomb_int(n, [*zip(drow, ibr), (-1, chi.int_terms(n))])):
                 raise BlockError(
                     f"{path}: decomposition row {i} does not reproduce the "
                     f"character value on regular class {s}")

@@ -114,6 +114,16 @@ def reduce_int(n: int, acc: list[int]) -> list[int]:
     return acc[:k]
 
 
+def lincomb_int(n: int, pairs) -> list[int]:
+    """sum w * x over pairs (integer w, x given as `int_terms(n)`), on the
+    power basis of Z[zeta_n] by one `reduce_int`."""
+    acc = [0] * n
+    for w, x in pairs:
+        for e, a in x:
+            acc[e] += w * a
+    return reduce_int(n, acc)
+
+
 def sum_products_int(n: int, triples) -> list[int]:
     """sum w * x * y over triples (integer w, x, y), x and y given as
     `int_terms(n)`, on the power basis of Z[zeta_n] by one `reduce_int`."""
@@ -354,6 +364,8 @@ def lincomb(terms) -> CycloNum:
 def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
     """(conductor, coeffs there) of the element, one prime at a time; once x
     is not in Q(zeta_(n/q)) it is in no Q(zeta_d), d | n/q, so q is done."""
+    if not any(vec[1:]):  # a rational, on the basis 1, z, z^2, ...
+        return 1, vec[:1]
     for q in prime_factors(n):
         while n % q == 0 and (down := _descend(n, q, vec)) is not None:
             n, vec = n // q, down

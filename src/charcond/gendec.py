@@ -1,10 +1,15 @@
-"""Generalised decomposition numbers, by two independent methods.
+"""Generalised decomposition numbers, on integers in Z[zeta_N].
 
 For a p-element u with centralizer C = C_G(u) and s running over the
 p-regular classes of C, the numbers d^u_{chi,phi} are the unique cyclotomic
-integers with chi(us) = sum_phi d^u_{chi,phi} phi(s).  They are computed
-both by Brauer reciprocity against the projective characters of C and by an
-exact linear solve, and the two results are asserted equal.  Callers read
+integers with chi(us) = sum_phi d^u_{chi,phi} phi(s): IBr(C) is square and
+invertible on those classes (`blocks.validate_brauer`).  Each section takes
+one integer pass at one order N, the lcm of the orders of its values.
+Brauer reciprocity against the projective characters Psi of C gives
+|C| d^u_{chi,phi} = sum_s |s^C| chi(us) Psi_phi(s^-1), whose coordinates must
+be divisible by |C| (the power basis is an integral basis of Z[zeta_N]).
+The quotients must then reproduce every chi(us) as that product with IBr(C),
+an independent check that pins the system's unique solution.  Callers read
 `GroupDataset.gendec(p)`, which holds the result once per dataset and prime.
 """
 
@@ -12,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from . import linalg
-from .cyclo import CycloNum, lincomb, nu_p, p_part
+from .cyclo import CycloNum, nu_p, p_part, sum_products_int
 
 
 class GendecError(ValueError):
@@ -37,6 +41,8 @@ class SectionData:
 def validate_section(table, sec: SectionData, p: int, path: str):
     from .tables import DatasetError, _validate_fusion
     cent = sec.centralizer.table
+    if not 0 <= sec.u_class < table.num_classes:
+        raise DatasetError(f"{path}.u_class: bad class index {sec.u_class!r}")
     u_order = table.classes[sec.u_class].element_order
     if p_part(u_order, p) != u_order:
         raise DatasetError(f"{path}.u_class: class {sec.u_class} has order "
@@ -57,7 +63,7 @@ def validate_section(table, sec: SectionData, p: int, path: str):
         raise DatasetError(f"{path}.u_times: expected {cent.num_classes} entries")
     regular_images = []
     for s, t in enumerate(sec.u_times):
-        if not (0 <= t < cent.num_classes):
+        if not isinstance(t, int) or not 0 <= t < cent.num_classes:
             raise DatasetError(f"{path}.u_times[{s}]: bad class index {t!r}")
         s_order = cent.classes[s].element_order
         if gcd(s_order, p) == 1:
@@ -85,59 +91,28 @@ class GendecMatrix:
         return [self.entries[c][chi] for c in cols]
 
 
-def _regular_classes(sec: SectionData, p: int) -> list[int]:
-    cent = sec.centralizer.table
-    return [s for s in range(cent.num_classes)
-            if cent.classes[s].element_order % p != 0]
-
-
 def section_values(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
-    """chi(us) for s over the p-regular classes of the centralizer."""
+    """chi(us) for s over the p-regular classes of the centralizer, in the
+    order of its Brauer data."""
     return [table.irreducibles[chi][sec.fusion[sec.u_times[s]]]
-            for s in _regular_classes(sec, p)]
+            for s in sec.centralizer.brauer(p).regular_classes]
 
 
-def gendec_reciprocity(table, chi: int, sec: SectionData, p: int
-                       ) -> list[CycloNum]:
-    """d^u_{chi,.} = (1/|C|) sum_{s in C_{p'}} chi(us) Psi(s^{-1}), with Psi
-    the centralizer's projective characters at p."""
-    from .tables import power_class
-    cent = sec.centralizer.table
-    regular = _regular_classes(sec, p)
-    weights = [Fraction(cent.classes[s].size, cent.group_order)
-               for s in regular]
-    inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
-                for s in regular]
-    chi_us = section_values(table, chi, sec, p)
-    return [lincomb((w, val * psi.values[sinv])
-                    for w, val, sinv in zip(weights, chi_us, inverses))
-            for psi in sec.centralizer.projectives(p)]
-
-
-def gendec_solve(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
-    """Exact solve of chi(us) = sum_phi d_phi phi(s) over the regular classes."""
-    bd = sec.centralizer.brauer(p)
-    regular = _regular_classes(sec, p)
-    if regular != bd.regular_classes:
-        raise GendecError("centralizer regular-class ordering disagrees with "
-                          "its Brauer data")
-    rows = [[bd.ibr[j][col] for j in range(bd.num_ibr)]
-            for col in range(len(regular))]
-    rhs = section_values(table, chi, sec, p)
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise GendecError(
-            f"section at class {sec.u_class}: the Brauer-character system is "
-            f"inconsistent; centralizer data is corrupted")
-    return sol
+def _reciprocity(n: int, weights, chi_us, psi_inv) -> list[list[list[int]]]:
+    """|C| d^u_{chi,phi} = sum_s |s^C| chi(us) Psi_phi(s^-1) for each row of
+    chi_us (a chi) and of psi_inv (a phi), on the power basis of Z[zeta_n]."""
+    return [[sum_products_int(n, zip(weights, row, col)) for col in psi_inv]
+            for row in chi_us]
 
 
 def gendec_all(ds, p: int) -> GendecMatrix:
-    """Assemble d^u for all p-element classes; both methods must agree.
+    """Assemble d^u for all p-element classes, one integer pass per section.
 
-    Also asserts the u = 1 block equals the ingested decomposition matrix and
-    that every entry is an algebraic integer in Q(zeta_{order(u)}).
+    Also asserts that each entry is an algebraic integer in Q(zeta_{order(u)}),
+    that the entries reproduce every chi(us), and that the u = 1 block equals
+    the ingested decomposition matrix.
     """
+    from .tables import power_class
     table = ds.table
     sections = ds.sections(p)
     if not sections:
@@ -145,36 +120,50 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     gm = GendecMatrix(p=p, columns=[])
     ident = table.identity_class
     for sec in sections:
-        bd = sec.centralizer.brauer(p)
+        cent, bd = sec.centralizer.table, sec.centralizer.brauer(p)
+        size = cent.group_order
         u_order = table.classes[sec.u_class].element_order
-        cols = [[] for _ in range(bd.num_ibr)]
-        for chi in range(table.num_classes):
-            rec = gendec_reciprocity(table, chi, sec, p)
-            sol = gendec_solve(table, chi, sec, p)
-            if rec != sol:
-                raise GendecError(
-                    f"{ds.name} p={p}: reciprocity and solve disagree at "
-                    f"u_class {sec.u_class}, character {chi}")
-            for phi, val in enumerate(rec):
-                if u_order % val.order or not val.is_algebraic_integer():
+        inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
+                    for s in bd.regular_classes]
+        chi_us = [section_values(table, chi, sec, p)
+                  for chi in range(table.num_classes)]
+        psi_inv = [[psi.values[s] for s in inverses]
+                   for psi in sec.centralizer.projectives(p)]
+        n = lcm(*[x.order for rows in (chi_us, psi_inv, bd.ibr)
+                  for row in rows for x in row])
+        chi_us, psi_inv, ibr = ([[x.int_terms(n) for x in row] for row in rows]
+                                for rows in (chi_us, psi_inv, bd.ibr))
+        weights = [cent.classes[s].size for s in bd.regular_classes]
+        rows = []
+        for chi, sums in enumerate(_reciprocity(n, weights, chi_us, psi_inv)):
+            rows.append([CycloNum(n, tuple(Fraction(c, size) for c in vec))
+                         for vec in sums])
+            # the power basis is an integral basis of Z[zeta_n]
+            for vec, val in zip(sums, rows[-1]):
+                if any(c % size for c in vec) or u_order % val.order:
                     raise GendecError(
                         f"{ds.name} p={p}: d^u entry {val} at u_class "
                         f"{sec.u_class} is not an algebraic integer of "
                         f"Q(zeta_{u_order})")
-                cols[phi].append(val)
-        if sec.u_class == ident:
-            for chi in range(table.num_classes):
-                got = [cols[phi][chi] for phi in range(bd.num_ibr)]
-                want = [CycloNum.from_rational(e)
-                        for e in ds.brauer(p).decomposition[chi]]
-                if got != want:
+            # IBr(C) is square and invertible on C_p' (`validate_brauer`), so
+            # entries reproducing every chi(us) are the system's only solution
+            d = [[(e, c // size) for e, c in enumerate(v) if c] for v in sums]
+            for k, value in enumerate(chi_us[chi]):
+                triples = [(1, x, b[k]) for x, b in zip(d, ibr)]
+                if any(sum_products_int(n, triples + [(-1, value, [(0, 1)])])):
                     raise GendecError(
-                        f"{ds.name} p={p}: ordinary decomposition numbers of "
-                        f"character {chi} differ from the ingested matrix")
-        for phi in range(bd.num_ibr):
-            key = (sec.u_class, phi)
-            gm.columns.append(key)
-            gm.entries[key] = cols[phi]
+                        f"{ds.name} p={p}: the d^u of character {chi} at "
+                        f"u_class {sec.u_class} do not reproduce its value on "
+                        f"centralizer class {bd.regular_classes[k]}; "
+                        f"centralizer data is corrupted")
+        for chi, drow in enumerate(ds.brauer(p).decomposition):
+            if sec.u_class == ident and rows[chi] != drow:
+                raise GendecError(
+                    f"{ds.name} p={p}: ordinary decomposition numbers of "
+                    f"character {chi} differ from the ingested matrix")
+        for phi, col in enumerate(zip(*rows)):
+            gm.columns.append((sec.u_class, phi))
+            gm.entries[(sec.u_class, phi)] = list(col)
     return gm
 
 

@@ -2,8 +2,8 @@
 
 One kernel, `rref`, serves every exact linear problem in the package.  Its
 entries need only +, -, *, truth testing and 1 / x, so the same code runs
-over `Fraction` (the L0 lattice) and over `CycloNum` (Brauer characters,
-generalised decomposition numbers).
+over `Fraction` (the L0 lattice, the corpus generator) and over `CycloNum`
+(the test references).
 """
 
 from __future__ import annotations

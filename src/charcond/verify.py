@@ -8,17 +8,20 @@ Theorem 1 records run on integers: each value of psi = sum a_i chi_i, and
 each of its d^u, is sum a_i x_i over a column x of algebraic integers,
 whose `int_terms` the dataset holds; one accumulator, one `reduce_int` and
 `cyclo.conductor_p_int` (descent at p alone, exact) give its p-part.
+The conductor-maximum and projective-invariance records read psi's d^u row
+the same way (`virtual_gendec_row`); only a failing record's strings are
+built as `CycloNum`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 
 from .blocks import block_component, block_of
-from .cyclo import conductor_p_int, lincomb, p_part, sum_products_int
-from .gendec import GendecMatrix
+from .cyclo import CycloNum, conductor_p_int, lincomb_int
 from .tables import (ClassFunction, DatasetError, GroupDataset,
                      SubgroupEmbedding, char_conductor)
 
@@ -49,37 +52,46 @@ class VerificationReport:
         self.records.append(rec)
 
 
-def virtual_gendec_row(gm: GendecMatrix, coords) -> dict:
-    """d^u_{psi,phi} for psi = sum coords_i chi_i, extended linearly."""
-    return {col: lincomb(zip(coords, gm.entries[col])) for col in gm.columns}
-
-
 def _int_columns(ds: GroupDataset, p: int) -> tuple[list, list]:
-    """(n, int_terms(n) per character) of each Irr column and each d^u
-    column whose lcm n of value orders p divides; other sums have p-part 1."""
+    """(n, int_terms(n) per character), n the lcm of the value orders, of
+    each Irr column with p | n (sums over the others have p-part 1) and of
+    each d^u column, in `GendecMatrix.columns` order."""
+    def column(values):
+        n = lcm(*[x.order for x in values])
+        return n, [x.int_terms(n) for x in values]
+
     gm = ds.gendec(p)
-    sides = (zip(*ds.table.irreducibles), (gm.entries[c] for c in gm.columns))
-    return tuple([(n, [x.int_terms(n) for x in col]) for col in cols
-                  if (n := lcm(*[x.order for x in col])) % p == 0]
-                 for cols in sides)
+    return ([c for c in map(column, zip(*ds.table.irreducibles))
+             if c[0] % p == 0], [column(gm.entries[c]) for c in gm.columns])
+
+
+def virtual_gendec_row(ds: GroupDataset, p: int, coords) -> dict:
+    """d^u_{psi,phi} for psi = sum coords_i chi_i, extended linearly, as
+    (n, coordinates on the power basis of Z[zeta_n]) per column."""
+    terms = [(a, i) for i, a in enumerate(coords) if a]
+    columns = ds._held(p, "int columns", _int_columns, ds, p)[1]
+    return {key: (n, lincomb_int(n, ((a, col[i]) for a, i in terms)))
+            for key, (n, col) in zip(ds.gendec(p).columns, columns)}
+
+
+def _max_conductor_p(columns, coords, p: int) -> int:
+    """Largest conductor p-part of sum coords_i * x_i over `_int_columns`."""
+    terms = [(a, i) for i, a in enumerate(coords) if a]
+    best = 1
+    for n, col in columns:
+        if n % p or not any(col[i] for _, i in terms):
+            continue  # the sum is 0 or lies in Q(zeta_n), p prime to n
+        x = lincomb_int(n, ((a, col[i]) for a, i in terms))
+        best = max(best, conductor_p_int(n, x, p))
+    return best
 
 
 def _theorem1_record(ds: GroupDataset, p: int, coords,
                      label: str) -> CheckRecord:
-    """Largest conductor p-part of sum coords_i * x_i over the Irr columns
-    x (lhs) and over the d^u columns (rhs)."""
-    terms = [(a, i) for i, a in enumerate(coords) if a]
-
-    def side(columns) -> int:
-        best = 1
-        for n, col in columns:  # sum a * col[i] * 1, one reduction
-            if not any(col[i] for _, i in terms):
-                continue  # the sum is 0, of p-part 1
-            x = sum_products_int(n, ((a, col[i], [(0, 1)]) for a, i in terms))
-            best = max(best, conductor_p_int(n, x, p))
-        return best
-
-    lhs, rhs = map(side, ds._held(p, "theorem1 columns", _int_columns, ds, p))
+    """The conductor p-part of psi = sum coords_i chi_i, over the Irr
+    columns (lhs), against that of its d^u (rhs)."""
+    lhs, rhs = (_max_conductor_p(cols, coords, p) for cols
+                in ds._held(p, "int columns", _int_columns, ds, p))
     return CheckRecord("conductor-identity", label, lhs, rhs,
                        passed=(lhs == rhs))
 
@@ -94,12 +106,11 @@ def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
                 label: str = "psi") -> CheckRecord:
     """c(psi)_p is the maximum of the single-entry conductors c(d^u_{psi,phi}),
     with a maximising (u_class, phi) witness."""
-    gm = ds.gendec(p)
     lhs = char_conductor(psi, p)
-    row = virtual_gendec_row(gm, psi.integer_coords())
     best, witness = 1, None
-    for col in gm.columns:
-        c = p_part(row[col].order, p)
+    for col, (n, vec) in virtual_gendec_row(ds, p,
+                                            psi.integer_coords()).items():
+        c = conductor_p_int(n, vec, p)
         if c > best or witness is None:
             best, witness = c, col
     return CheckRecord("conductor-maximum", label, lhs, best, witness,
@@ -110,25 +121,24 @@ def check_projective_invariance(ds: GroupDataset, p: int,
                                 chi: int) -> CheckRecord:
     """Adding a projective character of chi's block changes neither the
     non-ordinary d^u rows nor the conductor p-part."""
-    gm = ds.gendec(p)
-    table = ds.table
-    b = block_of(ds.blocks(p), chi)
-    chi_fn = table.irreducible(chi)
-    base_row = virtual_gendec_row(gm, chi_fn.integer_coords())
-    base_cond = char_conductor(chi_fn, p)
-    ident = table.identity_class
-    for j in sorted(b.ibr_indices):
-        psi = chi_fn + ds.projectives(p)[j]
-        row = virtual_gendec_row(gm, psi.integer_coords())
-        for col in gm.columns:
-            if col[0] != ident and row[col] != base_row[col]:
+    ident = ds.table.identity_class
+    irr_columns = ds._held(p, "int columns", _int_columns, ds, p)[0]
+    base = ds.table.irreducible(chi).integer_coords()
+    base_row = virtual_gendec_row(ds, p, base)
+    base_cond = _max_conductor_p(irr_columns, base, p)
+    for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
+        psi = [a + b for a, b in zip(base,
+                                     ds.projectives(p)[j].integer_coords())]
+        for col, (n, vec) in virtual_gendec_row(ds, p, psi).items():
+            if col[0] != ident and vec != base_row[col][1]:
+                was, now = (str(CycloNum(n, tuple(map(Fraction, v))))
+                            for v in (base_row[col][1], vec))
                 return CheckRecord("projective-invariance", f"chi{chi}",
-                                   str(base_row[col]), str(row[col]),
-                                   witness=(j, col), passed=False)
-        if char_conductor(psi, p) != base_cond:
+                                   was, now, witness=(j, col), passed=False)
+        cond = _max_conductor_p(irr_columns, psi, p)
+        if cond != base_cond:
             return CheckRecord("projective-invariance", f"chi{chi}",
-                               base_cond, char_conductor(psi, p),
-                               witness=j, passed=False)
+                               base_cond, cond, witness=j, passed=False)
     return CheckRecord("projective-invariance", f"chi{chi}",
                        base_cond, base_cond)
 

@@ -3,9 +3,9 @@ from math import gcd
 
 import pytest
 
-from charcond import gendec
-from charcond.cyclo import CycloNum
-from charcond.tables import load_corpus, load_manifest
+from charcond import gendec, linalg
+from charcond.cyclo import lincomb
+from charcond.tables import load_corpus, load_manifest, power_class
 
 
 @pytest.fixture(scope="session")
@@ -43,9 +43,55 @@ def galois_conductor():
 
 @pytest.fixture
 def half_gendec_entries(monkeypatch):
-    """Both d^u methods return entries 1/2: they agree, but not on integers."""
-    def halves(table, chi, sec, p):
-        num_ibr = sec.centralizer.brauer(p).num_ibr
-        return [CycloNum.from_rational(Fraction(1, 2))] * num_ibr
-    monkeypatch.setattr(gendec, "gendec_reciprocity", halves)
-    monkeypatch.setattr(gendec, "gendec_solve", halves)
+    """The reciprocity sum |C| d^u of the trivial character at the first IBr
+    has its first coordinate halved: for S3, whose first section is u = 1
+    with |C| = 6, that entry reads 1/2."""
+    real = gendec._reciprocity
+
+    def halved(n, weights, chi_us, psi_inv):
+        sums = real(n, weights, chi_us, psi_inv)
+        sums[0][0][0] //= 2
+        return sums
+    monkeypatch.setattr(gendec, "_reciprocity", halved)
+
+
+def reciprocity_reference(table, chi, sec, p):
+    """d^u_{chi,.} = (1/|C|) sum_{s in C_p'} |s^C| chi(us) Psi(s^-1), with
+    Psi the centralizer's projectives, by one lincomb per phi over CycloNum."""
+    cent = sec.centralizer.table
+    regular = sec.centralizer.brauer(p).regular_classes
+    weights = [Fraction(cent.classes[s].size, cent.group_order)
+               for s in regular]
+    inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
+                for s in regular]
+    chi_us = gendec.section_values(table, chi, sec, p)
+    return [lincomb((w, val * psi.values[sinv])
+                    for w, val, sinv in zip(weights, chi_us, inverses))
+            for psi in sec.centralizer.projectives(p)]
+
+
+def solve_reference(table, chi, sec, p):
+    """Exact solve of chi(us) = sum_phi d_phi phi(s) over C_p'."""
+    bd = sec.centralizer.brauer(p)
+    rows = [[bd.ibr[j][col] for j in range(bd.num_ibr)]
+            for col in range(len(bd.regular_classes))]
+    return linalg.solve(rows, gendec.section_values(table, chi, sec, p))
+
+
+@pytest.fixture(scope="session")
+def reference_gendec(corpus, group_primes):
+    """(group, p) -> (reciprocity, solve): the d^u of every corpus pair by
+    the two CycloNum methods, each keyed like `GendecMatrix.entries`."""
+    out = {}
+    for name, p in group_primes:
+        ds = corpus[name]
+        both = ({}, {})
+        for sec in ds.sections(p):
+            for method, entries in zip((reciprocity_reference,
+                                        solve_reference), both):
+                rows = [method(ds.table, chi, sec, p)
+                        for chi in range(ds.table.num_classes)]
+                for phi, col in enumerate(zip(*rows)):
+                    entries[(sec.u_class, phi)] = list(col)
+        out[(name, p)] = both
+    return out

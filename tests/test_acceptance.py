@@ -14,8 +14,7 @@ from charcond import verify
 from charcond.blocks import nu_p, partition_blocks
 from charcond.cyclo import (ZERO, CycloNum, conductor, cyclo_to_str,
                             parse_cyclo)
-from charcond.gendec import (check_second_main, gendec_reciprocity,
-                             gendec_solve, section_values)
+from charcond.gendec import check_second_main, section_values
 from charcond.residue import build_residue_map, reduce_cyclo
 
 
@@ -48,20 +47,21 @@ def test_criterion_02_conductor_maximum(corpus, group_primes, capsys):
             assert all(r.witness is not None for r in rep.records)
 
 
-def test_criterion_03_method_equivalence(corpus, group_primes, capsys):
-    with criterion(capsys, 3, "reciprocity equals linear solve; ordinary "
-                              "section reproduces the decomposition matrix"):
+def test_criterion_03_method_equivalence(corpus, group_primes, capsys,
+                                        reference_gendec):
+    with criterion(capsys, 3, "d^u on integers equal reciprocity and linear "
+                              "solve; ordinary section reproduces the "
+                              "decomposition matrix"):
         for name, p in group_primes:
             ds = corpus[name]
+            gm = ds.gendec(p)
+            rec, sol = reference_gendec[(name, p)]
+            assert gm.entries == rec == sol, (name, p)
             ident = ds.table.identity_class
-            for sec in ds.sections(p):
-                for chi in range(ds.table.num_classes):
-                    rec = gendec_reciprocity(ds.table, chi, sec, p)
-                    assert rec == gendec_solve(ds.table, chi, sec, p)
-                    if sec.u_class == ident:
-                        want = [CycloNum.from_rational(e) for e in
-                                ds.brauer(p).decomposition[chi]]
-                        assert rec == want
+            for chi in range(ds.table.num_classes):
+                want = [CycloNum.from_rational(e) for e in
+                        ds.brauer(p).decomposition[chi]]
+                assert gm.section_row(chi, ident) == want
 
 
 def test_criterion_04_round_trip(corpus, group_primes, capsys):

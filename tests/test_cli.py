@@ -111,8 +111,24 @@ class TestValidate:
         (("irreducibles", 3, 2), "1/2*E(5)",
          "A5.json.irreducibles[3][2]: value 1/2*E(5) is not an algebraic "
          "integer"),
+        (("primes", "2", "sections", 1, "u_class"), 99,
+         "A5.json.primes.2.sections[1].u_class: bad class index 99"),
+        (("primes", "2", "sections", 1, "u_class"), -1,
+         "A5.json.primes.2.sections[1].u_class: bad class index -1"),
+        (("primes", "2", "sections", 1, "u_times", 0), "x",
+         "A5.json.primes.2.sections[1].u_times[0]: bad class index 'x'"),
+        (("primes", "2", "sections", 1, "u_times", 0), 1.5,
+         "A5.json.primes.2.sections[1].u_times[0]: bad class index 1.5"),
+        (("primes", "5", "ibr", 1, 1), "1/2*E(5)",
+         "A5.json.primes.5.ibr[1][1]: value 1/2*E(5) is not an algebraic "
+         "integer"),
+        (("primes", "5", "ibr", 1, 1), "E(5)",
+         "A5.json.primes.5: decomposition row 1 does not reproduce the "
+         "character value on regular class 1"),
     ], ids=["subgroup-primes-list", "sections-int", "subgroups-object",
-            "non-integral-value"])
+            "non-integral-value", "u-class-out-of-range", "u-class-negative",
+            "u-times-string", "u-times-float", "non-integral-ibr-value",
+            "corrupted-ibr-row"])
     def test_mistyped_field_is_data_error(self, tmp_path, capsys, where,
                                           value, message):
         corpus = tmp_path / "data"

@@ -1,23 +1,30 @@
-"""Generalised decomposition numbers: method agreement, round trips and
-vanishing constraints, plus hand-computed small cases."""
+"""Generalised decomposition numbers: the integer pass against the CycloNum
+references it replaced, round trips and vanishing constraints, plus
+hand-computed small cases."""
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from charcond.cyclo import ZERO, CycloNum, p_part
+from charcond import tables
+from charcond.cyclo import ZERO, CycloNum, lincomb, p_part
 from charcond.gendec import (GendecError, check_second_main, gendec_all,
-                             gendec_reciprocity, gendec_solve,
                              section_values)
+from charcond.verify import virtual_gendec_row
 
 
 class TestMethodEquivalence:
-    def test_reciprocity_equals_solve_everywhere(self, corpus, group_primes):
-        # gendec_all already cross-asserts; exercise both paths explicitly
+    def test_integer_pass_equals_both_references(self, corpus, group_primes,
+                                                 reference_gendec):
         for name, p in group_primes:
-            ds = corpus[name]
-            for sec in ds.sections(p):
-                for chi in range(ds.table.num_classes):
-                    assert gendec_reciprocity(ds.table, chi, sec, p) == \
-                        gendec_solve(ds.table, chi, sec, p)
+            gm = gendec_all(corpus[name], p)
+            rec, sol = reference_gendec[(name, p)]
+            assert gm.columns == list(rec) == list(sol), (name, p)
+            for key, col in gm.entries.items():
+                assert col == rec[key] == sol[key], (name, p, key)
+                assert [x.order for x in col] == \
+                    [x.order for x in rec[key]], (name, p, key)
 
     def test_ordinary_section_is_decomposition_matrix(self, corpus,
                                                       group_primes):
@@ -29,6 +36,33 @@ class TestMethodEquivalence:
             for chi in range(ds.table.num_classes):
                 row = gm.section_row(chi, ident)
                 assert row == [CycloNum.from_rational(e) for e in want[chi]]
+
+    def test_virtual_row_equals_lincomb_row(self, corpus, group_primes):
+        rng = random.Random(11)
+        for name, p in group_primes:
+            ds = corpus[name]
+            gm = ds.gendec(p)
+            for _ in range(5):
+                coords = [rng.randint(-3, 3)
+                          for _ in range(ds.table.num_classes)]
+                row = virtual_gendec_row(ds, p, coords)
+                assert list(row) == gm.columns
+                for key, (n, vec) in row.items():
+                    got = CycloNum(n, tuple(map(Fraction, vec)))
+                    want = lincomb(zip(coords, gm.entries[key]))
+                    assert got == want and got.order == want.order, \
+                        (name, p, key)
+
+    @pytest.mark.parametrize("name,p", [("A4", 2), ("SL(2,3)", 2),
+                                        ("F20", 5)])
+    def test_psi_at_s_instead_of_inverse_is_caught(self, corpus,
+                                                   monkeypatch, name, p):
+        # the pairs whose projectives take non-real values on C_p': with s in
+        # place of s^-1, reciprocity pairs chi with conj(Psi), and the
+        # product check sees the result fail to reproduce chi(us)
+        monkeypatch.setattr(tables, "power_class", lambda table, c, k: c)
+        with pytest.raises(GendecError, match="do not reproduce"):
+            gendec_all(corpus[name], p)
 
 
 class TestRoundTrip:

@@ -3,22 +3,23 @@
 import pytest
 
 from charcond import verify
-from charcond.cyclo import CycloNum, conductor_p
+from charcond.blocks import block_of
+from charcond.cyclo import CycloNum, conductor_p, lincomb
 from charcond.tables import (ClassFunction, char_conductor, load_corpus,
                              virtual_character)
 from charcond.verify import (check_cor05, check_projective_invariance,
                              check_restriction_props, check_theorem1,
                              cor05_suite, projective_invariance_suite,
-                             random_virtual_characters, theorem1_suite,
-                             virtual_gendec_row)
+                             random_virtual_characters, theorem1_suite)
 
 
 def reference_theorem1(ds, p, psi, label):
     """The CycloNum path the integer records replace: psi's values, its d^u
     row by one lincomb per column, conductors read off the stored orders."""
     lhs = char_conductor(psi, p)
-    rhs = conductor_p(virtual_gendec_row(ds.gendec(p),
-                                         psi.integer_coords()).values(), p)
+    coords = psi.integer_coords()
+    rhs = conductor_p([lincomb(zip(coords, col))
+                       for col in ds.gendec(p).entries.values()], p)
     return label, lhs, rhs, lhs == rhs
 
 
@@ -138,6 +139,24 @@ class TestProjectiveInvariance:
     def test_single_character(self, corpus):
         rec = check_projective_invariance(corpus["S3"], 3, 2)
         assert rec.passed
+
+    def test_tampered_entry_fails_with_the_reference_strings(self):
+        # a non-ordinary d^u entry of a character in the support of the
+        # first projective, plus 1, before any row is computed
+        ds, p, chi = load_corpus()["A5"], 5, 1
+        gm = ds.gendec(p)
+        j = min(block_of(ds.blocks(p), chi).ibr_indices)
+        col = next(c for c in gm.columns if c[0] != ds.table.identity_class)
+        i = next(i for i, row in enumerate(ds.brauer(p).decomposition)
+                 if row[j])
+        gm.entries[col][i] += 1
+        rec = check_projective_invariance(ds, p, chi)
+        chi_fn = ds.table.irreducible(chi)
+        psi = chi_fn + ds.projectives(p)[j]
+        want = [str(lincomb(zip(fn.integer_coords(), gm.entries[col])))
+                for fn in (chi_fn, psi)]
+        assert not rec.passed and rec.witness == (j, col)
+        assert [rec.lhs, rec.rhs] == want and want[0] != want[1]
 
 
 class TestRestriction:
