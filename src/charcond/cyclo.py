@@ -16,7 +16,8 @@ H = Gal(Q(zeta_n)/Q(zeta_(n/q))) fixes it, and then x = Tr_H(x)/(q-1).
 `_normalise` descends while some prime lets the element down; `invert`
 multiplies y by c, the product of its nontrivial H-conjugates, so that y*c =
 N_H(y) lies one field down, and collects the c on the way down to a rational.
-`conductor_p_int` runs the same tests at one prime, on integer coordinates.
+`conductor_tests` runs the same tests at one prime, on integer coordinates,
+as Z-linear maps; `conductor_p_int` reads a p-part off them.
 """
 
 from __future__ import annotations
@@ -393,21 +394,29 @@ def conductor_p(values, p: int) -> int:
     return p_part(conductor(values), p)
 
 
+def conductor_tests(n: int, vec: list[int], p: int):
+    """`_descend`'s tests at p alone on x = sum vec[j] * z^j in Z[zeta_n], on
+    `reduce_int`'s basis, as pairs (t, y) in descending t: the conductor
+    p-part of x is the first t with y nonzero, and 1 if there is none.  Each
+    y is Z-linear in vec: while p^2 | n, the coordinates off multiples of p
+    (the next test reads the slice vec[::p]); then, for odd p || n,
+    `reduce_int`(sigma_k x) - x, sigma_k generating Gal(Q(zeta_n)/Q(zeta_(n/p)))."""
+    while n % (p * p) == 0:
+        yield p_part(n, p), [c for j, c in enumerate(vec) if j % p]
+        n, vec = n // p, vec[::p]
+    if n % p == 0 and p != 2:  # Q(zeta_n) = Q(zeta_(n/2)) when n = 2 mod 4
+        k, acc = _generator(n, p), [0] * n
+        for j, c in enumerate(vec):
+            acc[j * k % n] += c
+        yield p, [a - c for a, c in zip(reduce_int(n, acc), vec)]
+
+
 def conductor_p_int(n: int, vec: list[int], p: int) -> int:
     """The p-part of the conductor c of x = sum vec[j] * z^j in Z[zeta_n], on
-    `reduce_int`'s basis, by `_descend`'s tests at p alone: Q(zeta_a) and
-    Q(zeta_b) meet in Q(zeta_gcd(a, b)) and c is never 2 mod 4, so x lies in
-    Q(zeta_(n/p)) exactly when p does not divide c / gcd(c, n/p)."""
-    while n % (p * p) == 0:
-        if any(any(vec[r::p]) for r in range(1, p)):
-            return p_part(n, p)
-        n, vec = n // p, vec[::p]
-    if n % p or p == 2:  # Q(zeta_n) = Q(zeta_(n/2)) when n = 2 mod 4
-        return 1
-    k, acc = _generator(n, p), [0] * n
-    for j, c in enumerate(vec):
-        acc[j * k % n] += c
-    return 1 if reduce_int(n, acc) == vec else p
+    `reduce_int`'s basis, by `conductor_tests`: Q(zeta_a) and Q(zeta_b) meet
+    in Q(zeta_gcd(a, b)) and c is never 2 mod 4, so x lies in Q(zeta_(n/p))
+    exactly when p does not divide c / gcd(c, n/p)."""
+    return next((t for t, y in conductor_tests(n, vec, p) if any(y)), 1)
 
 
 # ---------------------------------------------------------------------------

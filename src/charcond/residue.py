@@ -2,7 +2,9 @@
 
 The target field F_{p^f} is realised as Z/p[x] modulo a deterministically
 chosen irreducible polynomial, so that repeated runs always pick the same
-ideal and hence the same block partition.
+ideal and hence the same block partition.  Each map holds the images of
+zeta_N^e for e = 0..N-1, built once by successive multiplication, so that
+reducing a value is an integer sum of table rows and one reduction mod p.
 """
 
 from __future__ import annotations
@@ -87,14 +89,18 @@ class PrimeFieldElem:
     field: "ResidueMap"
     coords: tuple[int, ...]
 
+    def _check_field(self, other: "PrimeFieldElem"):
+        if self.field is not other.field:
+            raise ResidueError("elements of different residue fields")
+
     def __add__(self, other: "PrimeFieldElem") -> "PrimeFieldElem":
-        assert self.field is other.field
+        self._check_field(other)
         p = self.field.p
         return PrimeFieldElem(self.field, tuple((a + b) % p for a, b in
                                                 zip(self.coords, other.coords)))
 
     def __mul__(self, other: "PrimeFieldElem") -> "PrimeFieldElem":
-        assert self.field is other.field
+        self._check_field(other)
         m = self.field
         prod = _poly_mulmod(list(self.coords), list(other.coords), list(m.modulus), m.p)
         return m._elem(prod)
@@ -126,6 +132,7 @@ class ResidueMap:
     field_degree: int
     modulus: tuple[int, ...]       # monic irreducible over Z/p, ascending coeffs
     root_image: "PrimeFieldElem"   # image of zeta_{n'}, n' the p'-part of N
+    zeta_powers: tuple[tuple[int, ...], ...] = ()  # coords of zeta_N^e, e < N
 
     def _elem(self, coeffs: list[int]) -> PrimeFieldElem:
         coeffs = list(coeffs) + [0] * (self.field_degree - len(coeffs))
@@ -148,7 +155,7 @@ def _multiplicative_order(p: int, n: int) -> int:
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_residue_map(N: int, p: int) -> ResidueMap:
     """Deterministic residue map for Q(zeta_N) at the prime p."""
     if N < 1:
@@ -156,26 +163,26 @@ def build_residue_map(N: int, p: int) -> ResidueMap:
     pa = p_part(N, p)
     nprime = N // pa
     f = 1 if nprime == 1 else _multiplicative_order(p, nprime)
-    # lexicographic search for the modulus: low coefficients as base-p digits
-    modulus = None
-    for code in range(p ** f):
-        coeffs = [(code // p ** i) % p for i in range(f)] + [1]
-        if _is_irreducible(coeffs, p):
-            modulus = tuple(coeffs)
-            break
-    assert modulus is not None
-    m = ResidueMap(N, p, f, modulus, None)  # type: ignore[arg-type]
-    # least primitive element in the same coefficient order
     size = p ** f
-    primitive = None
-    for code in range(1, size):
-        cand = m._elem([(code // p ** i) % p for i in range(f)])
-        if cand.mult_order() == size - 1:
-            primitive = cand
-            break
-    assert primitive is not None
+
+    def digits(code):  # low coefficients first
+        return [(code // p ** i) % p for i in range(f)]
+    # the least modulus and primitive element in the order of `digits`; both
+    # searches succeed, since F_p has an irreducible polynomial of every
+    # degree f and the multiplicative group of F_(p^f) is cyclic
+    modulus = next(tuple(c + [1]) for c in map(digits, range(size))
+                   if _is_irreducible(c + [1], p))
+    m = ResidueMap(N, p, f, modulus, None)  # type: ignore[arg-type]
+    primitive = next(x for x in map(m._elem, map(digits, range(1, size)))
+                     if x.mult_order() == size - 1)
     root = primitive ** ((size - 1) // nprime)
+    # zeta_N = zeta_{p^a}^c * zeta_{n'}^d with d * p^a = 1 mod n'
+    step = root ** pow(pa, -1, nprime) if nprime > 1 else m.one
+    powers = [m.one]
+    for _ in range(N - 1):
+        powers.append(powers[-1] * step)
     object.__setattr__(m, "root_image", root)
+    object.__setattr__(m, "zeta_powers", tuple(x.coords for x in powers))
     return m
 
 
@@ -187,20 +194,7 @@ def reduce_cyclo(m: ResidueMap, a: CycloNum) -> PrimeFieldElem:
     if N % a.order != 0:
         raise CycloError(
             f"value of order {a.order} does not embed in the ambient Q(zeta_{N})")
-    pa = p_part(N, m.p)
-    nprime = N // pa
-    # zeta_N = zeta_{p^a}^c * zeta_{n'}^d with d * p^a = 1 mod n'
-    if nprime == 1:
-        zeta_n_image = m.one
-    else:
-        d = pow(pa, -1, nprime)
-        zeta_n_image = m.root_image ** d
-    base = zeta_n_image ** (N // a.order)  # image of zeta_{order(a)}
     out = [0] * m.field_degree
-    power = m.one
-    prev_e = 0
-    for e, c in a.int_terms(a.order):
-        power = power * base ** (e - prev_e)
-        prev_e = e
-        out = [x + c * y for x, y in zip(out, power.coords)]
+    for e, c in a.int_terms(N):
+        out = [x + c * y for x, y in zip(out, m.zeta_powers[e])]
     return m._elem(out)

@@ -41,6 +41,16 @@ def _require(obj, key, kind, path, default=None):
     return val
 
 
+def _rows(obj, key, path) -> list[list]:
+    """obj[key], which must be a list of lists."""
+    rows = _require(obj, key, list, path)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise DatasetError(f"{path}.{key}[{i}]: expected list, got "
+                               f"{type(row).__name__}")
+    return rows
+
+
 _ATOM = re.compile(r"E\s*\(\s*(\d+)")
 
 
@@ -446,7 +456,7 @@ def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
     if order % exponent != 0:
         raise DatasetError(f"{path}.exponent: {exponent} does not divide the "
                            f"group order {order}")
-    irr_raw = _require(obj, "irreducibles", list, path)
+    irr_raw = _rows(obj, "irreducibles", path)
     irreducibles = [
         [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]", ambient, parsed)
          for j, expr in enumerate(row)]
@@ -460,15 +470,19 @@ def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
 def _parse_prime_block(table: CharTable, obj, p: int, path: str,
                        ambient: int, parsed: dict):
     regular = _require(obj, "regular_classes", list, path)
+    for i, c in enumerate(regular):
+        if not isinstance(c, int):
+            raise DatasetError(f"{path}.regular_classes[{i}]: bad class "
+                               f"index {c!r}")
     want_regular = [i for i, c in enumerate(table.classes)
                     if c.element_order % p != 0]
     if sorted(regular) != want_regular:
         raise DatasetError(f"{path}.regular_classes: got {regular}, the p-regular "
                            f"classes are {want_regular}")
-    ibr_raw = _require(obj, "ibr", list, path)
+    ibr_raw = _rows(obj, "ibr", path)
     ibr = [[_parse_value(expr, f"{path}.ibr[{i}][{j}]", ambient, parsed)
             for j, expr in enumerate(row)] for i, row in enumerate(ibr_raw)]
-    dec = _require(obj, "decomposition", list, path)
+    dec = _rows(obj, "decomposition", path)
     for i, row in enumerate(dec):
         if len(row) != len(ibr):
             raise DatasetError(f"{path}.decomposition[{i}]: expected "

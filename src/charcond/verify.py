@@ -4,13 +4,15 @@ A failing record here is evidence of corrupted dataset ingredients, not a
 soft condition: the identities are theorems.  Checks read the blocks,
 projectives and d^u a dataset holds per prime (`GroupDataset.blocks` etc.).
 
-Theorem 1 records run on integers: each value of psi = sum a_i chi_i, and
-each of its d^u, is sum a_i x_i over a column x of algebraic integers,
-whose `int_terms` the dataset holds; one accumulator, one `reduce_int` and
-`cyclo.conductor_p_int` (descent at p alone, exact) give its p-part.
-The conductor-maximum and projective-invariance records read psi's d^u row
-the same way (`virtual_gendec_row`); only a failing record's strings are
-built as `CycloNum`.
+Theorem 1 records run on integers.  For a column x of algebraic integers,
+"the conductor p-part of sum a_i x_i is below t" says that Z-linear tests
+of the a_i vanish (`cyclo.conductor_tests`).  So each side, the Irr columns
+and the d^u columns, is held per dataset and prime as one packed integer
+form per level t and character (`_level_forms`); a record's p-part is the
+first t at which sum a_i * form_i is nonzero, exact at a packing width
+chosen from the a_i.  Projective invariance reads psi's d^u row as integer
+sums (`virtual_gendec_row`); only a failing record's strings are built as
+`CycloNum`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .blocks import block_component, block_of
-from .cyclo import CycloNum, conductor_p_int, lincomb_int
+from .cyclo import CycloNum, conductor_p_int, conductor_tests, lincomb_int
 from .tables import (ClassFunction, DatasetError, GroupDataset,
                      SubgroupEmbedding, char_conductor)
 
@@ -54,15 +56,14 @@ class VerificationReport:
 
 def _int_columns(ds: GroupDataset, p: int) -> tuple[list, list]:
     """(n, int_terms(n) per character), n the lcm of the value orders, of
-    each Irr column with p | n (sums over the others have p-part 1) and of
-    each d^u column, in `GendecMatrix.columns` order."""
+    each Irr column and of each d^u column, in `GendecMatrix.columns` order."""
     def column(values):
         n = lcm(*[x.order for x in values])
         return n, [x.int_terms(n) for x in values]
 
     gm = ds.gendec(p)
-    return ([c for c in map(column, zip(*ds.table.irreducibles))
-             if c[0] % p == 0], [column(gm.entries[c]) for c in gm.columns])
+    return ([column(c) for c in zip(*ds.table.irreducibles)],
+            [column(gm.entries[c]) for c in gm.columns])
 
 
 def virtual_gendec_row(ds: GroupDataset, p: int, coords) -> dict:
@@ -74,24 +75,73 @@ def virtual_gendec_row(ds: GroupDataset, p: int, coords) -> dict:
             for key, (n, col) in zip(ds.gendec(p).columns, columns)}
 
 
-def _max_conductor_p(columns, coords, p: int) -> int:
-    """Largest conductor p-part of sum coords_i * x_i over `_int_columns`."""
+def _level_tests(ds: GroupDataset, p: int) -> tuple[int, list, dict]:
+    """(largest |value|, per side [(t, test values per character)] in
+    descending t, packed forms by width): per level t, `conductor_tests` at
+    t of each column that has one, on the character's reduced entry, all
+    concatenated."""
+    sides, bound = [], 0
+    for columns in ds._held(p, "int columns", _int_columns, ds, p):
+        levels = {}
+        for n, col in columns:
+            tests = [conductor_tests(n, lincomb_int(n, [(1, x)]), p)
+                     for x in col]
+            for level in zip(*tests):  # the same t for every character
+                rows = levels.setdefault(level[0][0], [[] for _ in col])
+                for row, (_, y) in zip(rows, level):
+                    row.extend(y)
+                    bound = max(bound, max(map(abs, y), default=0))
+        sides.append(sorted(levels.items(), reverse=True))
+    return bound, sides, {}
+
+
+def _pack(sides, width: int) -> list:
+    """Each side's test values as one integer sum w_j * 2^(width*j) per
+    character, at each level with a nonzero value."""
+    def pack(row):
+        out = 0
+        for w in reversed(row):
+            out = (out << width) + w
+        return out
+    return [[(t, [pack(row) for row in rows]) for t, rows in levels
+             if any(map(any, rows))] for levels in sides]
+
+
+def _level_forms(ds: GroupDataset, p: int, terms) -> list:
+    """The (Irr, d^u) forms of `_level_tests`, packed at a width w with
+    2^w > sum |a| * (largest |value|) over terms (a, i), held per
+    width: each field of sum a * form_i then lies strictly between -2^w and
+    2^w, so the sum is 0 exactly when every field is."""
+    bound, sides, packed = ds._held(p, "level tests", _level_tests, ds, p)
+    need = (bound * sum(abs(a) for a, _ in terms)).bit_length()
+    width = 16 * max(1, -(-need // 16))  # the least multiple of 16 >= need
+    if width not in packed:
+        packed[width] = _pack(sides, width)
+    return packed[width]
+
+
+def _max_conductor_p(forms, terms) -> int:
+    """Largest conductor p-part of sum a * x_i over terms (a, i), a != 0,
+    and one side's columns: the first level whose form sum is nonzero."""
+    for t, form in forms:
+        if sum(a * form[i] for a, i in terms):
+            return t
+    return 1
+
+
+def _conductor_p_parts(ds: GroupDataset, p: int, coords) -> list[int]:
+    """The conductor p-parts of psi = sum coords_i chi_i over the Irr
+    columns and over its d^u columns."""
     terms = [(a, i) for i, a in enumerate(coords) if a]
-    best = 1
-    for n, col in columns:
-        if n % p or not any(col[i] for _, i in terms):
-            continue  # the sum is 0 or lies in Q(zeta_n), p prime to n
-        x = lincomb_int(n, ((a, col[i]) for a, i in terms))
-        best = max(best, conductor_p_int(n, x, p))
-    return best
+    return [_max_conductor_p(forms, terms)
+            for forms in _level_forms(ds, p, terms)]
 
 
 def _theorem1_record(ds: GroupDataset, p: int, coords,
                      label: str) -> CheckRecord:
     """The conductor p-part of psi = sum coords_i chi_i, over the Irr
     columns (lhs), against that of its d^u (rhs)."""
-    lhs, rhs = (_max_conductor_p(cols, coords, p) for cols
-                in ds._held(p, "int columns", _int_columns, ds, p))
+    lhs, rhs = _conductor_p_parts(ds, p, coords)
     return CheckRecord("conductor-identity", label, lhs, rhs,
                        passed=(lhs == rhs))
 
@@ -122,10 +172,9 @@ def check_projective_invariance(ds: GroupDataset, p: int,
     """Adding a projective character of chi's block changes neither the
     non-ordinary d^u rows nor the conductor p-part."""
     ident = ds.table.identity_class
-    irr_columns = ds._held(p, "int columns", _int_columns, ds, p)[0]
     base = ds.table.irreducible(chi).integer_coords()
     base_row = virtual_gendec_row(ds, p, base)
-    base_cond = _max_conductor_p(irr_columns, base, p)
+    base_cond = _conductor_p_parts(ds, p, base)[0]
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
         psi = [a + b for a, b in zip(base,
                                      ds.projectives(p)[j].integer_coords())]
@@ -135,7 +184,7 @@ def check_projective_invariance(ds: GroupDataset, p: int,
                             for v in (base_row[col][1], vec))
                 return CheckRecord("projective-invariance", f"chi{chi}",
                                    was, now, witness=(j, col), passed=False)
-        cond = _max_conductor_p(irr_columns, psi, p)
+        cond = _conductor_p_parts(ds, p, psi)[0]
         if cond != base_cond:
             return CheckRecord("projective-invariance", f"chi{chi}",
                                base_cond, cond, witness=j, passed=False)

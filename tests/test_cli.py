@@ -125,10 +125,19 @@ class TestValidate:
         (("primes", "5", "ibr", 1, 1), "E(5)",
          "A5.json.primes.5: decomposition row 1 does not reproduce the "
          "character value on regular class 1"),
+        (("primes", "5", "regular_classes", 1), "x",
+         "A5.json.primes.5.regular_classes[1]: bad class index 'x'"),
+        (("primes", "5", "decomposition", 0), 5,
+         "A5.json.primes.5.decomposition[0]: expected list, got int"),
+        (("primes", "5", "ibr", 0), 5,
+         "A5.json.primes.5.ibr[0]: expected list, got int"),
+        (("irreducibles", 0), 5,
+         "A5.json.irreducibles[0]: expected list, got int"),
     ], ids=["subgroup-primes-list", "sections-int", "subgroups-object",
             "non-integral-value", "u-class-out-of-range", "u-class-negative",
             "u-times-string", "u-times-float", "non-integral-ibr-value",
-            "corrupted-ibr-row"])
+            "corrupted-ibr-row", "regular-class-string", "decomposition-row-int",
+            "ibr-row-int", "irreducibles-row-int"])
     def test_mistyped_field_is_data_error(self, tmp_path, capsys, where,
                                           value, message):
         corpus = tmp_path / "data"

@@ -5,8 +5,34 @@ from fractions import Fraction
 
 import pytest
 
-from charcond.cyclo import CycloNum
+from charcond.blocks import central_character
+from charcond.cyclo import CycloNum, p_part
 from charcond.residue import ResidueError, build_residue_map, reduce_cyclo
+
+
+def reference_reduce(m, a):
+    """The stepping reduction the held zeta-power table replaced: the image
+    of zeta_order(a) as a power of the root image, then one power step and
+    one field product per term."""
+    N = m.ambient_order
+    pa = p_part(N, m.p)
+    nprime = N // pa
+    zeta_n_image = m.one if nprime == 1 else \
+        m.root_image ** pow(pa, -1, nprime)
+    base = zeta_n_image ** (N // a.order)
+    out = [0] * m.field_degree
+    power = m.one
+    prev_e = 0
+    for e, c in a.int_terms(a.order):
+        power = power * base ** (e - prev_e)
+        prev_e = e
+        out = [x + c * y for x, y in zip(out, power.coords)]
+    return m._elem(out)
+
+
+def corpus_maps(corpus):
+    return sorted({(ds.ambient, p) for ds in corpus.values()
+                   for p in ds.primes})
 
 
 class TestFieldShape:
@@ -23,6 +49,13 @@ class TestFieldShape:
     def test_residue_degree(self, N, p, f):
         m = build_residue_map(N, p)
         assert m.p == p and m.field_degree == f
+
+    def test_mixed_fields_are_an_error(self):
+        a, b = build_residue_map(5, 2).one, build_residue_map(7, 2).one
+        with pytest.raises(ResidueError):
+            a + b
+        with pytest.raises(ResidueError):
+            a * b
 
     def test_deterministic(self):
         a = build_residue_map(20, 3)
@@ -63,3 +96,31 @@ class TestReduction:
         m = build_residue_map(7, 3)
         assert reduce_cyclo(m, CycloNum.from_rational(10)) == m.one
         assert not reduce_cyclo(m, CycloNum.from_rational(9))
+
+
+class TestHeldTable:
+    """reduce_cyclo by the held zeta-power table against the stepping
+    reduction it replaced."""
+
+    def test_corpus_maps(self, corpus):
+        assert len(corpus_maps(corpus)) == 13
+
+    def test_seeded_elements_on_every_corpus_map(self, corpus):
+        rng = random.Random(5)
+        for N, p in corpus_maps(corpus):
+            m = build_residue_map(N, p)
+            for _ in range(60):
+                order = rng.choice([d for d in range(1, N + 1) if N % d == 0])
+                a = CycloNum.from_exponents(order, {
+                    rng.randrange(order): rng.randint(-40, 40)
+                    for _ in range(rng.randint(1, 4))})
+                assert reduce_cyclo(m, a) == reference_reduce(m, a), (N, p, a)
+
+    def test_central_character_keys(self, corpus, group_primes):
+        for name, p in group_primes:
+            ds = corpus[name]
+            m = build_residue_map(ds.ambient, p)
+            for chi in range(ds.table.num_classes):
+                omega = central_character(ds.table, chi)
+                assert [reduce_cyclo(m, v) for v in omega] == \
+                    [reference_reduce(m, v) for v in omega], (name, p, chi)

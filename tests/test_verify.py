@@ -1,10 +1,13 @@
 """Verification suites for the conductor identities."""
 
+import random
+
 import pytest
 
 from charcond import verify
 from charcond.blocks import block_of
-from charcond.cyclo import CycloNum, conductor_p, lincomb
+from charcond.cyclo import (CycloNum, conductor_p, conductor_p_int, lincomb,
+                            lincomb_int)
 from charcond.tables import (ClassFunction, char_conductor, load_corpus,
                              virtual_character)
 from charcond.verify import (check_cor05, check_projective_invariance,
@@ -31,6 +34,29 @@ def reference_suite(ds, p, samples, seed):
         out.append(reference_theorem1(ds, p, virtual_character(table, coords),
                                       label))
     return out
+
+
+def reference_max_conductor_p(columns, coords, p):
+    """The per-column path the held level forms replaced: one lincomb_int
+    and one conductor_p_int per `_int_columns` column."""
+    terms = [(a, i) for i, a in enumerate(coords) if a]
+    best = 1
+    for n, col in columns:
+        if n % p or not any(col[i] for _, i in terms):
+            continue
+        x = lincomb_int(n, ((a, col[i]) for a, i in terms))
+        best = max(best, conductor_p_int(n, x, p))
+    return best
+
+
+def level_sides(ds, p, coords):
+    """(Irr, d^u) conductor p-parts of sum coords_i chi_i by the held forms,
+    and by the reference."""
+    terms = [(a, i) for i, a in enumerate(coords) if a]
+    return ([verify._max_conductor_p(forms, terms)
+             for forms in verify._level_forms(ds, p, terms)],
+            [reference_max_conductor_p(cols, coords, p)
+             for cols in verify._int_columns(ds, p)])
 
 
 def records(report):
@@ -108,13 +134,71 @@ class TestIntegerRecords:
         col = next(c for c in gm.columns if c[0] != ident)
         chi = len(gm.entries[col]) - 1
         gm.entries[col][chi] += CycloNum.zeta(p ** 3)
+        assert "level tests" not in ds._prime(p).derived
         report = theorem1_suite(ds, p, samples=20, seed=3)
+        assert "level tests" in ds._prime(p).derived
         assert not report.passed
         got, want = records(report), reference_suite(ds, p, 20, 3)
         assert got == want
         first = next(r for r in got if not r[3])
         assert first == next(r for r in want if not r[3])
         assert first[2] == p ** 3
+
+
+class TestLevelForms:
+    """Conductor p-parts by the held level forms against one lincomb_int and
+    one conductor_p_int per column."""
+
+    def test_every_irreducible(self, corpus, group_primes):
+        for name, p in group_primes:
+            ds = corpus[name]
+            for chi in range(ds.table.num_classes):
+                coords = [int(i == chi) for i in range(ds.table.num_classes)]
+                got, want = level_sides(ds, p, coords)
+                assert got == want, (name, p, chi)
+
+    def test_seeded_coordinates(self, corpus, group_primes):
+        rng = random.Random(17)
+        for name, p in group_primes:
+            ds = corpus[name]
+            k = ds.table.num_classes
+            for size in [1] * 25 + [60] * 25:
+                coords = [rng.choice([0, rng.randint(-size, size)])
+                          for _ in range(k)]
+                got, want = level_sides(ds, p, coords)
+                assert got == want, (name, p, coords)
+
+    def test_wide_coordinates(self, corpus, group_primes):
+        rng = random.Random(29)
+        wide = 0
+        for name, p in group_primes:
+            ds = corpus[name]
+            k = ds.table.num_classes
+            for _ in range(8):
+                small = [rng.randint(-2, 2) for _ in range(k)]
+                scale = rng.randint(2 ** 70, 2 ** 80)
+                for coords in ([a * scale for a in small],
+                               [a * rng.randint(2 ** 70, 2 ** 90)
+                                for a in small]):
+                    got, want = level_sides(ds, p, coords)
+                    assert got == want, (name, p, coords)
+            bound, _, packed = ds._prime(p).derived["level tests"]
+            assert not bound or max(packed) > 70, (name, p)
+            wide += bool(bound)
+        assert wide >= 6
+
+    def test_width_keeps_fields_apart(self):
+        # fields 2^16 and -1 cancel when packed 16 bits apart; the width
+        # taken from the coefficients must keep them apart
+        class Held:
+            def _held(self, p, key, compute, *args):
+                return tests
+        tests = (1, [[(4, [[1, 0], [0, 1]])]], {})
+        terms = [(2 ** 16, 0), (-1, 1)]
+        forms = verify._level_forms(Held(), 2, terms)[0]
+        assert verify._max_conductor_p(forms, terms) == 4
+        narrow = verify._pack(tests[1], 16)[0]
+        assert verify._max_conductor_p(narrow, terms) == 1
 
 
 class TestConductorMaximum:
