@@ -8,16 +8,11 @@ holds per prime, so it is computed once per (group, p).
 """
 
 from charcond import load_corpus
-from charcond.tables import load_manifest
 from charcond.verify import (cor05_suite, projective_invariance_suite,
                              theorem1_suite)
 
-corpus = load_corpus()
-manifest = load_manifest()
-
-for entry in manifest["groups"]:
-    ds = corpus[entry["name"]]
-    for p in entry["primes"]:
+for ds in load_corpus().values():
+    for p in sorted(ds.primes):
         suites = [theorem1_suite(ds, p, samples=10, seed=0),
                   cor05_suite(ds, p),
                   projective_invariance_suite(ds, p)]

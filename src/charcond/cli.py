@@ -16,8 +16,7 @@ from . import isometry, verify
 from .blocks import BlockError, cartan_matrix
 from .cyclo import cyclo_to_str
 from .gendec import GendecError, check_second_main
-from .tables import (DatasetError, char_conductor, default_corpus_dir,
-                     load_corpus, load_manifest)
+from .tables import DatasetError, char_conductor, load_corpus
 
 EXIT_OK, EXIT_CHECK, EXIT_DATA, EXIT_USAGE = 0, 1, 2, 3
 
@@ -96,17 +95,14 @@ def _emit(opts, header: list[str], rows: list[list], out) -> None:
 
 def _selection(opts):
     """(group dataset, prime) pairs matching the --group/--prime filters."""
-    corpus_dir = opts.corpus or default_corpus_dir()
-    manifest = load_manifest(corpus_dir)
-    corpus = load_corpus(corpus_dir)
-    primes = {e["name"]: e["primes"] for e in manifest["groups"]}
+    corpus = load_corpus(opts.corpus)
     if opts.group is not None and opts.group not in corpus:
         raise DatasetError(f"no group named {opts.group!r} in the corpus")
     pairs = []
     for name, ds in corpus.items():
         if opts.group is not None and name != opts.group:
             continue
-        for p in primes[name]:
+        for p in sorted(ds.primes):
             if opts.prime is not None and p != opts.prime:
                 continue
             pairs.append((ds, p))
@@ -117,12 +113,13 @@ def _selection(opts):
 
 
 def _cmd_validate(opts, out) -> int:
-    corpus_dir = opts.corpus or default_corpus_dir()
-    corpus = load_corpus(corpus_dir)
-    rows = [[ds.name, ds.table.group_order, len(ds.primes),
-             len(ds.subgroups), "ok"]
-            for ds in corpus.values()
-            if opts.group in (None, ds.name)]
+    rows = []
+    for ds in load_corpus(opts.corpus).values():
+        if opts.group in (None, ds.name):
+            for p in ds.primes:  # block labels against central characters
+                ds.blocks(p)
+            rows.append([ds.name, ds.table.group_order, len(ds.primes),
+                         len(ds.subgroups), "ok"])
     _emit(opts, ["group", "order", "primes", "subgroups", "status"], rows, out)
     return EXIT_OK
 
@@ -218,7 +215,7 @@ def _parse_block_spec(spec: str, corpus):
 
 
 def _cmd_isometry_search(opts, out) -> int:
-    corpus = load_corpus(opts.corpus or default_corpus_dir())
+    corpus = load_corpus(opts.corpus)
     src = _parse_block_spec(opts.source, corpus)
     tgt = _parse_block_spec(opts.target, corpus)
     found = isometry.search_perfect_isometries(src, tgt, bound=opts.bound)
@@ -234,7 +231,7 @@ def _cmd_isometry_search(opts, out) -> int:
 
 
 def _cmd_isometry_check(opts, out) -> int:
-    corpus = load_corpus(opts.corpus or default_corpus_dir())
+    corpus = load_corpus(opts.corpus)
     with open(opts.certificate) as handle:
         data = json.load(handle)
     cand = isometry.candidate_from_json(data, corpus)

@@ -37,9 +37,10 @@ class CycloParseError(CycloError):
         self.pos = pos
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def euler_phi(n: int) -> int:
-    assert n >= 1
+    if n < 1:
+        raise CycloError(f"euler_phi needs a positive integer, got {n}")
     result = n
     for q in prime_factors(n):
         result -= result // q
@@ -76,7 +77,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic
+    # the quotient by the monic den; the one caller divides Phi_m(x^q) by
+    # Phi_m(x), q a prime not dividing m, which leaves no remainder
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
@@ -84,11 +86,10 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
         out[i] = c
         for j, d in enumerate(den):
             num[i + j] -= c * d
-    assert all(c == 0 for c in num[: len(den) - 1])
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial: for a prime
     q with n = qm, Phi_n(x) = Phi_m(x^q), divided by Phi_m(x) unless q | m."""

@@ -1,10 +1,15 @@
 """Reduction of cyclotomic integers modulo a fixed prime ideal above p.
 
-The target field F_{p^f} is realised as Z/p[x] modulo a deterministically
-chosen irreducible polynomial, so that repeated runs always pick the same
-ideal and hence the same block partition.  Each map holds the images of
-zeta_N^e for e = 0..N-1, built once by successive multiplication, so that
-reducing a value is an integer sum of table rows and one reduction mod p.
+Write N = p^a n' with p not dividing n', and f for the order of p mod n'.
+The target field F_{p^f} is Z/p[x] modulo g, the least monic divisor of
+degree f of Phi_{n'} mod p, and zeta_{n'} goes to x mod g.  Every such
+divisor is irreducible: over F_p all irreducible factors of Phi_{n'} have
+degree f (Lidl-Niederreiter, Finite Fields, Thm 2.47).  So no irreducibility
+test or primitive-element search is needed, and repeated runs pick the same
+ideal.  Blocks and Brauer correspondents read off the residues do not depend
+on which prime above p is picked.  Each map holds the images of zeta_N^e for
+e = 0..N-1, built once by successive multiplication, so that reducing a
+value is an integer sum of table rows and one reduction mod p.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import CycloError, CycloNum, p_part, prime_factors
+from .cyclo import CycloError, CycloNum, cyclotomic_poly, p_part
 
 
 class ResidueError(ValueError):
@@ -59,29 +64,6 @@ def _poly_powmod(a, e, mod, p):
     return result
 
 
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-        b = _poly_trim(b)
-    return a
-
-
-def _is_irreducible(g: list[int], p: int) -> bool:
-    f = len(g) - 1
-    x = [0, 1]
-    # x^(p^f) = x mod g, and x^(p^(f/q)) - x coprime to g for prime q | f
-    if _poly_powmod(x, p ** f, g, p) != _poly_rem(x[:], g, p):
-        return False
-    for q in prime_factors(f):
-        xq = _poly_powmod(x, p ** (f // q), g, p)
-        diff = _poly_trim([(a - b) % p for a, b in
-                           zip(xq + [0] * len(x), [0, 1] + [0] * len(xq))])
-        if len(_poly_gcd(g, diff, p)) != 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeFieldElem:
     """Element of F_{p^f}: coefficient vector modulo the field's modulus."""
@@ -112,16 +94,6 @@ class PrimeFieldElem:
     def __bool__(self) -> bool:
         return any(self.coords)
 
-    def mult_order(self) -> int:
-        if not self:
-            raise ResidueError("zero has no multiplicative order")
-        k, acc = 1, self
-        one = self.field.one
-        while acc != one:
-            acc = acc * self
-            k += 1
-        return k
-
 
 @dataclass(frozen=True, eq=False)
 class ResidueMap:
@@ -131,7 +103,7 @@ class ResidueMap:
     p: int
     field_degree: int
     modulus: tuple[int, ...]       # monic irreducible over Z/p, ascending coeffs
-    root_image: "PrimeFieldElem"   # image of zeta_{n'}, n' the p'-part of N
+    root_image: "PrimeFieldElem"   # x mod modulus, the image of zeta_{n'}
     zeta_powers: tuple[tuple[int, ...], ...] = ()  # coords of zeta_N^e, e < N
 
     def _elem(self, coeffs: list[int]) -> PrimeFieldElem:
@@ -163,21 +135,18 @@ def build_residue_map(N: int, p: int) -> ResidueMap:
     pa = p_part(N, p)
     nprime = N // pa
     f = 1 if nprime == 1 else _multiplicative_order(p, nprime)
-    size = p ** f
+    phi = [c % p for c in cyclotomic_poly(nprime)]
 
     def digits(code):  # low coefficients first
         return [(code // p ** i) % p for i in range(f)]
-    # the least modulus and primitive element in the order of `digits`; both
-    # searches succeed, since F_p has an irreducible polynomial of every
-    # degree f and the multiplicative group of F_(p^f) is cyclic
-    modulus = next(tuple(c + [1]) for c in map(digits, range(size))
-                   if _is_irreducible(c + [1], p))
+    # the least monic divisor of degree f in the order of `digits`; one
+    # exists, since Phi_{n'} mod p is a product of irreducibles of degree f
+    modulus = next(tuple(c + [1]) for c in map(digits, range(p ** f))
+                   if not _poly_rem(phi, c + [1], p))
     m = ResidueMap(N, p, f, modulus, None)  # type: ignore[arg-type]
-    primitive = next(x for x in map(m._elem, map(digits, range(1, size)))
-                     if x.mult_order() == size - 1)
-    root = primitive ** ((size - 1) // nprime)
+    root = m._elem(_poly_rem([0, 1], modulus, p))
     # zeta_N = zeta_{p^a}^c * zeta_{n'}^d with d * p^a = 1 mod n'
-    step = root ** pow(pa, -1, nprime) if nprime > 1 else m.one
+    step = root ** pow(pa, -1, nprime)
     powers = [m.one]
     for _ in range(N - 1):
         powers.append(powers[-1] * step)

@@ -236,20 +236,6 @@ def power_class(table: CharTable, c: int, k: int) -> int:
     return c
 
 
-def p_decompose(table: CharTable, c: int, p: int) -> tuple[int, int]:
-    """Split g = u s = s u with u the p-part and s the p'-part of g."""
-    m = table.classes[c].element_order
-    pa = p_part(m, p)
-    mprime = m // pa
-    if pa == 1:
-        return table.identity_class, c
-    if mprime == 1:
-        return c, table.identity_class
-    # e = 1 mod p^a, e = 0 mod m'; e' complementary
-    e = mprime * pow(mprime, -1, pa)
-    return power_class(table, c, e), power_class(table, c, m + 1 - e)
-
-
 def char_conductor(chi: ClassFunction, p: int | None = None) -> int:
     """Conductor of the value set of chi, or its p-part."""
     return conductor(chi.values) if p is None else conductor_p(chi.values, p)
@@ -390,8 +376,7 @@ def _validate_table(table: CharTable, path: str):
             if q not in c.power_maps:
                 raise DatasetError(
                     f"{path}.classes[{i}] ({c.name}): missing power map for prime {q}")
-        if i == ident and any(v != ident for v in c.power_maps.values()):
-            raise DatasetError(f"{path}.classes[{i}]: identity power maps must be identity")
+        # also keeps identity power maps on the identity, the one order-1 class
         for q, j in c.power_maps.items():
             target_order = c.element_order // (q if c.element_order % q == 0 else 1)
             if classes[j].element_order != target_order:
@@ -414,30 +399,24 @@ def _validate_table(table: CharTable, path: str):
         if not deg.is_rational or deg.rational_value() < 1:
             raise DatasetError(f"{path}.irreducibles[{i}]: degree {deg} is not a "
                                f"positive integer")
-    # orthogonality, exact, on algebraic integers: |G| <chi_i, chi_j> and each
-    # column sum is a sum of w * x * conj(y) in Z[zeta_n], n the lcm of the
-    # value orders; only a failing row pair has its inner product built
+    # row orthogonality, exact, on algebraic integers: |G| <chi_i, chi_j> is
+    # a sum of w * x * conj(y) in Z[zeta_n], n the lcm of the value orders;
+    # only a failing row pair has its inner product built.  For the square
+    # X, X W X* = |G| I gives X* X = |G| W^-1: column orthogonality follows
     n = lcm(*[v.order for row in table.irreducibles for v in row])
     rows = [[v.int_terms(n) for v in row] for row in table.irreducibles]
     conj = [[[(-e, a) for e, a in x] for x in row] for row in rows]
-
-    def fails(triples, want):
-        return sum_products_int(n, triples) != [want] + [0] * (euler_phi(n) - 1)
-
+    sizes, zeros = [c.size for c in classes], [0] * (euler_phi(n) - 1)
     for i in range(k):
         for j in range(i, k):
-            if fails(zip([c.size for c in classes], rows[i], conj[j]),
-                     table.group_order if i == j else 0):
+            want = [table.group_order if i == j else 0] + zeros
+            if sum_products_int(n, zip(sizes, rows[i], conj[j])) != want:
                 ip = inner_product(table.irreducible(i), table.irreducible(j))
                 raise DatasetError(
                     f"{path}: row orthogonality fails for rows {i},{j} "
                     f"(inner product {ip})")
-    for c in range(k):
-        for cprime in range(c, k):
-            if fails(((1, row[c], cj[cprime]) for row, cj in zip(rows, conj)),
-                     table.centralizer_order(c) if c == cprime else 0):
-                raise DatasetError(
-                    f"{path}: column orthogonality fails for classes {c},{cprime}")
+    if not any(all(v == 1 for v in row) for row in table.irreducibles):
+        raise DatasetError(f"{path}.irreducibles: no trivial character")
 
 
 def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
@@ -557,6 +536,7 @@ def _validate_fusion(sub: CharTable, amb: CharTable, fusion, path: str):
     for c, target in enumerate(fusion):
         if not isinstance(target, int) or not (0 <= target < amb.num_classes):
             raise DatasetError(f"{path}[{c}]: bad ambient class index {target!r}")
+        # so the identity, the one class of order 1, fuses to the identity
         if sub.classes[c].element_order != amb.classes[target].element_order:
             raise DatasetError(f"{path}[{c}]: fusion does not preserve element "
                                f"order ({sub.classes[c].element_order} vs "
@@ -566,8 +546,6 @@ def _validate_fusion(sub: CharTable, amb: CharTable, fusion, path: str):
         if cent_amb % cent_sub != 0:
             raise DatasetError(f"{path}[{c}]: centralizer order {cent_sub} does "
                                f"not divide ambient centralizer order {cent_amb}")
-    if fusion[sub.identity_class] != amb.identity_class:
-        raise DatasetError(f"{path}: identity must fuse to identity")
 
 
 def load_dataset(path) -> GroupDataset:
@@ -638,19 +616,26 @@ def default_corpus_dir() -> Path:
 
 
 def load_manifest(corpus_dir=None) -> dict:
+    """The corpus manifest, whose "groups" entries each name a dataset
+    "file"; the datasets own everything else about their groups."""
     corpus_dir = Path(corpus_dir) if corpus_dir else default_corpus_dir()
     manifest = corpus_dir / "manifest.json"
     if not manifest.exists():
         raise DatasetError(f"no manifest.json in {corpus_dir}")
-    return json.loads(manifest.read_text())
+    raw = json.loads(manifest.read_text())
+    for i, entry in enumerate(_require(raw, "groups", list, manifest.name)):
+        _require(entry, "file", str, f"{manifest.name}.groups[{i}]")
+    return raw
 
 
 def load_corpus(corpus_dir=None) -> dict[str, GroupDataset]:
     """Load every group listed in the corpus manifest, in manifest order."""
     corpus_dir = Path(corpus_dir) if corpus_dir else default_corpus_dir()
-    manifest = load_manifest(corpus_dir)
     out: dict[str, GroupDataset] = {}
-    for entry in manifest["groups"]:
+    for i, entry in enumerate(load_manifest(corpus_dir)["groups"]):
         ds = load_dataset(corpus_dir / entry["file"])
+        if ds.name in out:
+            raise DatasetError(f"manifest.json.groups[{i}]: {entry['file']} "
+                               f"loads group {ds.name!r} a second time")
         out[ds.name] = ds
     return out

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
 from .blocks import block_component, block_of
 from .cyclo import CycloNum, conductor_p_int, conductor_tests, lincomb_int
 from .tables import (ClassFunction, DatasetError, GroupDataset,
@@ -205,6 +206,15 @@ def restrict(chi: ClassFunction, emb: SubgroupEmbedding) -> ClassFunction:
     return res
 
 
+def _is_projective(pim_cols, coords) -> bool:
+    """Whether the Irr coordinates are a sum of the columns (each a PIM's
+    Irr coordinates) with integer coefficients >= 0.  The columns of one
+    block are independent, so the one exact solution decides it."""
+    x = linalg.solve([[Fraction(col[i]) for col in pim_cols]
+                      for i in range(len(coords))], list(map(Fraction, coords)))
+    return x is not None and all(a.denominator == 1 and a >= 0 for a in x)
+
+
 def _cyclic_defect_records(ds, p, emb, g_block, h_block, report):
     """Per-character form for cyclic defect: 1_C Res chi = sign * gamma(chi)
     plus a projective of C, with c(gamma(chi))_p = c(chi)_p and gamma a
@@ -214,19 +224,6 @@ def _cyclic_defect_records(ds, p, emb, g_block, h_block, report):
     h_bd = sub.brauer(p)
     pim_cols = [[h_bd.decomposition[i][j] for i in range(sub.table.num_classes)]
                 for j in sorted(h_block.ibr_indices)]
-
-    def is_projective(coords) -> bool:
-        # greedy peel: subtract projective columns while possible
-        cur = list(coords)
-        changed = True
-        while changed and any(cur):
-            changed = False
-            for col in pim_cols:
-                while all(x >= y for x, y in zip(cur, col)):
-                    cur = [x - y for x, y in zip(cur, col)]
-                    changed = True
-        return not any(cur)
-
     chis = sorted(g_block.irr_indices)
     options = {}
     for chi in chis:
@@ -238,7 +235,7 @@ def _cyclic_defect_records(ds, p, emb, g_block, h_block, report):
             for sign in (1, -1):
                 rest = [c - (sign if i == j else 0)
                         for i, c in enumerate(coords)]
-                if all(x >= 0 for x in rest) and is_projective(rest):
+                if _is_projective(pim_cols, rest):
                     candidates.append((j, sign))
         options[chi] = candidates
 

@@ -234,6 +234,87 @@ class TestValidate:
         assert message in capsys.readouterr().err
 
 
+def tampered_corpus(tmp_path, file, change):
+    """A copy of the shipped corpus with change(data) applied to one file's
+    parsed JSON; returns the copy's directory."""
+    corpus = tmp_path / "data"
+    shutil.copytree(default_corpus_dir(), corpus)
+    path = corpus / file
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+    return corpus
+
+
+class TestLoadErrors:
+    """Data errors that once passed `validate` and ended in a traceback in
+    a later command, or were silently skipped."""
+
+    @staticmethod
+    def negate_4b(data):  # orthogonality, integrality and degrees still hold
+        for row in data["irreducibles"]:
+            row[3] = cyclo.cyclo_to_str(-cyclo.parse_cyclo(row[3]))
+
+    @pytest.mark.parametrize("command", ["validate", "blocks", "verify"])
+    def test_column_sign_twist_is_data_error(self, tmp_path, capsys,
+                                             command):
+        corpus = tampered_corpus(tmp_path, "C4.json", self.negate_4b)
+        code, _ = invoke(command, "--corpus", str(corpus), "--group", "C4")
+        assert code == EXIT_DATA
+        assert "C4.json.irreducibles: no trivial character" in \
+            capsys.readouterr().err
+
+    def test_relabelled_blocks_fail_validate(self, tmp_path, capsys):
+        def relabel(data):
+            pdata = data["primes"]["5"]
+            pdata["block_of_irr"] = ["B0"] * len(pdata["block_of_irr"])
+            pdata["block_of_ibr"] = ["B0"] * len(pdata["block_of_ibr"])
+            pdata["sections"][0]["correspondent_block"] = {"B0": "B0",
+                                                           "B1": "B0"}
+        corpus = tampered_corpus(tmp_path, "A5.json", relabel)
+        for command in ("validate", "blocks", "verify"):
+            code, _ = invoke(command, "--corpus", str(corpus))
+            assert code == EXIT_DATA, command
+            assert "A5 p=5: ingested label 'B0' covers different " \
+                "irreducibles" in capsys.readouterr().err
+
+
+class TestManifest:
+    """The manifest lists the dataset files; each dataset owns its name and
+    primes."""
+
+    @staticmethod
+    def with_manifest(tmp_path, change):
+        return tampered_corpus(tmp_path, "manifest.json", change)
+
+    def test_group_and_primes_come_from_the_dataset(self, tmp_path):
+        def change(data):
+            a5 = next(e for e in data["groups"] if e["name"] == "A5")
+            a5["primes"] = [2, 3]
+            a5["name"] = "Alt5"
+        corpus = self.with_manifest(tmp_path, change)
+        got = invoke("verify", "--corpus", str(corpus), "--group", "A5")
+        assert got == invoke("verify", "--group", "A5")
+        assert got[0] == EXIT_OK and len(got[1].splitlines()) == 16
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda data: data.pop("groups"),
+         "manifest.json: missing field 'groups'"),
+        (lambda data: data["groups"][1].pop("file"),
+         "manifest.json.groups[1]: missing field 'file'"),
+        (lambda data: data["groups"].__setitem__(2, "D8.json"),
+         "manifest.json.groups[2]: missing field 'file'"),
+        (lambda data: data["groups"][3].__setitem__("file", "C4.json"),
+         "manifest.json.groups[3]: C4.json loads group 'C4' a second time"),
+    ], ids=["no-groups", "no-file", "string-entry", "same-group-twice"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, change,
+                                              message):
+        corpus = self.with_manifest(tmp_path, change)
+        code, _ = invoke("verify", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
 class TestConductors:
     def test_a5_at_5(self):
         code, text = invoke("conductors", "--group", "A5", "--prime", "5")

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from charcond import cyclo, linalg
-from charcond.cyclo import (ONE, ZERO, CycloNum, CycloParseError, conductor,
-                            conductor_p, cyclo_to_str, cyclotomic_poly,
-                            euler_phi, lincomb, p_part, parse_cyclo)
+from charcond.cyclo import (ONE, ZERO, CycloError, CycloNum, CycloParseError,
+                            conductor, conductor_p, cyclo_to_str,
+                            cyclotomic_poly, euler_phi, lincomb, p_part,
+                            parse_cyclo)
 from charcond.tables import default_corpus_dir
 
 
@@ -33,6 +34,11 @@ class TestBasics:
     def test_euler_phi(self):
         assert [euler_phi(n) for n in (1, 2, 3, 4, 8, 9, 12, 60)] == \
             [1, 1, 2, 2, 4, 6, 4, 16]
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_euler_phi_of_non_positive_is_an_error(self, n):
+        with pytest.raises(CycloError):
+            euler_phi(n)
 
     def test_p_part(self):
         assert p_part(360, 2) == 8

@@ -1,0 +1,150 @@
+"""Seeded single mutations of the shipped datasets and manifest.
+
+Each mutated input either loads, with its blocks and d^u computed at every
+prime, or ends in a data error (`DatasetError`, `BlockError`,
+`GendecError`), never in another exception.
+"""
+
+import copy
+import json
+import random
+import shutil
+
+from charcond.blocks import BlockError
+from charcond.cyclo import cyclo_to_str, parse_cyclo
+from charcond.gendec import GendecError
+from charcond.tables import (DatasetError, default_corpus_dir, load_corpus,
+                             load_dataset)
+
+DATA_ERRORS = (DatasetError, BlockError, GendecError)
+CASES, SEED = 240, 13
+
+
+def nodes(node, path=()):
+    """(path, value) of every node below the root."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from nodes(child, path + (key,))
+
+
+def retyped(value):
+    """A value of another JSON type."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        return "1" if isinstance(value, (list, dict)) else [value]
+    return str(value) if isinstance(value, int) else 1
+
+
+KINDS = ("bad-index", "bad-root", "drop", "duplicate", "huge", "retype")
+
+
+def applies(kind, parent, value) -> bool:
+    """Whether a mutation of this kind can change this node."""
+    if kind == "drop":
+        return isinstance(parent, dict)
+    if kind == "bad-root":
+        return isinstance(value, str)
+    if kind in ("bad-index", "huge"):
+        return type(value) is int
+    if kind == "duplicate":
+        return isinstance(value, list) and bool(value)
+    return True
+
+
+def mutate(data, rng):
+    """A copy of data with one seeded mutation, and its description."""
+    data = copy.deepcopy(data)
+    kind = rng.choice(KINDS)
+    path = rng.choice([path for path, value in nodes(data)
+                       if applies(kind, get(data, path[:-1]), value)])
+    parent, key = get(data, path[:-1]), path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = retyped(parent[key])
+    elif kind == "bad-root":
+        parent[key] = "E(2²)"  # a digit that str.isdigit() accepts
+    elif kind == "bad-index":
+        parent[key] = rng.choice([-1, 99])
+    elif kind == "huge":
+        parent[key] = 10 ** 40 + 1
+    else:
+        parent[key].append(copy.deepcopy(rng.choice(parent[key])))
+    return data, f"{kind} at {'.'.join(map(str, path))}"
+
+
+def get(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def load_all(load, arg, expected=DATA_ERRORS):
+    """None if arg loads, with blocks and d^u at every prime, or ends in an
+    expected error; otherwise the escaping exception."""
+    try:
+        loaded = load(arg)
+        for ds in loaded.values() if isinstance(loaded, dict) else [loaded]:
+            for p in ds.primes:
+                ds.blocks(p)
+                ds.gendec(p)
+    except expected:
+        return None
+    except Exception as ex:  # the escapes this test looks for
+        return ex
+    return None
+
+
+def negate_4b(data):
+    """C4 with its class 4b's column negated: orthogonality, integrality
+    and degrees still hold, but no character is trivial."""
+    for row in data["irreducibles"]:
+        row[3] = cyclo_to_str(-parse_cyclo(row[3]))
+
+
+def test_single_mutations_end_in_data_errors(tmp_path):
+    rng = random.Random(SEED)
+    files = sorted(p for p in default_corpus_dir().glob("*.json")
+                   if p.name != "manifest.json")
+    shipped = {p.name: json.loads(p.read_text()) for p in files}
+    cases = [(name, *mutate(shipped[name], rng))
+             for name in (rng.choice(sorted(shipped)) for _ in range(CASES))]
+    twisted = copy.deepcopy(shipped["C4.json"])
+    negate_4b(twisted)
+    cases.append(("C4.json", twisted, "negate the column of class 4b"))
+    escapes = []
+    for name, data, what in cases:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        ex = load_all(load_dataset, path)
+        if ex is not None:
+            escapes.append(f"{name}: {what}: {type(ex).__name__}: {ex}")
+    assert not escapes
+
+
+def test_manifest_mutations_end_in_data_errors(tmp_path):
+    for name in ("C4.json", "S3.json"):
+        shutil.copy(default_corpus_dir() / name, tmp_path / name)
+    c4 = {"name": "C4", "file": "C4.json", "primes": [2]}
+    s3 = {"name": "S3", "file": "S3.json", "primes": [2, 3, 5]}
+    manifest = {"format": 1, "groups": [c4, s3]}
+    rng = random.Random(SEED)
+    cases = [mutate(manifest, rng)[0] for _ in range(12)] + [
+        {"format": 1},
+        {"format": 1, "groups": {}},
+        {"format": 1, "groups": [c4, {"name": "S3", "primes": [2]}]},
+        {"format": 1, "groups": [c4, "S3.json"]},
+        {"format": 1, "groups": [dict(c4, file=4), s3]},
+        {"format": 1, "groups": [c4, dict(s3, file="C4.json")]},
+        {"format": 1, "groups": [c4, dict(s3, name="Sym3", primes=[2])]},
+    ]
+    escapes = []
+    for data in cases:
+        (tmp_path / "manifest.json").write_text(json.dumps(data))
+        # a file name that names no file is an OSError, which the CLI
+        # reports as bad data too
+        ex = load_all(load_corpus, tmp_path, DATA_ERRORS + (OSError,))
+        if ex is not None:
+            escapes.append(f"{data}: {type(ex).__name__}: {ex}")
+    assert not escapes

@@ -50,6 +50,22 @@ class TestFieldShape:
         m = build_residue_map(N, p)
         assert m.p == p and m.field_degree == f
 
+    def test_modulus_is_the_minimal_polynomial_of_the_root(self, corpus):
+        # x is a root of unity of order n' modulo the modulus g, and its f
+        # Frobenius conjugates are distinct, so g, of degree f, is the
+        # minimal polynomial of x over F_p and irreducible
+        for N, p in corpus_maps(corpus) + [(5, 2), (7, 2), (15, 2), (8, 7)]:
+            m = build_residue_map(N, p)
+            nprime = N // p_part(N, p)
+            x = m.root_image
+            assert len(m.modulus) == m.field_degree + 1 and m.modulus[-1] == 1
+            assert x ** nprime == m.one
+            assert all(x ** (nprime // q) != m.one
+                       for q in range(2, nprime + 1)
+                       if nprime % q == 0)
+            conjugates = {x ** p ** i for i in range(m.field_degree)}
+            assert len(conjugates) == m.field_degree, (N, p)
+
     def test_mixed_fields_are_an_error(self):
         a, b = build_residue_map(5, 2).one, build_residue_map(7, 2).one
         with pytest.raises(ResidueError):
@@ -71,7 +87,7 @@ class TestReduction:
     def test_root_has_right_order(self):
         m = build_residue_map(12, 2)
         img = reduce_cyclo(m, CycloNum.zeta(3))
-        assert img.mult_order() == 3
+        assert img != m.one and img * img != m.one and img * img * img == m.one
 
     def test_rejects_non_integral(self):
         m = build_residue_map(5, 2)

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from charcond.cyclo import CycloNum, lincomb
 from charcond.gendec import gendec_all
 from charcond.tables import (CharTable, ClassFunction, DatasetError,
                              char_conductor, default_corpus_dir, inner_product,
-                             load_corpus, load_dataset, p_decompose,
-                             power_class, virtual_character)
+                             load_corpus, load_dataset, power_class,
+                             virtual_character)
 
 ONE = CycloNum.from_rational(1)
 
@@ -230,16 +231,6 @@ class TestPowerMaps:
             assert power_class(table, power_class(table, c, 2), 3) == \
                 power_class(table, c, 6)
 
-    def test_p_decompose(self, corpus):
-        # g = g_p * g_{p'} with commuting p-power and p'-parts
-        table = corpus["SL(2,3)"].table
-        for c, cls in enumerate(table.classes):
-            u, s = p_decompose(table, c, 2)
-            u_ord = table.classes[u].element_order
-            s_ord = table.classes[s].element_order
-            assert u_ord * s_ord == cls.element_order
-            assert u_ord & (u_ord - 1) == 0 and s_ord % 2 == 1
-
 
 class TestValidation:
     def _raw(self, name="S3"):
@@ -272,6 +263,29 @@ class TestValidation:
         data = copy.deepcopy(data)
         data["primes"]["2"]["block_of_irr"] = ["B0", "B1", "B0"]
         with pytest.raises((DatasetError, ValueError)):
+            self._load(data, tmp_path)
+
+    # inputs of checks that another check implies, and so were removed
+    @pytest.mark.parametrize("name,where,value,message", [
+        ("S3", ("classes", 0, "powermaps", "2"), 1,
+         "broken.json.classes[0] (1a): g^2 lands in class of order 2, "
+         "expected 1"),
+        ("A5", ("subgroups", 0, "fusion", 0), 1,
+         "broken.json.subgroups[0].fusion[0]: fusion does not preserve "
+         "element order (1 vs 2)"),
+        ("S3", ("primes", "3", "decomposition"), [[1, 0], [0, 0], [1, 0]],
+         "broken.json.primes.3: decomposition row 1 does not reproduce the "
+         "character value on regular class 0"),
+    ], ids=["identity-power-map", "identity-fusion", "zero-d-column"])
+    def test_implied_checks_still_reject(self, tmp_path, name, where, value,
+                                         message):
+        data, _ = self._raw(name)
+        holder = data
+        for key in where[:-1]:
+            holder = holder[key]
+        holder[where[-1]] = value
+        with pytest.raises((DatasetError, BlockError),
+                           match=re.escape(message)):
             self._load(data, tmp_path)
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -261,6 +261,17 @@ class TestRestriction:
         bij = next(r for r in recs if r.character == "gamma-bijective")
         assert bij.lhs == bij.rhs == [0, 1, 2, 3]
 
+    def test_projectivity_is_exact(self):
+        # peeling c1 first from v = c2 + c3 leaves (0, 0, 1, 1), from which
+        # no column can be peeled
+        cols = [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]]
+        assert verify._is_projective(cols, [1, 1, 1, 1])
+        assert verify._is_projective(cols, [2, 2, 1, 1])
+        assert not verify._is_projective(cols, [0, 0, 1, 1])
+        assert verify._is_projective(cols, [0, 0, 0, 0])
+        assert not verify._is_projective(cols, [0, 1, -1, 0])  # c1 - c2
+        assert not verify._is_projective(cols, [1, 0, 0, 0])  # not in the span
+
     def test_not_applicable_without_subgroup(self, corpus):
         rep = check_restriction_props(corpus["S4"], 2)
         assert rep.not_applicable
