@@ -16,7 +16,7 @@ from . import isometry, verify
 from .blocks import BlockError, cartan_matrix
 from .cyclo import cyclo_to_str
 from .gendec import GendecError, check_second_main
-from .tables import DatasetError, char_conductor, load_corpus
+from .tables import DatasetError, _read_json, char_conductor, load_corpus
 
 EXIT_OK, EXIT_CHECK, EXIT_DATA, EXIT_USAGE = 0, 1, 2, 3
 
@@ -232,9 +232,7 @@ def _cmd_isometry_search(opts, out) -> int:
 
 def _cmd_isometry_check(opts, out) -> int:
     corpus = load_corpus(opts.corpus)
-    with open(opts.certificate) as handle:
-        data = json.load(handle)
-    cand = isometry.candidate_from_json(data, corpus)
+    cand = isometry.candidate_from_json(_read_json(opts.certificate), corpus)
     rep = isometry.check_perfection(cand)
     rows = [["is_isometry", rep.is_isometry],
             ["integrality_ok", rep.integrality_ok],
@@ -282,8 +280,8 @@ def run(argv=None, out=None) -> int:
     opts = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[opts.command](opts, out)
-    except (DatasetError, BlockError, GendecError, isometry.IsometryError,
-            OSError, json.JSONDecodeError) as exc:
+    except (DatasetError, BlockError, GendecError,
+            isometry.IsometryError) as exc:
         print(f"charcond: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,23 +1,31 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored on the rational power basis 1, z, ..., z^(phi(n)-1) of
-Q(zeta_n), z = zeta_n, at their conductor: rationals have order 1, and the
-order is never 2 mod 4.  Equality, hashing and integrality tests are then
-coefficient comparisons (the power basis is an integral basis of Z[zeta_n]).
-Products, embeddings and Galois images are maps on exponents followed by one
-reduction mod Phi_n (`_reduce`, on integers `reduce_int`); `lincomb` and
+An element is held at its conductor n as integer numerators on the power
+basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), z = zeta_n, over one positive
+denominator that shares no factor with them: rationals have order 1, and
+the order is never 2 mod 4.  Equality and hashing compare (order,
+numerators, denominator); an element is an algebraic integer exactly when
+its denominator is 1 (the power basis is an integral basis of Z[zeta_n]).
+Products, embeddings and Galois images are maps on exponents followed by
+one integer reduction mod Phi_n (`_reduce`, `reduce_int`); `lincomb` and
 `parse_cyclo` sum many terms with one reduction and one normalisation.
+Two views read an element: `coeffs(n)`, rational coordinates on the power
+basis of Q(zeta_n), and `int_terms(n)`, the integer pairs (e, c) of an
+algebraic integer as a sum of c * zeta_n^e.
 
 Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
-prime q | n at a time, with no linear solve (`_descend`).  If q^2 | n, x lies
-in Q(zeta_(n/q)) iff its coordinates vanish off multiples of q; if n = 2 mod 4
-the fields are equal; otherwise x lies there iff a generator of the cyclic
-H = Gal(Q(zeta_n)/Q(zeta_(n/q))) fixes it, and then x = Tr_H(x)/(q-1).
-`_normalise` descends while some prime lets the element down; `invert`
-multiplies y by c, the product of its nontrivial H-conjugates, so that y*c =
-N_H(y) lies one field down, and collects the c on the way down to a rational.
-`conductor_tests` runs the same tests at one prime, on integer coordinates,
-as Z-linear maps; `conductor_p_int` reads a p-part off them.
+prime q | n at a time, with no linear solve (`_descend`).  If n = 2 mod 4
+the fields are equal; otherwise x lies in Q(zeta_(n/q)) iff a Z-linear test
+of its numerators vanishes (`_fixed_test`): if q^2 | n, its coordinates off
+multiples of q; if not, sigma(x) - x for a generator sigma of the cyclic
+H = Gal(Q(zeta_n)/Q(zeta_(n/q))), and then x = Tr_H(x)/(q-1), a division
+that is exact on numerators since Z[zeta_n] meets Q(zeta_(n/q)) in
+Z[zeta_(n/q)].  `_normalise` descends while some prime lets the element
+down; `invert` multiplies the numerators y by c, the product of their
+nontrivial H-conjugates, so that y*c = N_H(y) lies one field down, and
+collects the c on the way down to the integer norm N: 1/x = den * c / N.
+`conductor_tests` runs the same tests at one prime, as Z-linear maps;
+`conductor_p_int` reads a p-part off them.
 """
 
 from __future__ import annotations
@@ -116,14 +124,19 @@ def reduce_int(n: int, acc: list[int]) -> list[int]:
     return acc[:k]
 
 
+def _reduce(n: int, terms) -> list[int]:
+    """sum c * z^e over integer pairs (e, c) on the power basis of Z[zeta_n],
+    exponents taken mod n, by one `reduce_int`."""
+    acc = [0] * n
+    for e, c in terms:
+        acc[e % n] += c
+    return reduce_int(n, acc)
+
+
 def lincomb_int(n: int, pairs) -> list[int]:
     """sum w * x over pairs (integer w, x given as `int_terms(n)`), on the
-    power basis of Z[zeta_n] by one `reduce_int`."""
-    acc = [0] * n
-    for w, x in pairs:
-        for e, a in x:
-            acc[e] += w * a
-    return reduce_int(n, acc)
+    power basis of Z[zeta_n]."""
+    return _reduce(n, ((e, w * a) for w, x in pairs for e, a in x))
 
 
 def sum_products_int(n: int, triples) -> list[int]:
@@ -137,21 +150,18 @@ def sum_products_int(n: int, triples) -> list[int]:
     return reduce_int(n, acc)
 
 
-def _reduce(n: int, terms) -> tuple[Fraction, ...]:
-    """sum c * z^e over pairs (e, c) on the power basis of Q(zeta_n), by
-    `reduce_int` on integer numerators over one common denominator."""
-    terms = [(e % n, c) for e, c in terms if c]
-    den = lcm(*[c.denominator for _, c in terms])
-    acc = [0] * n
-    for e, c in terms:
-        acc[e] += c.numerator * (den // c.denominator)
-    return tuple(Fraction(c, den) for c in reduce_int(n, acc))
-
-
-def _mul(n: int, a, s: int, b, t: int) -> tuple[Fraction, ...]:
-    """a * b in Q(zeta_n), for a in Q(zeta_(n/s)) and b in Q(zeta_(n/t))."""
+def _mul(n: int, a, s: int, b, t: int) -> list[int]:
+    """a * b on the power basis of Z[zeta_n], for integer coordinates a in
+    Q(zeta_(n/s)) and b in Q(zeta_(n/t))."""
     return _reduce(n, ((s * i + t * j, x * y) for i, x in enumerate(a) if x
                        for j, y in enumerate(b) if y))
+
+
+def _over_lcm(terms) -> tuple[int, list]:
+    """(d, [(key, a * d // b)]) for triples (key, a, b): the rationals a/b
+    as integer numerators over d, the lcm of the b."""
+    den = lcm(*[b for _, _, b in terms])
+    return den, [(key, a * (den // b)) for key, a, b in terms]
 
 
 def _generator(n: int, q: int) -> int:
@@ -161,56 +171,71 @@ def _generator(n: int, q: int) -> int:
     return 1 + n // q * ((g - 1) * pow(n // q, -1, q) % q)
 
 
-def _descend(n: int, q: int, vec: tuple) -> tuple[Fraction, ...] | None:
-    """Coordinates of x in Q(zeta_(n/q)), q | n prime, or None if x is not there."""
+def _fixed_test(n: int, q: int, vec) -> list[int]:
+    """A Z-linear map of x = sum vec[j] * z^j that vanishes exactly when x
+    lies in Q(zeta_(n/q)), for q | n prime and n != 2 mod 4: the coordinates
+    off multiples of q if q^2 | n (1, z, ..., z^(q-1) is a basis of Q(zeta_n)
+    over Q(zeta_(n/q))), otherwise `reduce_int`(sigma_k x) - x."""
+    if n % (q * q) == 0:
+        return [c for j, c in enumerate(vec) if j % q]
+    k = _generator(n, q)
+    return [a - c for a, c in
+            zip(_reduce(n, ((j * k, c) for j, c in enumerate(vec))), vec)]
+
+
+def _descend(n: int, q: int, vec) -> list[int] | None:
+    """Integer coordinates of x in Q(zeta_(n/q)), q | n prime, or None if x
+    is not there."""
     m = n // q
-    if m % q == 0:
-        # 1, z, ..., z^(q-1) is a basis of Q(zeta_n) over Q(zeta_m)
-        return None if any(any(vec[r::q]) for r in range(1, q)) else vec[::q]
-    if q == 2:  # zeta_n = -zeta_m^((m+1)/2)
+    if q == 2 and m % 2:  # zeta_n = -zeta_m^((m+1)/2)
         return _reduce(m, ((j * (m + 1) // 2, -c if j % 2 else c)
                            for j, c in enumerate(vec)))
-    k = _generator(n, q)
-    if _reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec:
+    if any(_fixed_test(n, q, vec)):
         return None
+    if m % q == 0:
+        return vec[::q]
     # Tr(zeta_n^j) is zeta_m^(j/q) times q-1 if q | j, and times -1 if not
-    u, w = pow(q, -1, m), Fraction(-1, q - 1)
-    return _reduce(m, ((j * u, c if j % q == 0 else c * w)
-                       for j, c in enumerate(vec)))
+    u = pow(q, -1, m)
+    return [c // (q - 1) for c in _reduce(
+        m, ((j * u, c * (q - 1) if j % q == 0 else -c)
+            for j, c in enumerate(vec)))]
 
 
 class CycloNum:
-    """An exact element of a cyclotomic field, in canonical form."""
+    """sum num[j] * zeta_order^j / den, for integers num[j] and a positive
+    integer den, held in canonical form."""
 
-    __slots__ = ("order", "_vec", "_hash")
+    __slots__ = ("order", "_num", "_den", "_hash")
 
-    def __init__(self, order: int, vec: tuple[Fraction, ...], _canonical: bool = False):
-        if _canonical:
-            self.order = order
-            self._vec = vec
-        else:
-            self.order, self._vec = _normalise(order, vec)
+    def __init__(self, order: int, num, den: int = 1,
+                 _at_conductor: bool = False):
+        if not _at_conductor:
+            order, num = _normalise(order, num)
+        g = gcd(den, *num)
+        self.order = order
+        self._num = tuple(c // g for c in num)
+        self._den = den // g
         self._hash = None
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_rational(q) -> "CycloNum":
-        return CycloNum(1, (Fraction(q),), _canonical=True)
+    def from_rational(q) -> "CycloNum":  # q an int or a Fraction
+        return CycloNum(1, (q.numerator,), q.denominator, _at_conductor=True)
 
     @staticmethod
     def zeta(n: int, e: int = 1) -> "CycloNum":
-        if n < 1:
-            raise CycloError(f"root-of-unity order must be positive, got {n}")
-        return CycloNum.from_exponents(n, {e: Fraction(1)})
+        return CycloNum.from_exponents(n, {e: 1})
 
     @staticmethod
     def from_exponents(n: int, coeffs: dict) -> "CycloNum":
-        """Build sum of c_e * zeta_n^e from a sparse exponent map."""
+        """Build sum of c_e * zeta_n^e from a sparse exponent map with int
+        or Fraction values."""
         if n < 1:
             raise CycloError(f"root-of-unity order must be positive, got {n}")
-        return CycloNum(n, _reduce(n, ((e, Fraction(c))
-                                       for e, c in coeffs.items())))
+        den, terms = _over_lcm([(e, c.numerator, c.denominator)
+                                for e, c in coeffs.items()])
+        return CycloNum(n, _reduce(n, terms), den)
 
     # -- views -------------------------------------------------------------
 
@@ -221,41 +246,41 @@ class CycloNum:
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise CycloError(f"not a rational number: {self}")
-        return self._vec[0]
+        return Fraction(self._num[0], self._den)
 
     def is_algebraic_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self._vec)
+        return self._den == 1
+
+    def coeffs(self, n: int | None = None) -> tuple[Fraction, ...]:
+        """Rational coordinates on the power basis of Q(zeta_n), n a
+        multiple of the order (the order itself by default)."""
+        num = self._num
+        if n not in (None, self.order):
+            num = _reduce(n, (((n // self.order) * j, c)
+                              for j, c in enumerate(num)))
+        return tuple(Fraction(c, self._den) for c in num)
 
     def int_terms(self, n: int) -> list[tuple[int, int]] | None:
         """Pairs (e, c), self = sum c * zeta_n^e for n a multiple of the
         order; None if self is not an algebraic integer."""
-        if not self.is_algebraic_integer():
+        if self._den != 1:
             return None
         step = n // self.order
-        return [(step * e, int(c)) for e, c in enumerate(self._vec) if c]
+        return [(step * e, c) for e, c in enumerate(self._num) if c]
 
     def __bool__(self) -> bool:
-        return any(self._vec)
+        return any(self._num)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _embedded(self, n: int) -> tuple[Fraction, ...]:
-        if n == self.order:
-            return self._vec
-        step = n // self.order
-        return _reduce(n, ((step * j, c) for j, c in enumerate(self._vec)))
-
     def __add__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        n = lcm(self.order, other.order)
-        a = self._embedded(n)
-        b = other._embedded(n)
-        return CycloNum(n, tuple(x + y for x, y in zip(a, b)))
+        return lincomb([(1, self), (1, _coerce(other))])
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, tuple(-x for x in self._vec), _canonical=True)
+        return CycloNum(self.order, [-c for c in self._num], self._den,
+                        _at_conductor=True)
 
     def __sub__(self, other) -> "CycloNum":
         return self + (-_coerce(other))
@@ -266,16 +291,17 @@ class CycloNum:
     def __mul__(self, other) -> "CycloNum":
         other = _coerce(other)
         if self.order == 1:
-            q = self._vec[0]
+            q = self._num[0]
             if not q:
                 return self
-            return CycloNum(other.order, tuple(q * c for c in other._vec),
-                            _canonical=True)
+            return CycloNum(other.order, [q * c for c in other._num],
+                            self._den * other._den, _at_conductor=True)
         if other.order == 1:
             return other * self
         n = lcm(self.order, other.order)
-        return CycloNum(n, _mul(n, self._vec, n // self.order,
-                                other._vec, n // other.order))
+        return CycloNum(n, _mul(n, self._num, n // self.order,
+                                other._num, n // other.order),
+                        self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -283,21 +309,23 @@ class CycloNum:
         """Multiplicative inverse, by norms down the tower of subfields."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        n, y, cofactors = self.order, self._vec, []
+        n, y, cofactors = self.order, self._num, []
         while n > 1:
             q = prime_factors(n)[0]
-            m, c = n // q, (Fraction(1),)
+            m, c = n // q, [1]
             for k in range(1 + m, n, m):  # H less 1: k = 1 mod m, prime to n
                 if gcd(k, n) == 1:
                     c = _mul(n, c, 1, _reduce(n, ((j * k, a) for j, a
                                                   in enumerate(y))), 1)
             cofactors.append((n, c))
             n, y = m, _descend(n, q, _mul(n, y, 1, c, 1))
-        inv, order = (1 / y[0],), 1
+        # y is the integer norm N of the numerators, their product with all
+        # the cofactors; 1/x = den * (product of the cofactors) / N
+        inv, order = [self._den if y[0] > 0 else -self._den], 1
         for n, c in reversed(cofactors):
             inv, order = _mul(n, inv, n // order, c, 1), n
-        # Q(1/a) = Q(a), so the inverse is already stored at its conductor
-        return CycloNum(order, inv, _canonical=True)
+        # Q(1/a) = Q(a), so the inverse is already at its conductor
+        return CycloNum(order, inv, abs(y[0]), _at_conductor=True)
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).invert()
@@ -315,8 +343,8 @@ class CycloNum:
             return self
         # conjugates share the conductor, so the result is already canonical
         return CycloNum(n, _reduce(n, ((j * k, c)
-                                       for j, c in enumerate(self._vec))),
-                        _canonical=True)
+                                       for j, c in enumerate(self._num))),
+                        self._den, _at_conductor=True)
 
     def conjugate(self) -> "CycloNum":
         return self.galois(-1)
@@ -328,11 +356,12 @@ class CycloNum:
             other = CycloNum.from_rational(other)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.order == other.order and self._vec == other._vec
+        return (self.order == other.order and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, self._vec))
+            self._hash = hash((self.order, self._num, self._den))
         return self._hash
 
     # -- printing --------------------------------------------------------------
@@ -359,13 +388,16 @@ def lincomb(terms) -> CycloNum:
     if not terms:
         return ZERO
     n = lcm(*[x.order for _, x in terms])
-    return CycloNum(n, _reduce(n, (((n // x.order) * j, c * q) for q, x in terms
-                                   for j, c in enumerate(x._vec) if c)))
+    den, weights = _over_lcm([(x, q.numerator, q.denominator * x._den)
+                              for q, x in terms])
+    return CycloNum(n, _reduce(n, (((n // x.order) * j, w * c)
+                                   for x, w in weights
+                                   for j, c in enumerate(x._num) if c)), den)
 
 
-def _normalise(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    """(conductor, coeffs there) of the element, one prime at a time; once x
-    is not in Q(zeta_(n/q)) it is in no Q(zeta_d), d | n/q, so q is done."""
+def _normalise(n: int, vec) -> tuple[int, list[int]]:
+    """(conductor, coordinates there) of the element, one prime at a time;
+    once x is not in Q(zeta_(n/q)) it is in no Q(zeta_d), d | n/q."""
     if not any(vec[1:]):  # a rational, on the basis 1, z, z^2, ...
         return 1, vec[:1]
     for q in prime_factors(n):
@@ -399,17 +431,11 @@ def conductor_tests(n: int, vec: list[int], p: int):
     """`_descend`'s tests at p alone on x = sum vec[j] * z^j in Z[zeta_n], on
     `reduce_int`'s basis, as pairs (t, y) in descending t: the conductor
     p-part of x is the first t with y nonzero, and 1 if there is none.  Each
-    y is Z-linear in vec: while p^2 | n, the coordinates off multiples of p
-    (the next test reads the slice vec[::p]); then, for odd p || n,
-    `reduce_int`(sigma_k x) - x, sigma_k generating Gal(Q(zeta_n)/Q(zeta_(n/p)))."""
-    while n % (p * p) == 0:
-        yield p_part(n, p), [c for j, c in enumerate(vec) if j % p]
+    y is a `_fixed_test`, Z-linear in vec; after a test at p^2 | n the next
+    reads the slice vec[::p].  Q(zeta_n) = Q(zeta_(n/2)) when n = 2 mod 4."""
+    while n % p == 0 and (p != 2 or n % 4 == 0):
+        yield p_part(n, p), _fixed_test(n, p, vec)
         n, vec = n // p, vec[::p]
-    if n % p == 0 and p != 2:  # Q(zeta_n) = Q(zeta_(n/2)) when n = 2 mod 4
-        k, acc = _generator(n, p), [0] * n
-        for j, c in enumerate(vec):
-            acc[j * k % n] += c
-        yield p, [a - c for a, c in zip(reduce_int(n, acc), vec)]
 
 
 def conductor_p_int(n: int, vec: list[int], p: int) -> int:
@@ -503,8 +529,9 @@ class _Parser:
         if self.pos != len(self.text):
             self.error(f"unexpected {self.text[self.pos]!r}")
         order = lcm(*[n for _, n, _ in terms])
-        return CycloNum(order, _reduce(order, ((e * (order // n), c)
-                                               for c, n, e in terms)))
+        den, terms = _over_lcm([(e * (order // n), c.numerator, c.denominator)
+                                for c, n, e in terms])
+        return CycloNum(order, _reduce(order, terms), den)
 
 
 def parse_cyclo(expr: str) -> CycloNum:
@@ -512,23 +539,24 @@ def parse_cyclo(expr: str) -> CycloNum:
     return _Parser(expr).expr()
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _frac_str(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def cyclo_to_str(a: CycloNum) -> str:
     """Print in the input grammar; parse(cyclo_to_str(a)) == a."""
     if a.order == 1:
-        return _frac_str(a._vec[0])
+        return _frac_str(a._num[0], a._den)
     parts = []
-    for e, c in enumerate(a._vec):
+    for e, c in enumerate(a._num):
         if not c:
             continue
         atom = f"E({a.order})" if e == 1 else f"E({a.order})^{e}" if e else None
-        mag = _frac_str(abs(c))
+        mag = _frac_str(abs(c), a._den)
         if atom is None:
             body = mag
-        elif abs(c) == 1:
+        elif mag == "1":
             body = atom
         else:
             body = f"{mag}*{atom}"

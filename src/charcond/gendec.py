@@ -16,7 +16,6 @@ an independent check that pins the system's unique solution.  Callers read
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycloNum, nu_p, p_part, sum_products_int
@@ -136,18 +135,17 @@ def gendec_all(ds, p: int) -> GendecMatrix:
         weights = [cent.classes[s].size for s in bd.regular_classes]
         rows = []
         for chi, sums in enumerate(_reciprocity(n, weights, chi_us, psi_inv)):
-            rows.append([CycloNum(n, tuple(Fraction(c, size) for c in vec))
-                         for vec in sums])
+            rows.append([CycloNum(n, vec, size) for vec in sums])
             # the power basis is an integral basis of Z[zeta_n]
-            for vec, val in zip(sums, rows[-1]):
-                if any(c % size for c in vec) or u_order % val.order:
+            for val in rows[-1]:
+                if not val.is_algebraic_integer() or u_order % val.order:
                     raise GendecError(
                         f"{ds.name} p={p}: d^u entry {val} at u_class "
                         f"{sec.u_class} is not an algebraic integer of "
                         f"Q(zeta_{u_order})")
             # IBr(C) is square and invertible on C_p' (`validate_brauer`), so
             # entries reproducing every chi(us) are the system's only solution
-            d = [[(e, c // size) for e, c in enumerate(v) if c] for v in sums]
+            d = [val.int_terms(n) for val in rows[-1]]
             for k, value in enumerate(chi_us[chi]):
                 triples = [(1, x, b[k]) for x, b in zip(d, ibr)]
                 if any(sum_products_int(n, triples + [(-1, value, [(0, 1)])])):

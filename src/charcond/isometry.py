@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial, lcm
 
 from . import linalg
@@ -149,7 +148,7 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
             continue
         if not collect_witnesses:
             return report
-        value = CycloNum(kernel.order, tuple(map(Fraction, mu)))
+        value = CycloNum(kernel.order, mu)
         report.witnesses.append((kind, g, h, str(value)))
     if collect_witnesses:
         ok, wits = check_conductor_preservation(cand, src.prime)
@@ -231,7 +230,7 @@ def l0_basis(ref: BlockRef) -> list[list[int]]:
         if cls.element_order % ref.prime != 0:
             col = [table.irreducibles[i][c] for i in ref.irrs]
             n_max = lcm(*[v.order for v in col])
-            vecs = [v._embedded(n_max) for v in col]
+            vecs = [v.coeffs(n_max) for v in col]
             for r in range(len(vecs[0])):
                 row = [vecs[i][r] for i in range(len(col))]
                 if any(row):

@@ -548,13 +548,20 @@ def _validate_fusion(sub: CharTable, amb: CharTable, fusion, path: str):
                                f"not divide ambient centralizer order {cent_amb}")
 
 
+def _read_json(path):
+    """The JSON document in the file; a file that cannot be read, is not
+    UTF-8 or is not JSON is a `DatasetError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as ex:  # JSONDecodeError, UnicodeDecodeError
+        raise DatasetError(f"{path}: cannot read JSON ({ex})") from ex
+
+
 def load_dataset(path) -> GroupDataset:
     """Load and validate one group dataset file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as ex:
-        raise DatasetError(f"{path}: not valid JSON ({ex})") from ex
+    raw = _read_json(path)
     root = path.name
     fmt = _require(raw, "format", int, root)
     if fmt != 1:
@@ -620,9 +627,7 @@ def load_manifest(corpus_dir=None) -> dict:
     "file"; the datasets own everything else about their groups."""
     corpus_dir = Path(corpus_dir) if corpus_dir else default_corpus_dir()
     manifest = corpus_dir / "manifest.json"
-    if not manifest.exists():
-        raise DatasetError(f"no manifest.json in {corpus_dir}")
-    raw = json.loads(manifest.read_text())
+    raw = _read_json(manifest)
     for i, entry in enumerate(_require(raw, "groups", list, manifest.name)):
         _require(entry, "file", str, f"{manifest.name}.groups[{i}]")
     return raw

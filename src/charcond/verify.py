@@ -181,7 +181,7 @@ def check_projective_invariance(ds: GroupDataset, p: int,
                                      ds.projectives(p)[j].integer_coords())]
         for col, (n, vec) in virtual_gendec_row(ds, p, psi).items():
             if col[0] != ident and vec != base_row[col][1]:
-                was, now = (str(CycloNum(n, tuple(map(Fraction, v))))
+                was, now = (str(CycloNum(n, v))
                             for v in (base_row[col][1], vec))
                 return CheckRecord("projective-invariance", f"chi{chi}",
                                    was, now, witness=(j, col), passed=False)

@@ -278,6 +278,24 @@ class TestLoadErrors:
             assert "A5 p=5: ingested label 'B0' covers different " \
                 "irreducibles" in capsys.readouterr().err
 
+    # bytes that are not UTF-8: each input file names itself in the error
+    @pytest.mark.parametrize("file", ["C4.json", "manifest.json"])
+    def test_undecodable_corpus_file_is_data_error(self, tmp_path, capsys,
+                                                   file):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        (corpus / file).write_bytes(b"\xff\xfe{")
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert str(corpus / file) in capsys.readouterr().err
+
+    def test_undecodable_certificate_is_data_error(self, tmp_path, capsys):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_bytes(b"\xff\xfe{")
+        code, _ = invoke("isometry-check", str(cert_file))
+        assert code == EXIT_DATA
+        assert str(cert_file) in capsys.readouterr().err
+
 
 class TestManifest:
     """The manifest lists the dataset files; each dataset owns its name and

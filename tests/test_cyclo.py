@@ -21,7 +21,23 @@ from charcond.tables import default_corpus_dir
 def embed(a: CycloNum) -> complex:
     """Numeric image of a under zeta_n -> exp(2 pi i / n)."""
     return sum(complex(f) * cmath.exp(2j * cmath.pi * e / a.order)
-               for e, f in enumerate(a._vec))
+               for e, f in enumerate(a.coeffs()))
+
+
+def reference_reduce(n: int, terms) -> tuple[Fraction, ...]:
+    """sum c * z^e over pairs (e, rational c) on the power basis of
+    Q(zeta_n), on Fractions: the polynomial's remainder by the monic Phi_n,
+    the reference for the integer core."""
+    phi_n = cyclotomic_poly(n)
+    k = len(phi_n) - 1
+    acc = [Fraction(0)] * n
+    for e, c in terms:
+        acc[e % n] += c
+    for top in range(n - 1, k - 1, -1):
+        if c := acc[top]:
+            for j, a in enumerate(phi_n[:k]):
+                acc[top - k + j] -= c * a
+    return tuple(acc[:k])
 
 
 def random_cyclo(rng, n: int) -> CycloNum:
@@ -312,7 +328,7 @@ class TestParseOnce:
             assert (str(got.value), got.value.pos) == (str(ex), ex.pos)
             return
         got = parse_cyclo(text)
-        assert (got.order, got._vec) == (want.order, want._vec), text
+        assert (got.order, got.coeffs()) == (want.order, want.coeffs()), text
 
     def test_seeded_expressions(self):
         rng = random.Random(2024)
@@ -343,9 +359,9 @@ class TestParseOnce:
 
 class TestIntegerReduction:
     def test_matches_reduce_times_denominator(self):
-        """reduce_int on integer numerators equals _reduce on the rationals
-        scaled by their common denominator, at every order 1 to 120, with
-        exponents folded mod n first."""
+        """_reduce on integer numerators equals the Fraction reference on
+        the rationals scaled by their common denominator, at every order 1
+        to 120, with exponents folded mod n first."""
         rng = random.Random(120)
         for n in range(1, 121):
             for _ in range(3):
@@ -353,12 +369,9 @@ class TestIntegerReduction:
                           Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
                          for _ in range(rng.randint(1, 6))]
                 den = math.lcm(*[c.denominator for _, c in terms])
-                acc = [0] * n
-                for e, c in terms:
-                    acc[e % n] += int(c * den)
-                got = cyclo.reduce_int(n, acc)
+                got = cyclo._reduce(n, [(e, int(c * den)) for e, c in terms])
                 assert len(got) == euler_phi(n)
-                assert got == [c * den for c in cyclo._reduce(n, terms)]
+                assert got == [c * den for c in reference_reduce(n, terms)]
 
 
 class TestConductorPInt:
@@ -467,12 +480,12 @@ def normalise_by_solve(n, vec):
         fixing = [k for k in range(2, n + 1)
                   if math.gcd(k, n) == 1 and (k - 1) % d == 0]
         if n % d or d % 4 == 2 or any(
-                cyclo._reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec
+                reference_reduce(n, ((j * k, c) for j, c in enumerate(vec))) != vec
                 for k in fixing):
             continue
         if d == n:
             return n, vec
-        cols = [cyclo._reduce(n, ((j * (n // d), 1),))
+        cols = [reference_reduce(n, ((j * (n // d), 1),))
                 for j in range(euler_phi(d))]
         rows = [[col[i] for col in cols] for i in range(len(vec))]
         return d, tuple(linalg.solve(rows, list(vec)))
@@ -483,7 +496,7 @@ def invert_by_solve(a):
     multiplication matrix of a."""
     n = a.order
     k = euler_phi(n)
-    cols = [cyclo._reduce(n, ((i + j, c) for i, c in enumerate(a._vec)))
+    cols = [reference_reduce(n, ((i + j, c) for i, c in enumerate(a.coeffs())))
             for j in range(k)]
     rows = [[cols[j][i] for j in range(k)] for i in range(k)]
     return n, tuple(linalg.solve(rows, [Fraction(1)] + [Fraction(0)] * (k - 1)))
@@ -520,8 +533,8 @@ class TestDescentAgainstSolve:
                             summed[e * t % n] = summed.get(e * t % n, 0) + c
                     coeffs = summed
                 x = CycloNum.from_exponents(n, coeffs)
-                assert (x.order, x._vec) == normalise_by_solve(
-                    n, cyclo._reduce(n, coeffs.items()))
+                assert (x.order, x.coeffs()) == normalise_by_solve(
+                    n, reference_reduce(n, coeffs.items()))
 
     def test_lincomb(self):
         # two independently drawn orders, so lcms up to 240
@@ -541,10 +554,10 @@ class TestDescentAgainstSolve:
                 assert s == ZERO
                 continue
             n = math.lcm(*[x.order for _, x in terms])
-            vec = cyclo._reduce(n, (((n // x.order) * j, c * q)
-                                    for q, x in terms
-                                    for j, c in enumerate(x._vec)))
-            assert (s.order, s._vec) == normalise_by_solve(n, vec)
+            vec = reference_reduce(n, (((n // x.order) * j, c * q)
+                                       for q, x in terms
+                                       for j, c in enumerate(x.coeffs())))
+            assert (s.order, s.coeffs()) == normalise_by_solve(n, vec)
 
     def test_invert(self):
         rng = random.Random(48)
@@ -554,4 +567,79 @@ class TestDescentAgainstSolve:
                 a = random_cyclo(rng, n)
                 if a:
                     inv = a.invert()
-                    assert (inv.order, inv._vec) == invert_by_solve(a)
+                    assert (inv.order, inv.coeffs()) == invert_by_solve(a)
+
+
+def canonical(x: CycloNum) -> bool:
+    """Integer numerators on the power basis at an order that is never 2
+    mod 4, over a positive denominator sharing no factor with them."""
+    return (x.order % 4 != 2 and len(x._num) == euler_phi(x.order)
+            and all(type(c) is int for c in x._num) and type(x._den) is int
+            and x._den > 0 and math.gcd(x._den, *x._num) == 1)
+
+
+class TestAgainstFractionReference:
+    """+, -, *, /, galois, lincomb and parse_cyclo on the integer core give
+    canonical elements whose (order, coordinates) equal the Fraction
+    reference: the sum of the terms reduced mod Phi_n, then descended to its
+    conductor by a dense solve (`normalise_by_solve`)."""
+
+    ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15)
+
+    @staticmethod
+    def terms(x, n):
+        return [((n // x.order) * j, c) for j, c in enumerate(x.coeffs())]
+
+    def test_seeded_operations(self):
+        rng = random.Random(1997)
+        seen = set()
+        for _ in range(60):
+            a = random_cyclo(rng, rng.choice(self.ORDERS))
+            b = random_cyclo(rng, rng.choice(self.ORDERS))
+            if rng.random() < 0.2:  # a sum that can drop to a subfield
+                b = b - a.galois(rng.choice([1, -1]))
+            n = math.lcm(a.order, b.order)
+            ta, tb = self.terms(a, n), self.terms(b, n)
+            k = rng.choice([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+            q, r = (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(2))
+            cases = {
+                "+": (a + b, ta + tb),
+                "-": (a - b, ta + [(e, -c) for e, c in tb]),
+                "*": (a * b, [(e + f, c * d) for e, c in ta for f, d in tb]),
+                "galois": (a.galois(k), [(e * k, c) for e, c in ta]),
+                "lincomb": (lincomb([(q, a), (r, b)]),
+                            [(e, q * c) for e, c in ta]
+                            + [(e, r * c) for e, c in tb]),
+            }
+            if b:
+                order, inv = invert_by_solve(b)
+                cases["/"] = (a / b, [(e + (n // order) * j, c * d)
+                                      for e, c in ta
+                                      for j, d in enumerate(inv)])
+            for op, (got, terms) in cases.items():
+                assert canonical(got), (op, a, b)
+                want = normalise_by_solve(n, reference_reduce(n, terms))
+                assert (got.order, got.coeffs()) == want, (op, a, b)
+                seen.add((op, got.order < n, got.is_algebraic_integer()))
+        # every operation ran, some results descended below n, and some
+        # were algebraic integers
+        assert {op for op, _, _ in seen} == {"+", "-", "*", "/", "galois",
+                                             "lincomb"}
+        assert {d for _, d, _ in seen} == {i for _, _, i in seen} == {True,
+                                                                       False}
+
+    def test_seeded_parse(self):
+        rng = random.Random(2002)
+        for _ in range(80):
+            terms = [(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                      rng.choice(self.ORDERS[1:]), rng.randint(-20, 20))
+                     for _ in range(rng.randint(1, 4))]
+            text = "+".join(f"{c.numerator}/{c.denominator}*E({m})^{e}"
+                            for c, m, e in terms).replace("+-", "-")
+            got = parse_cyclo(text)
+            n = math.lcm(*[m for _, m, _ in terms])
+            want = normalise_by_solve(n, reference_reduce(
+                n, [(e * (n // m), c) for c, m, e in terms]))
+            assert canonical(got), text
+            assert (got.order, got.coeffs()) == want, text

@@ -71,7 +71,7 @@ def reference_perfection(cand, products, collect_witnesses=True):
     s_tab, t_tab = src.dataset.table, tgt.dataset.table
 
     def local_integer(x, p):
-        return all(f.denominator % p for f in x._vec)
+        return all(f.denominator % p for f in x.coeffs())
 
     for g in range(s_tab.num_classes):
         s_reg = s_tab.classes[g].element_order % src.prime != 0
@@ -354,7 +354,7 @@ class TestPerfection:
         rng = random.Random(5)
 
         def local_integer(x):
-            return all(f.denominator % 5 for f in x._vec)
+            return all(f.denominator % 5 for f in x.coeffs())
 
         checked = 0
         kinds = set()

@@ -113,10 +113,16 @@ def test_single_mutations_end_in_data_errors(tmp_path):
     twisted = copy.deepcopy(shipped["C4.json"])
     negate_4b(twisted)
     cases.append(("C4.json", twisted, "negate the column of class 4b"))
+    raw = (default_corpus_dir() / "A5.json").read_bytes()
+    cases += [("A5.json", b"\xff\xfe" + raw, "bytes that are not UTF-8"),
+              ("A5.json", raw[:len(raw) // 2], "a truncated file")]
     escapes = []
     for name, data, what in cases:
         path = tmp_path / name
-        path.write_text(json.dumps(data))
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(json.dumps(data))
         ex = load_all(load_dataset, path)
         if ex is not None:
             escapes.append(f"{name}: {what}: {type(ex).__name__}: {ex}")
@@ -138,13 +144,18 @@ def test_manifest_mutations_end_in_data_errors(tmp_path):
         {"format": 1, "groups": [dict(c4, file=4), s3]},
         {"format": 1, "groups": [c4, dict(s3, file="C4.json")]},
         {"format": 1, "groups": [c4, dict(s3, name="Sym3", primes=[2])]},
+        {"format": 1, "groups": [c4, dict(s3, file="S4.json")]},
+        b"\xff\xfe" + json.dumps(manifest).encode(),
+        json.dumps(manifest)[:30].encode(),
     ]
     escapes = []
     for data in cases:
-        (tmp_path / "manifest.json").write_text(json.dumps(data))
-        # a file name that names no file is an OSError, which the CLI
-        # reports as bad data too
-        ex = load_all(load_corpus, tmp_path, DATA_ERRORS + (OSError,))
+        path = tmp_path / "manifest.json"
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(json.dumps(data))
+        ex = load_all(load_corpus, tmp_path)
         if ex is not None:
             escapes.append(f"{data}: {type(ex).__name__}: {ex}")
     assert not escapes

@@ -338,7 +338,7 @@ def _vanishing_constraints(rows, singular):
     for s in singular:
         col = [rows[i][s] for i in range(k)]
         n = lcm(*[v.order for v in col])
-        vecs = [v._embedded(n) for v in col]
+        vecs = [v.coeffs(n) for v in col]
         for r in range(len(vecs[0])):
             row = [vecs[i][r] for i in range(k)]
             if any(row):
