@@ -27,7 +27,7 @@ from math import factorial, lcm
 
 from . import linalg
 from .blocks import Block
-from .cyclo import CycloNum, p_part, sum_products_int
+from .cyclo import CycloError, CycloNum, p_part, sum_products_int
 from .tables import GroupDataset, char_conductor, virtual_character
 
 
@@ -160,6 +160,19 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
     return report
 
 
+def _integer_grams(src: BlockRef, tgt: BlockRef) -> list[list[list[int]]]:
+    """Both blocks' p-regular Gram forms as integers over one common
+    denominator.  Every entry is rational: <chi^0, psi^0> is the (chi, psi)
+    entry of D C^-1 D^T, D the decomposition and C the Cartan matrix."""
+    try:
+        forms = [r.dataset.regular_gram(r.prime, r.block) for r in (src, tgt)]
+    except CycloError as exc:
+        raise IsometryError(f"p-regular Gram form: {exc}") from None
+    den = lcm(*[f.denominator for form in forms for row in form for f in row])
+    return [[[f.numerator * (den // f.denominator) for f in row]
+             for row in form] for form in forms]
+
+
 def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
     """Extensions of a partial signed bijection, sign +1 at position 0, that
     carry g_src onto g_tgt: g_tgt[perm[i]][perm[k]] = signs[i] * signs[k] *
@@ -172,7 +185,7 @@ def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
         if j in perm or g_tgt[j][j] != g_src[k][k]:
             continue
         for s in (1, -1) if k else (1,):
-            if all(g_tgt[pi][j] == (g_src[i][k] if s == si else -g_src[i][k])
+            if all(g_tgt[pi][j] == s * si * g_src[i][k]
                    for i, (pi, si) in enumerate(zip(perm, signs))):
                 yield from _gram_matchings(g_src, g_tgt,
                                            perm + (j,), signs + (s,))
@@ -195,9 +208,7 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
             f"bound for {n} characters (bound {bound})")
     kernel = _PairKernel(src, tgt)
     found = []
-    for perm, signs in _gram_matchings(
-            src.dataset.regular_gram(src.prime, src.block),
-            tgt.dataset.regular_gram(tgt.prime, tgt.block)):
+    for perm, signs in _gram_matchings(*_integer_grams(src, tgt)):
         cand = IsometryCandidate(src, tgt, perm, signs)
         if check_perfection(cand, collect_witnesses=False,
                             kernel=kernel).perfect:

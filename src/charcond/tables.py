@@ -310,19 +310,21 @@ class GroupDataset:
         """All d^u at p, by `gendec.gendec_all`."""
         return self._held(p, "gendec", _gendec.gendec_all, self, p)
 
-    def regular_gram(self, p: int, block) -> list[list[CycloNum]]:
+    def regular_gram(self, p: int, block) -> list[list[Fraction]]:
         """<chi_k^0, chi_l^0> over the block's characters in index order: the
-        inner products of their restrictions to the p-regular classes."""
+        inner products of their restrictions to the p-regular classes, which
+        are rational (CycloError if one is not)."""
         return self._held(p, ("gram", block.id), _regular_gram, self.table, p,
                           sorted(block.irr_indices))
 
 
-def _regular_gram(table: CharTable, p: int, irrs) -> list[list[CycloNum]]:
+def _regular_gram(table: CharTable, p: int, irrs) -> list[list[Fraction]]:
     regular = [c for c, cls in enumerate(table.classes)
                if cls.element_order % p != 0]
     rows = [table.irreducibles[i] for i in irrs]
     return [[lincomb((Fraction(1, table.centralizer_order(c)),
-                      a[c] * b[c].conjugate()) for c in regular)
+                      a[c] * b[c].conjugate())
+                     for c in regular).rational_value()
              for b in rows]
             for a in rows]
 

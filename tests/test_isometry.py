@@ -261,8 +261,7 @@ class TestPrunedSearch:
             kernel = iso._PairKernel(src, tgt)
             products = value_products(src, tgt)
             for perm, signs in iso._gram_matchings(
-                    src.dataset.regular_gram(src.prime, src.block),
-                    tgt.dataset.regular_gram(tgt.prime, tgt.block)):
+                    *iso._integer_grams(src, tgt)):
                 cand = iso.IsometryCandidate(src, tgt, perm, signs)
                 leaves += 1
                 for collect in (False, True):
@@ -339,6 +338,13 @@ class TestPerfection:
             Fraction(1, 2))
         with pytest.raises(iso.IsometryError, match="1/2 is not an algebraic"):
             iso.check_perfection(cand)
+
+    def test_irrational_gram_form_raises(self):
+        ds = load_dataset(default_corpus_dir() / "D10.json")
+        ref = iso.block_ref(ds, 5, "B0")
+        ds.table.irreducibles[ref.irrs[-1]][0] = CycloNum.zeta(5)
+        with pytest.raises(iso.IsometryError, match="not a rational number"):
+            iso.search_perfect_isometries(ref, ref)
 
     def test_mu_at_identity_pair(self, found):
         # mu(1,1) passes both integrality divisions for a perfect candidate

@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
