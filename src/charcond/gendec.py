@@ -62,8 +62,8 @@ def validate_section(table, sec: SectionData, p: int, path: str):
         raise DatasetError(f"{path}.u_times: expected {cent.num_classes} entries")
     regular_images = []
     for s, t in enumerate(sec.u_times):
-        if not isinstance(t, int) or not 0 <= t < cent.num_classes:
-            raise DatasetError(f"{path}.u_times[{s}]: bad class index {t!r}")
+        if not 0 <= t < cent.num_classes:
+            raise DatasetError(f"{path}.u_times[{s}]: bad class index {t}")
         s_order = cent.classes[s].element_order
         if gcd(s_order, p) == 1:
             regular_images.append(t)

@@ -28,7 +28,8 @@ from math import factorial, lcm
 from . import linalg
 from .blocks import Block
 from .cyclo import CycloError, CycloNum, p_part, sum_products_int
-from .tables import GroupDataset, char_conductor, virtual_character
+from .tables import (DatasetError, GroupDataset, _require, _shape_fault,
+                     char_conductor, virtual_character)
 
 
 class IsometryError(ValueError):
@@ -279,33 +280,24 @@ def block_ref(ds: GroupDataset, p: int, block_id: str) -> BlockRef:
 
 def candidate_from_json(data, corpus: dict) -> IsometryCandidate:
     """Rebuild a candidate from its certificate, resolving group names
-    against a loaded corpus.  A malformed certificate raises IsometryError
-    saying what is wrong."""
-    if isinstance(data, list):
-        raise IsometryError("a certificate is one object from the list that "
-                            "isometry-search --json prints, not the list")
-    if not isinstance(data, dict):
-        raise IsometryError(f"a certificate is a JSON object, not "
-                            f"{type(data).__name__}")
+    against a loaded corpus.  A certificate of the wrong shape raises
+    DatasetError naming the field path; one naming no block of the corpus,
+    IsometryError."""
+    fault = _shape_fault(data, dict)
+    if fault:
+        raise DatasetError(f"certificate{fault}; a certificate is one object "
+                           f"from the list that isometry-search --json prints")
+    permutation, signs = (_require(data, key, [int], "certificate")
+                          for key in ("permutation", "signs"))
 
     def side(key):
-        entry = data.get(key)
-        if not isinstance(entry, dict):
-            raise IsometryError(f"certificate {key} must be an object with "
-                                f"group, prime and block")
-        for name, kind in (("group", str), ("prime", int), ("block", str)):
-            value = entry.get(name)
-            if type(value) is not kind:     # bool is not int here
-                raise IsometryError(f"certificate {key}.{name} must be of type "
-                                    f"{kind.__name__}, got {value!r}")
-        if entry["group"] not in corpus:
-            raise IsometryError(f"unknown group {entry['group']!r}")
-        return block_ref(corpus[entry["group"]], entry["prime"], entry["block"])
+        entry = _require(data, key, dict, "certificate")
+        group, prime, block = (
+            _require(entry, name, kind, f"certificate.{key}")
+            for name, kind in (("group", str), ("prime", int), ("block", str)))
+        if group not in corpus:
+            raise IsometryError(f"unknown group {group!r}")
+        return block_ref(corpus[group], prime, block)
 
-    for key in ("permutation", "signs"):
-        value = data.get(key)
-        if type(value) is not list or any(type(x) is not int for x in value):
-            raise IsometryError(f"certificate {key} must be a list of "
-                                f"integers, got {value!r}")
     return IsometryCandidate(side("source"), side("target"),
-                             tuple(data["permutation"]), tuple(data["signs"]))
+                             tuple(permutation), tuple(signs))

@@ -2,7 +2,8 @@
 
 All structural data (tables, power maps, fusions, decomposition matrices) is
 ingested from JSON files and validated eagerly; the toolkit never multiplies
-group elements.  See `docs in README` for the file format ("format": 1).
+group elements.  README's "Dataset format" section describes the files
+("format": 1); `_require` checks every field's JSON type exactly.
 A table's exponent rules are checked before its values are parsed, and its
 orthogonality on integers, in Z[zeta_N] (`_validate_table`).
 """
@@ -26,51 +27,62 @@ from .cyclo import (CycloNum, CycloParseError, conductor, conductor_p,
 
 
 class DatasetError(ValueError):
-    """Schema or invariant violation in a dataset file; message carries the
-    offending field path or the failing identity."""
+    """Schema or invariant violation in a JSON input (dataset, manifest or
+    certificate); message carries the field path or the failing identity."""
 
 
-def _require(obj, key, kind, path, default=None):
-    """obj[key], which must be a `kind`; `default` if absent and given."""
+def _shape_fault(val, shape) -> str | None:
+    """None if val has `shape`: a JSON type, matched exactly (a `bool` is
+    not an `int`), or [shape] for a list of that shape.  Otherwise the
+    first fault, as "[i]...: expected <type>, got <type>"."""
+    kind = list if type(shape) is list else shape
+    if type(val) is not kind:
+        return f": expected {kind.__name__}, got {type(val).__name__}"
+    # a list of one type is checked in one pass; rows, and faults, by item
+    if kind is not shape and (type(shape[0]) is list
+                              or set(map(type, val)) - {shape[0]}):
+        for i, item in enumerate(val):
+            fault = _shape_fault(item, shape[0])
+            if fault:
+                return f"[{i}]{fault}"
+    return None
+
+
+def _require(obj, key, shape, path, default=None):
+    """obj[key], which must have `shape`; `default` if absent and given."""
     if not isinstance(obj, dict) or key not in obj and default is None:
         raise DatasetError(f"{path}: missing field {key!r}")
     val = obj.get(key, default)
-    if not isinstance(val, kind):
-        raise DatasetError(f"{path}.{key}: expected {kind.__name__}, "
-                           f"got {type(val).__name__}")
+    if type(val) is not shape:  # a list shape, or a fault
+        fault = _shape_fault(val, shape)
+        if fault:
+            raise DatasetError(f"{path}.{key}{fault}")
     return val
-
-
-def _rows(obj, key, path) -> list[list]:
-    """obj[key], which must be a list of lists."""
-    rows = _require(obj, key, list, path)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise DatasetError(f"{path}.{key}[{i}]: expected list, got "
-                               f"{type(row).__name__}")
-    return rows
 
 
 _ATOM = re.compile(r"E\s*\(\s*(\d+)")
 
 
-def _parse_value(expr, path, ambient: int, parsed: dict) -> CycloNum:
-    """Parse one value; every E(n) must lie in Q(zeta_ambient), which is
-    checked before any arithmetic in Q(zeta_n) is set up; `parsed` holds
-    this load's parsed strings."""
-    if not isinstance(expr, str):
-        raise DatasetError(f"{path}: cyclotomic values must be strings")
-    for atom in _ATOM.finditer(expr):
-        n = int(atom.group(1))
-        if n and ambient % n:
-            raise DatasetError(f"{path}: E({n}) does not lie in the declared "
-                               f"ambient Q(zeta_{ambient})")
-    if expr not in parsed:
-        try:
-            parsed[expr] = parse_cyclo(expr)
-        except CycloParseError as ex:
-            raise DatasetError(f"{path}: {ex}") from ex
-    return parsed[expr]
+def _parse_values(rows, path, ambient: int,
+                  parsed: dict) -> list[list[CycloNum]]:
+    """Parse a matrix of values; every E(n) must lie in Q(zeta_ambient),
+    which is checked before any arithmetic in Q(zeta_n) is set up.  `parsed`
+    holds this load's parsed strings (one ambient), each checked once."""
+    for i, row in enumerate(rows):
+        for j, expr in enumerate(row):
+            if expr in parsed:
+                continue
+            for atom in _ATOM.finditer(expr):
+                n = int(atom.group(1))
+                if n and ambient % n:
+                    raise DatasetError(f"{path}[{i}][{j}]: E({n}) does not "
+                                       f"lie in the declared ambient "
+                                       f"Q(zeta_{ambient})")
+            try:
+                parsed[expr] = parse_cyclo(expr)
+            except CycloParseError as ex:
+                raise DatasetError(f"{path}[{i}][{j}]: {ex}") from ex
+    return [[parsed[expr] for expr in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -344,10 +356,11 @@ def _parse_classes(raw, path, group_order) -> list[ClassData]:
             raise DatasetError(f"{cpath}: size and order must be positive")
         pm_raw = _require(obj, "powermaps", dict, cpath)
         power_maps = {}
-        for key, idx in pm_raw.items():
+        for key in pm_raw:
             q = _prime_key(key, f"{cpath}.powermaps")
-            if not isinstance(idx, int) or not (0 <= idx < len(raw)):
-                raise DatasetError(f"{cpath}.powermaps.{key}: bad class index {idx!r}")
+            idx = _require(pm_raw, key, int, f"{cpath}.powermaps")
+            if not 0 <= idx < len(raw):
+                raise DatasetError(f"{cpath}.powermaps.{key}: bad class index {idx}")
             power_maps[q] = idx
         classes.append(ClassData(name, size, order, power_maps))
     if sum(c.size for c in classes) != group_order:
@@ -357,13 +370,14 @@ def _parse_classes(raw, path, group_order) -> list[ClassData]:
 
 
 def _prime_key(key: str, path: str) -> int:
-    """A JSON object key naming a prime."""
+    """A JSON object key naming a prime in plain decimal ("02" is not 2)."""
     try:
         q = int(key)
     except ValueError:
         raise DatasetError(f"{path}: non-integer prime {key!r}") from None
-    if q < 2:
-        raise DatasetError(f"{path}: key {key!r} is not a prime")
+    if q < 2 or key != str(q):
+        raise DatasetError(f"{path}: key {key!r} is not a prime in plain "
+                           f"decimal")
     return q
 
 
@@ -437,12 +451,8 @@ def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
     if order % exponent != 0:
         raise DatasetError(f"{path}.exponent: {exponent} does not divide the "
                            f"group order {order}")
-    irr_raw = _rows(obj, "irreducibles", path)
-    irreducibles = [
-        [_parse_value(expr, f"{path}.irreducibles[{i}][{j}]", ambient, parsed)
-         for j, expr in enumerate(row)]
-        for i, row in enumerate(irr_raw)
-    ]
+    irreducibles = _parse_values(_require(obj, "irreducibles", [[str]], path),
+                                 f"{path}.irreducibles", ambient, parsed)
     table = CharTable(name, order, exponent, classes, irreducibles)
     _validate_table(table, path)
     return table
@@ -450,49 +460,47 @@ def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
 
 def _parse_prime_block(table: CharTable, obj, p: int, path: str,
                        ambient: int, parsed: dict):
-    regular = _require(obj, "regular_classes", list, path)
-    for i, c in enumerate(regular):
-        if not isinstance(c, int):
-            raise DatasetError(f"{path}.regular_classes[{i}]: bad class "
-                               f"index {c!r}")
+    regular = _require(obj, "regular_classes", [int], path)
     want_regular = [i for i, c in enumerate(table.classes)
                     if c.element_order % p != 0]
     if sorted(regular) != want_regular:
         raise DatasetError(f"{path}.regular_classes: got {regular}, the p-regular "
                            f"classes are {want_regular}")
-    ibr_raw = _rows(obj, "ibr", path)
-    ibr = [[_parse_value(expr, f"{path}.ibr[{i}][{j}]", ambient, parsed)
-            for j, expr in enumerate(row)] for i, row in enumerate(ibr_raw)]
-    dec = _rows(obj, "decomposition", path)
+    ibr = _parse_values(_require(obj, "ibr", [[str]], path), f"{path}.ibr",
+                        ambient, parsed)
+    dec = _require(obj, "decomposition", [[int]], path)
     for i, row in enumerate(dec):
         if len(row) != len(ibr):
             raise DatasetError(f"{path}.decomposition[{i}]: expected "
                                f"{len(ibr)} columns")
         for j, e in enumerate(row):
-            if not isinstance(e, int) or e < 0:
+            if e < 0:
                 raise DatasetError(f"{path}.decomposition[{i}][{j}]: entries must "
-                                   f"be non-negative integers, got {e!r}")
-    block_of_irr = _require(obj, "block_of_irr", list, path)
-    block_of_ibr = _require(obj, "block_of_ibr", list, path)
+                                   f"be non-negative, got {e}")
+    block_of_irr = _require(obj, "block_of_irr", [str], path)
+    block_of_ibr = _require(obj, "block_of_ibr", [str], path)
     if len(block_of_irr) != table.num_classes or len(block_of_ibr) != len(ibr):
         raise DatasetError(f"{path}: block label lists have wrong lengths")
-    bd = _blocks.BrauerData(p=p, regular_classes=list(regular), ibr=ibr,
-                            decomposition=[list(r) for r in dec],
-                            block_of_irr=list(block_of_irr),
-                            block_of_ibr=list(block_of_ibr))
+    bd = _blocks.BrauerData(p=p, regular_classes=regular, ibr=ibr,
+                            decomposition=dec, block_of_irr=block_of_irr,
+                            block_of_ibr=block_of_ibr)
     _blocks.validate_brauer(table, bd, path)
     return bd
 
 
-def _parse_group(obj, path: str, ambient: int, parsed: dict) -> GroupDataset:
-    """A table plus its Brauer data at each prime, without sections."""
+def _parse_group(obj, path: str, ambient: int, parsed: dict,
+                 sections=False) -> GroupDataset:
+    """A table plus its Brauer data at each prime, and with `sections` the
+    p-sections listed there (only a file's top-level group has them)."""
     table = _parse_table(obj, path, ambient, parsed)
     ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
     for key, pobj in _require(obj, "primes", dict, path, {}).items():
-        q = _prime_key(key, f"{path}.primes")
-        bd = _parse_prime_block(table, pobj, q, f"{path}.primes.{key}",
-                                ambient, parsed)
+        q, ppath = _prime_key(key, f"{path}.primes"), f"{path}.primes.{key}"
+        bd = _parse_prime_block(table, pobj, q, ppath, ambient, parsed)
         ds.primes[q] = PrimeData(brauer=bd, sections=[])
+        if sections:
+            ds.primes[q].sections = _parse_sections(ds, pobj, q, ppath,
+                                                    ambient, parsed)
     return ds
 
 
@@ -501,11 +509,10 @@ def _block_map(obj, path: str, source: GroupDataset, target: GroupDataset,
     """A correspondence of p-block labels, read from obj's optional
     "correspondent_block": each key names a block of `source` and each value
     one of `target`."""
-    mapping = obj.get("correspondent_block", {})
+    mapping = _require(obj, "correspondent_block", dict, path, {})
     path += ".correspondent_block"
-    if not isinstance(mapping, dict):
-        raise DatasetError(f"{path}: expected an object")
-    for key, val in mapping.items():
+    for key in mapping:
+        val = _require(mapping, key, str, path)
         for label, ds in ((key, source), (val, target)):
             if p not in ds.primes or label not in ds.brauer(p).block_of_irr:
                 raise DatasetError(f"{path}.{key}: {ds.name} has no block "
@@ -521,23 +528,36 @@ def _parse_section(ds: GroupDataset, obj, p: int, path: str, ambient: int,
     if p not in cent.primes:
         raise DatasetError(f"{path}.centralizer.primes: missing Brauer data "
                            f"for p={p}")
-    fusion = _require(obj, "fusion", list, path)
-    u_in_centralizer = _require(obj, "u_in_centralizer", int, path)
-    u_times = _require(obj, "u_times", list, path)
     sec = _gendec.SectionData(
-        u_class=u_class, centralizer=cent, fusion=list(fusion),
-        u_in_centralizer=u_in_centralizer, u_times=list(u_times),
+        u_class=u_class, centralizer=cent,
+        fusion=_require(obj, "fusion", [int], path),
+        u_in_centralizer=_require(obj, "u_in_centralizer", int, path),
+        u_times=_require(obj, "u_times", [int], path),
         correspondent_block=_block_map(obj, path, cent, ds, p))
     _gendec.validate_section(ds.table, sec, p, path)
     return sec
+
+
+def _parse_sections(ds: GroupDataset, obj, p: int, path: str, ambient: int,
+                    parsed: dict) -> list:
+    """The p-sections in obj, one per p-element class, in u_class order."""
+    sections = [
+        _parse_section(ds, sobj, p, f"{path}.sections[{i}]", ambient, parsed)
+        for i, sobj in enumerate(_require(obj, "sections", list, path, []))]
+    p_classes = [i for i, c in enumerate(ds.table.classes)
+                 if p_part(c.element_order, p) == c.element_order]
+    if sorted(s.u_class for s in sections) != p_classes:
+        raise DatasetError(f"{path}.sections: need exactly one section per "
+                           f"p-element class {p_classes}")
+    return sorted(sections, key=lambda s: s.u_class)
 
 
 def _validate_fusion(sub: CharTable, amb: CharTable, fusion, path: str):
     if len(fusion) != sub.num_classes:
         raise DatasetError(f"{path}: expected {sub.num_classes} entries")
     for c, target in enumerate(fusion):
-        if not isinstance(target, int) or not (0 <= target < amb.num_classes):
-            raise DatasetError(f"{path}[{c}]: bad ambient class index {target!r}")
+        if not 0 <= target < amb.num_classes:
+            raise DatasetError(f"{path}[{c}]: bad ambient class index {target}")
         # so the identity, the one class of order 1, fuses to the identity
         if sub.classes[c].element_order != amb.classes[target].element_order:
             raise DatasetError(f"{path}[{c}]: fusion does not preserve element "
@@ -577,41 +597,28 @@ def load_dataset(path) -> GroupDataset:
         raise DatasetError(f"{root}.exponent: {exponent} is not the declared "
                            f"ambient order {ambient}")
     parsed = {}  # value string -> CycloNum, for this load only
-    ds = _parse_group(raw, root, ambient, parsed)
-    for key, pobj in raw.get("primes", {}).items():
-        p, ppath = int(key), f"{root}.primes.{key}"
-        sections = [
-            _parse_section(ds, sobj, p, f"{ppath}.sections[{i}]", ambient,
-                           parsed)
-            for i, sobj in enumerate(_require(pobj, "sections", list, ppath, []))
-        ]
-        p_classes = sorted(i for i, c in enumerate(ds.table.classes)
-                           if p_part(c.element_order, p) == c.element_order)
-        if sorted(s.u_class for s in sections) != p_classes:
-            raise DatasetError(f"{ppath}.sections: need exactly one section per "
-                               f"p-element class {p_classes}")
-        ds.primes[p].sections = sorted(sections, key=lambda s: s.u_class)
+    ds = _parse_group(raw, root, ambient, parsed, sections=True)
     for i, sobj in enumerate(_require(raw, "subgroups", list, root, [])):
         spath = f"{root}.subgroups[{i}]"
         name = _require(sobj, "name", str, spath)
-        fusion = _require(sobj, "fusion", list, spath)
+        fusion = _require(sobj, "fusion", [int], spath)
         sub_primes_meta = _require(sobj, "primes", dict, spath, {})
         sub = _parse_group(_require(sobj, "table", dict, spath),
                            f"{spath}.table", ambient, parsed)
         _validate_fusion(sub.table, ds.table, fusion, f"{spath}.fusion")
-        emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=list(fusion))
-        for key, meta in sub_primes_meta.items():
+        emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=fusion)
+        for key in sub_primes_meta:
             q = _prime_key(key, f"{spath}.primes")
-            if not isinstance(meta, dict):
-                raise DatasetError(f"{spath}.primes.{key}: expected an object")
+            meta = _require(sub_primes_meta, key, dict, f"{spath}.primes")
+            qpath = f"{spath}.primes.{key}"
             if q not in sub.primes:
-                raise DatasetError(f"{spath}.primes.{key}: subgroup table has no "
+                raise DatasetError(f"{qpath}: subgroup table has no "
                                    f"Brauer data at p={q}")
             emb.primes[q] = SubgroupPrimeInfo(
-                correspondent_block=_block_map(meta, f"{spath}.primes.{key}",
-                                               ds, sub, q),
-                ti=bool(meta.get("ti", False)),
-                cyclic_defect=bool(meta.get("cyclic_defect", False)))
+                correspondent_block=_block_map(meta, qpath, ds, sub, q),
+                ti=_require(meta, "ti", bool, qpath, False),
+                cyclic_defect=_require(meta, "cyclic_defect", bool, qpath,
+                                       False))
         ds.subgroups.append(emb)
     return ds
 

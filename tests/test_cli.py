@@ -31,6 +31,10 @@ class TestValidate:
     @pytest.mark.parametrize("where,key,message", [
         ("top", "x2", "C4.json.primes: non-integer prime 'x2'"),
         ("top", "1", "C4.json.primes: key '1' is not a prime"),
+        ("top", "02", "C4.json.primes: key '02' is not a prime in plain "
+         "decimal"),
+        ("top", "0_5", "C4.json.primes: key '0_5' is not a prime in plain "
+         "decimal"),
         ("centralizer", "x2",
          "C4.json.primes.2.sections[0].centralizer.primes: non-integer"),
     ])
@@ -104,7 +108,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("where,value,message", [
         (("subgroups", 0, "primes", "5"), ["B0"],
-         "A5.json.subgroups[0].primes.5: expected an object"),
+         "A5.json.subgroups[0].primes.5: expected dict, got list"),
         (("primes", "5", "sections"), 5,
          "A5.json.primes.5.sections: expected list, got int"),
         (("subgroups",), {}, "A5.json.subgroups: expected list, got dict"),
@@ -116,9 +120,9 @@ class TestValidate:
         (("primes", "2", "sections", 1, "u_class"), -1,
          "A5.json.primes.2.sections[1].u_class: bad class index -1"),
         (("primes", "2", "sections", 1, "u_times", 0), "x",
-         "A5.json.primes.2.sections[1].u_times[0]: bad class index 'x'"),
+         "A5.json.primes.2.sections[1].u_times[0]: expected int, got str"),
         (("primes", "2", "sections", 1, "u_times", 0), 1.5,
-         "A5.json.primes.2.sections[1].u_times[0]: bad class index 1.5"),
+         "A5.json.primes.2.sections[1].u_times[0]: expected int, got float"),
         (("primes", "5", "ibr", 1, 1), "1/2*E(5)",
          "A5.json.primes.5.ibr[1][1]: value 1/2*E(5) is not an algebraic "
          "integer"),
@@ -126,18 +130,23 @@ class TestValidate:
          "A5.json.primes.5: decomposition row 1 does not reproduce the "
          "character value on regular class 1"),
         (("primes", "5", "regular_classes", 1), "x",
-         "A5.json.primes.5.regular_classes[1]: bad class index 'x'"),
+         "A5.json.primes.5.regular_classes[1]: expected int, got str"),
         (("primes", "5", "decomposition", 0), 5,
          "A5.json.primes.5.decomposition[0]: expected list, got int"),
         (("primes", "5", "ibr", 0), 5,
          "A5.json.primes.5.ibr[0]: expected list, got int"),
         (("irreducibles", 0), 5,
          "A5.json.irreducibles[0]: expected list, got int"),
+        (("subgroups", 0, "primes", "5", "ti"), "no",
+         "A5.json.subgroups[0].primes.5.ti: expected bool, got str"),
+        (("primes", "2", "block_of_irr", 0), [1],
+         "A5.json.primes.2.block_of_irr[0]: expected str, got list"),
     ], ids=["subgroup-primes-list", "sections-int", "subgroups-object",
             "non-integral-value", "u-class-out-of-range", "u-class-negative",
             "u-times-string", "u-times-float", "non-integral-ibr-value",
             "corrupted-ibr-row", "regular-class-string", "decomposition-row-int",
-            "ibr-row-int", "irreducibles-row-int"])
+            "ibr-row-int", "irreducibles-row-int", "ti-string",
+            "block-label-list"])
     def test_mistyped_field_is_data_error(self, tmp_path, capsys, where,
                                           value, message):
         corpus = tmp_path / "data"
@@ -152,6 +161,36 @@ class TestValidate:
         code, _ = invoke("validate", "--corpus", str(corpus))
         assert code == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    # one field of each integer kind in A5.json; a 0 or 1 becomes the equal
+    # JSON boolean, which an isinstance(v, int) check would accept
+    @pytest.mark.parametrize("where", [
+        ("format",), ("ambient",), ("exponent",), ("classes", 0, "order"),
+        ("classes", 0, "size"), ("classes", 1, "powermaps", "3"),
+        ("primes", "2", "regular_classes", 0),
+        ("primes", "2", "decomposition", 0, 0),
+        ("primes", "2", "sections", 0, "u_class"),
+        ("primes", "2", "sections", 0, "u_in_centralizer"),
+        ("primes", "2", "sections", 0, "u_times", 1),
+        ("subgroups", 0, "fusion", 0),
+        ("primes", "2", "sections", 0, "centralizer", "order"),
+    ], ids=lambda where: "-".join(map(str, where)))
+    def test_boolean_in_integer_field_is_data_error(self, tmp_path, capsys,
+                                                    where):
+        data = json.loads((default_corpus_dir() / "A5.json").read_text())
+        holder = data
+        for key in where[:-1]:
+            holder = holder[key]
+        value = holder[where[-1]]
+        holder[where[-1]] = bool(value) if value in (0, 1) else True
+        (tmp_path / "A5.json").write_text(json.dumps(data))
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"groups": [{"file": "A5.json"}]}))
+        code, _ = invoke("validate", "--corpus", str(tmp_path))
+        assert code == EXIT_DATA
+        path = "A5.json" + "".join(f"[{k}]" if isinstance(k, int) else
+                                   f".{k}" for k in where)
+        assert f"{path}: expected int, got bool" in capsys.readouterr().err
 
     @pytest.mark.parametrize("table,changes,message", [
         ((), {("ambient",): 8}, "C4.json.exponent: 4 is not the declared "
@@ -214,7 +253,7 @@ class TestValidate:
         ("section", {"B9": "B0"}, "A5.json.primes.5.sections[1]."
          "correspondent_block.B9: C_A5(5a) has no block 'B9' at p=5"),
         ("section", ["B0"], "A5.json.primes.5.sections[1]."
-         "correspondent_block: expected an object"),
+         "correspondent_block: expected dict, got list"),
     ], ids=["subgroup-value", "subgroup-key", "section-value", "section-key",
             "section-list"])
     def test_unknown_correspondent_block_is_data_error(
@@ -454,7 +493,8 @@ class TestIsometry:
         assert "one object from the list" in capsys.readouterr().err
 
     MALFORMED = {
-        "missing prime": (lambda c: c["source"].pop("prime"), "source.prime"),
+        "missing prime": (lambda c: c["source"].pop("prime"),
+                          "certificate.source: missing field 'prime'"),
         "bool prime": (lambda c: c["target"].update(prime=True),
                        "target.prime"),
         "string prime": (lambda c: c["target"].update(prime="5"),
@@ -463,16 +503,19 @@ class TestIsometry:
         "null block": (lambda c: c["target"].update(block=None),
                        "target.block"),
         "string side": (lambda c: c.update(source="A5:5:B0"),
-                        "certificate source"),
-        "missing side": (lambda c: c.pop("target"), "certificate target"),
+                        "certificate.source: expected dict, got str"),
+        "missing side": (lambda c: c.pop("target"),
+                         "certificate: missing field 'target'"),
         "string sign": (lambda c: c["signs"].__setitem__(1, "-1"),
-                        "certificate signs"),
+                        "certificate.signs[1]: expected int, got str"),
         "bool sign": (lambda c: c["signs"].__setitem__(1, True),
-                      "certificate signs"),
+                      "certificate.signs[1]: expected int, got bool"),
         "string permutation": (lambda c: c.update(permutation="0123"),
-                               "certificate permutation"),
+                               "certificate.permutation: expected list, "
+                               "got str"),
         "float index": (lambda c: c["permutation"].__setitem__(0, 0.0),
-                        "certificate permutation"),
+                        "certificate.permutation[0]: expected int, got "
+                        "float"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -492,7 +535,8 @@ class TestIsometry:
         cert_file.write_text('"A5:5:B0"')
         code, _ = invoke("isometry-check", str(cert_file))
         assert code == EXIT_DATA
-        assert "JSON object" in capsys.readouterr().err
+        assert "certificate: expected dict, got str" in \
+            capsys.readouterr().err
 
     def test_bound_exceeded(self):
         code, _ = invoke("isometry-search", "A5:5:B0", "D10:5:B0",
