@@ -10,7 +10,7 @@ results once per dataset and prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -22,28 +22,29 @@ class BlockError(ValueError):
     pass
 
 
-@dataclass
 class BrauerData:
-    """Modular character data at a prime p, ingested with the dataset."""
+    """Modular character data at a prime p, ingested with the dataset:
+    `regular_classes`, the class indices of the p-regular classes; `ibr`,
+    rows IBr and columns `regular_classes`; `decomposition`, rows Irr and
+    columns IBr; and the block labels of Irr and of IBr."""
 
-    p: int
-    regular_classes: list[int]          # class indices of p-regular classes
-    ibr: list[list[CycloNum]]           # rows = IBr, columns = regular_classes
-    decomposition: list[list[int]]      # rows = Irr, columns = IBr
-    block_of_irr: list[str]
-    block_of_ibr: list[str]
+    def __init__(self, p: int, regular_classes: list[int],
+                 ibr: list[list[CycloNum]], decomposition: list[list[int]],
+                 block_of_irr: list[str], block_of_ibr: list[str]):
+        self.p, self.regular_classes, self.ibr = p, regular_classes, ibr
+        self.decomposition = decomposition
+        self.block_of_irr, self.block_of_ibr = block_of_irr, block_of_ibr
 
     @property
     def num_ibr(self) -> int:
         return len(self.ibr)
 
 
-@dataclass(frozen=True)
-class Block:
-    id: str
-    irr_indices: frozenset[int]
-    ibr_indices: frozenset[int]
-    defect: int
+class Block(namedtuple("Block", "id irr_indices ibr_indices defect")):
+    """A p-block: its label, its Irr and IBr indices as frozensets, and its
+    defect."""
+
+    __slots__ = ()
 
 
 def validate_brauer(table, bd: BrauerData, path: str):

@@ -8,7 +8,6 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 bad data,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -83,6 +82,7 @@ def _emit(opts, header: list[str], rows: list[list], out) -> None:
         json.dump(records, out, indent=2, default=str)
         out.write("\n")
     elif opts.csv:
+        import csv
         writer = csv.writer(out)
         writer.writerow(header)
         for row in rows:
@@ -95,11 +95,17 @@ def _emit(opts, header: list[str], rows: list[list], out) -> None:
                                 for x, w in zip(line, widths)).rstrip() + "\n")
 
 
-def _selection(opts):
-    """(group dataset, prime) pairs matching the --group/--prime filters."""
+def _load(opts) -> dict:
+    """The corpus, in which --group, when given, must name a group."""
     corpus = load_corpus(opts.corpus)
     if opts.group is not None and opts.group not in corpus:
         raise DatasetError(f"no group named {opts.group!r} in the corpus")
+    return corpus
+
+
+def _selection(opts):
+    """(group dataset, prime) pairs matching the --group/--prime filters."""
+    corpus = _load(opts)
     pairs = []
     for name, ds in corpus.items():
         if opts.group is not None and name != opts.group:
@@ -116,7 +122,7 @@ def _selection(opts):
 
 def _cmd_validate(opts, out) -> int:
     rows = []
-    for ds in load_corpus(opts.corpus).values():
+    for ds in _load(opts).values():
         if opts.group in (None, ds.name):
             for p in ds.primes:  # block labels against central characters
                 ds.blocks(p)

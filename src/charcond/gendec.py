@@ -15,7 +15,7 @@ an independent check that pins the system's unique solution.  Callers read
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd, lcm
 
 from .cyclo import CycloNum, nu_p, p_part, sum_products_int
@@ -25,16 +25,19 @@ class GendecError(ValueError):
     pass
 
 
-@dataclass
 class SectionData:
-    """One p-section: the class of u, its centralizer dataset and gluing maps."""
+    """One p-section: the class of u, its centralizer dataset (a
+    `tables.GroupDataset` for C = C_G(u)) and gluing maps: `fusion`, C-class
+    index -> G-class index; `u_in_centralizer`, the class of u in C;
+    `u_times`, C-class of s -> C-class of u*s; `correspondent_block`, C-block
+    id -> G-block id."""
 
-    u_class: int
-    centralizer: "object"               # tables.GroupDataset for C_G(u)
-    fusion: list[int]                   # C-class index -> G-class index
-    u_in_centralizer: int
-    u_times: list[int]                  # C-class of s -> C-class of u*s
-    correspondent_block: dict[str, str]  # C-block id -> G-block id
+    def __init__(self, u_class: int, centralizer, fusion: list[int],
+                 u_in_centralizer: int, u_times: list[int],
+                 correspondent_block: dict[str, str]):
+        self.u_class, self.centralizer = u_class, centralizer
+        self.fusion, self.u_in_centralizer = fusion, u_in_centralizer
+        self.u_times, self.correspondent_block = u_times, correspondent_block
 
 
 def validate_section(table, sec: SectionData, p: int, path: str):
@@ -76,14 +79,12 @@ def validate_section(table, sec: SectionData, p: int, path: str):
         raise DatasetError(f"{path}.u_times: not injective on p-regular classes")
 
 
-@dataclass
-class GendecMatrix:
-    """All numbers d^u_{chi,phi} at one prime, keyed by (u_class, phi index)."""
+class GendecMatrix(namedtuple("GendecMatrix", "p columns entries")):
+    """All numbers d^u_{chi,phi} at one prime, keyed by (u_class, phi index):
+    `columns` lists the (u_class, IBr(C_G(u)) index) keys, and
+    entries[(u_class, phi)] is that column over Irr(G)."""
 
-    p: int
-    columns: list[tuple[int, int]]             # (u_class, IBr(C_G(u)) index)
-    entries: dict[tuple[int, int], list[CycloNum]] = field(default_factory=dict)
-    # entries[(u_class, phi)] is the column over Irr(G)
+    __slots__ = ()
 
     def section_row(self, chi: int, u_class: int) -> list[CycloNum]:
         cols = [c for c in self.columns if c[0] == u_class]
@@ -116,7 +117,7 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     sections = ds.sections(p)
     if not sections:
         raise GendecError(f"{ds.name}: no section data at p={p}")
-    gm = GendecMatrix(p=p, columns=[])
+    gm = GendecMatrix(p, [], {})
     ident = table.identity_class
     for sec in sections:
         cent, bd = sec.centralizer.table, sec.centralizer.brauer(p)

@@ -22,7 +22,7 @@ only which candidates are checked, never which pass.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import factorial, lcm
 
 from . import linalg
@@ -36,26 +36,23 @@ class IsometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockRef:
-    dataset: GroupDataset
-    prime: int
-    block: Block
+class BlockRef(namedtuple("BlockRef", "dataset prime block")):
+    """A `Block` of a `GroupDataset` at a prime."""
+
+    __slots__ = ()
 
     @property
     def irrs(self) -> tuple[int, ...]:
         return tuple(sorted(self.block.irr_indices))
 
 
-@dataclass(frozen=True)
-class IsometryCandidate:
-    """Signed bijection: source character at position k maps to
-    signs[k] times the target character at position permutation[k]."""
+class IsometryCandidate(namedtuple("IsometryCandidate",
+                                   "source target permutation signs")):
+    """Signed bijection between two `BlockRef`s: source character at
+    position k maps to signs[k] times the target character at position
+    permutation[k]."""
 
-    source: BlockRef
-    target: BlockRef
-    permutation: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -68,14 +65,17 @@ class IsometryCandidate:
         }
 
 
-@dataclass
 class PerfectionReport:
-    is_isometry: bool
-    integrality_ok: bool
-    separation_ok: bool
-    conductor_preserved: bool | None = None
-    l0_preserved: bool | None = None
-    witnesses: list = field(default_factory=list)
+    """What `check_perfection` found.  `conductor_preserved` and
+    `l0_preserved` stay None unless witnesses are collected."""
+
+    def __init__(self, is_isometry: bool, integrality_ok: bool,
+                 separation_ok: bool):
+        self.is_isometry = is_isometry
+        self.integrality_ok, self.separation_ok = integrality_ok, separation_ok
+        self.conductor_preserved: bool | None = None
+        self.l0_preserved: bool | None = None
+        self.witnesses: list = []
 
     @property
     def perfect(self) -> bool:

@@ -14,7 +14,7 @@ value is an integer sum of table rows and one reduction mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cyclo import CycloError, CycloNum, cyclotomic_poly, p_part
@@ -64,12 +64,11 @@ def _poly_powmod(a, e, mod, p):
     return result
 
 
-@dataclass(frozen=True)
-class PrimeFieldElem:
-    """Element of F_{p^f}: coefficient vector modulo the field's modulus."""
+class PrimeFieldElem(namedtuple("PrimeFieldElem", "field coords")):
+    """Element of F_{p^f}: coefficient vector modulo the field's modulus.
+    `field` is its `ResidueMap`, compared by identity."""
 
-    field: "ResidueMap"
-    coords: tuple[int, ...]
+    __slots__ = ()
 
     def _check_field(self, other: "PrimeFieldElem"):
         if self.field is not other.field:
@@ -95,16 +94,24 @@ class PrimeFieldElem:
         return any(self.coords)
 
 
-@dataclass(frozen=True, eq=False)
 class ResidueMap:
-    """Ring homomorphism Z[zeta_N] -> F_{p^f} with zeta_{p^a} -> 1."""
+    """Ring homomorphism Z[zeta_N] -> F_{p^f} with zeta_{p^a} -> 1, for a
+    `modulus` of degree f = `field_degree`, monic irreducible over Z/p with
+    ascending coefficients.  `root_image`, x mod modulus, is the image of
+    zeta_{n'}, and `zeta_powers[e]` the coords of zeta_N^e for e < N."""
 
-    ambient_order: int
-    p: int
-    field_degree: int
-    modulus: tuple[int, ...]       # monic irreducible over Z/p, ascending coeffs
-    root_image: "PrimeFieldElem"   # x mod modulus, the image of zeta_{n'}
-    zeta_powers: tuple[tuple[int, ...], ...] = ()  # coords of zeta_N^e, e < N
+    def __init__(self, ambient_order: int, p: int, field_degree: int,
+                 modulus: tuple[int, ...]):
+        self.ambient_order, self.p = ambient_order, p
+        self.field_degree, self.modulus = field_degree, modulus
+        self.root_image = self._elem(_poly_rem([0, 1], modulus, p))
+        # zeta_N = zeta_{p^a}^c * zeta_{n'}^d with d * p^a = 1 mod n'
+        pa = p_part(ambient_order, p)
+        step = self.root_image ** pow(pa, -1, ambient_order // pa)
+        powers = [self.one]
+        for _ in range(ambient_order - 1):
+            powers.append(powers[-1] * step)
+        self.zeta_powers = tuple(x.coords for x in powers)
 
     def _elem(self, coeffs: list[int]) -> PrimeFieldElem:
         coeffs = list(coeffs) + [0] * (self.field_degree - len(coeffs))
@@ -143,16 +150,7 @@ def build_residue_map(N: int, p: int) -> ResidueMap:
     # exists, since Phi_{n'} mod p is a product of irreducibles of degree f
     modulus = next(tuple(c + [1]) for c in map(digits, range(p ** f))
                    if not _poly_rem(phi, c + [1], p))
-    m = ResidueMap(N, p, f, modulus, None)  # type: ignore[arg-type]
-    root = m._elem(_poly_rem([0, 1], modulus, p))
-    # zeta_N = zeta_{p^a}^c * zeta_{n'}^d with d * p^a = 1 mod n'
-    step = root ** pow(pa, -1, nprime)
-    powers = [m.one]
-    for _ in range(N - 1):
-        powers.append(powers[-1] * step)
-    object.__setattr__(m, "root_image", root)
-    object.__setattr__(m, "zeta_powers", tuple(x.coords for x in powers))
-    return m
+    return ResidueMap(N, p, f, modulus)
 
 
 def reduce_cyclo(m: ResidueMap, a: CycloNum) -> PrimeFieldElem:

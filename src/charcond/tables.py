@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -85,12 +85,12 @@ def _parse_values(rows, path, ambient: int,
     return [[parsed[expr] for expr in row] for row in rows]
 
 
-@dataclass(frozen=True)
-class ClassData:
-    name: str
-    size: int
-    element_order: int
-    power_maps: dict[int, int]   # prime -> class index of g^q
+class ClassData(namedtuple("ClassData",
+                           "name size element_order power_maps")):
+    """One conjugacy class; `power_maps` sends a prime q to the class index
+    of g^q."""
+
+    __slots__ = ()
 
 
 class CharTable:
@@ -257,39 +257,44 @@ def char_conductor(chi: ClassFunction, p: int | None = None) -> int:
 # aggregated dataset model
 
 
-@dataclass
 class SubgroupPrimeInfo:
-    correspondent_block: dict[str, str]   # G-block id -> subgroup block id
-    ti: bool = False
-    cyclic_defect: bool = False
+    """A subgroup's metadata at one prime: `correspondent_block` sends a
+    G-block id to a subgroup block id."""
+
+    def __init__(self, correspondent_block: dict[str, str], ti: bool,
+                 cyclic_defect: bool):
+        self.correspondent_block = correspondent_block
+        self.ti, self.cyclic_defect = ti, cyclic_defect
 
 
-@dataclass
 class SubgroupEmbedding:
-    name: str
-    subgroup: "GroupDataset"
-    fusion: list[int]                     # subgroup class -> ambient class
-    primes: dict[int, SubgroupPrimeInfo] = field(default_factory=dict)
+    """A subgroup dataset with its `fusion`, subgroup class -> ambient class,
+    and its `SubgroupPrimeInfo` per prime in `primes`."""
+
+    def __init__(self, name: str, subgroup: "GroupDataset", fusion: list[int]):
+        self.name, self.subgroup, self.fusion = name, subgroup, fusion
+        self.primes: dict[int, SubgroupPrimeInfo] = {}
 
 
-@dataclass
 class PrimeData:
-    brauer: "object"                      # blocks.BrauerData
-    sections: list["object"]              # gendec.SectionData, in u_class order
-    # blocks, projectives, gendec and Gram forms, each computed on first use
-    derived: dict = field(default_factory=dict, repr=False)
+    """A group's data at one prime: its `blocks.BrauerData`, its
+    `gendec.SectionData` in u_class order, and in `derived` the blocks,
+    projectives, gendec and Gram forms, each computed on first use."""
+
+    def __init__(self, brauer, sections: list):
+        self.brauer, self.sections = brauer, sections
+        self.derived: dict = {}
 
 
-@dataclass
 class GroupDataset:
-    """A validated group.  Nothing mutates it after loading, so what is
+    """A validated group, with its `PrimeData` per prime in `primes` and its
+    `SubgroupEmbedding`s.  Nothing mutates it after loading, so what is
     derived from it at a prime is computed once, held on that `PrimeData`."""
 
-    name: str
-    table: CharTable
-    ambient: int
-    primes: dict[int, PrimeData] = field(default_factory=dict)
-    subgroups: list[SubgroupEmbedding] = field(default_factory=list)
+    def __init__(self, name: str, table: CharTable, ambient: int):
+        self.name, self.table, self.ambient = name, table, ambient
+        self.primes: dict[int, PrimeData] = {}
+        self.subgroups: list[SubgroupEmbedding] = []
 
     def _prime(self, p: int) -> PrimeData:
         if p not in self.primes:
@@ -493,11 +498,11 @@ def _parse_group(obj, path: str, ambient: int, parsed: dict,
     """A table plus its Brauer data at each prime, and with `sections` the
     p-sections listed there (only a file's top-level group has them)."""
     table = _parse_table(obj, path, ambient, parsed)
-    ds = GroupDataset(name=table.group_name, table=table, ambient=ambient)
+    ds = GroupDataset(table.group_name, table, ambient)
     for key, pobj in _require(obj, "primes", dict, path, {}).items():
         q, ppath = _prime_key(key, f"{path}.primes"), f"{path}.primes.{key}"
         bd = _parse_prime_block(table, pobj, q, ppath, ambient, parsed)
-        ds.primes[q] = PrimeData(brauer=bd, sections=[])
+        ds.primes[q] = PrimeData(bd, [])
         if sections:
             ds.primes[q].sections = _parse_sections(ds, pobj, q, ppath,
                                                     ambient, parsed)
@@ -580,14 +585,19 @@ def _read_json(path):
         raise DatasetError(f"{path}: cannot read JSON ({ex})") from ex
 
 
+def _require_format(raw, root: str):
+    """A dataset or manifest must say "format": 1."""
+    fmt = _require(raw, "format", int, root)
+    if fmt != 1:
+        raise DatasetError(f"{root}.format: unsupported format {fmt}")
+
+
 def load_dataset(path) -> GroupDataset:
     """Load and validate one group dataset file."""
     path = Path(path)
     raw = _read_json(path)
     root = path.name
-    fmt = _require(raw, "format", int, root)
-    if fmt != 1:
-        raise DatasetError(f"{root}.format: unsupported format {fmt}")
+    _require_format(raw, root)
     ambient = _require(raw, "ambient", int, root)
     if ambient < 1:
         raise DatasetError(f"{root}.ambient: must be a positive integer, "
@@ -606,7 +616,7 @@ def load_dataset(path) -> GroupDataset:
         sub = _parse_group(_require(sobj, "table", dict, spath),
                            f"{spath}.table", ambient, parsed)
         _validate_fusion(sub.table, ds.table, fusion, f"{spath}.fusion")
-        emb = SubgroupEmbedding(name=name, subgroup=sub, fusion=fusion)
+        emb = SubgroupEmbedding(name, sub, fusion)
         for key in sub_primes_meta:
             q = _prime_key(key, f"{spath}.primes")
             meta = _require(sub_primes_meta, key, dict, f"{spath}.primes")
@@ -632,11 +642,13 @@ def default_corpus_dir() -> Path:
 
 
 def load_manifest(corpus_dir=None) -> dict:
-    """The corpus manifest, whose "groups" entries each name a dataset
-    "file"; the datasets own everything else about their groups."""
+    """The corpus manifest, of "format" 1, whose "groups" entries each name
+    a dataset "file"; the datasets own everything else about their
+    groups."""
     corpus_dir = Path(corpus_dir) if corpus_dir else default_corpus_dir()
     manifest = corpus_dir / "manifest.json"
     raw = _read_json(manifest)
+    _require_format(raw, manifest.name)
     for i, entry in enumerate(_require(raw, "groups", list, manifest.name)):
         _require(entry, "file", str, f"{manifest.name}.groups[{i}]")
     return raw

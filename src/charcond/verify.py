@@ -18,7 +18,6 @@ sums (`virtual_gendec_row`); only a failing record's strings are built as
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -29,23 +28,23 @@ from .tables import (ClassFunction, DatasetError, GroupDataset,
                      SubgroupEmbedding, char_conductor)
 
 
-@dataclass
 class CheckRecord:
-    check: str
-    character: str
-    lhs: object
-    rhs: object
-    witness: object = None
-    passed: bool = True
+    """One check of one character: `lhs` against `rhs`, with a witness."""
+
+    def __init__(self, check: str, character: str, lhs, rhs, witness=None,
+                 passed: bool = True):
+        self.check, self.character = check, character
+        self.lhs, self.rhs = lhs, rhs
+        self.witness, self.passed = witness, passed
 
 
-@dataclass
 class VerificationReport:
-    check_name: str
-    group: str
-    prime: int
-    records: list[CheckRecord] = field(default_factory=list)
-    not_applicable: bool = False
+    """The `CheckRecord`s of one suite on one group at one prime."""
+
+    def __init__(self, check_name: str, group: str, prime: int):
+        self.check_name, self.group, self.prime = check_name, group, prime
+        self.records: list[CheckRecord] = []
+        self.not_applicable = False
 
     @property
     def passed(self) -> bool:

@@ -185,7 +185,7 @@ class TestValidate:
         holder[where[-1]] = bool(value) if value in (0, 1) else True
         (tmp_path / "A5.json").write_text(json.dumps(data))
         (tmp_path / "manifest.json").write_text(
-            json.dumps({"groups": [{"file": "A5.json"}]}))
+            json.dumps({"format": 1, "groups": [{"file": "A5.json"}]}))
         code, _ = invoke("validate", "--corpus", str(tmp_path))
         assert code == EXIT_DATA
         path = "A5.json" + "".join(f"[{k}]" if isinstance(k, int) else
@@ -371,6 +371,16 @@ class TestManifest:
         assert code == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt,message", [
+        (2, "manifest.json.format: unsupported format 2"),
+        (True, "manifest.json.format: expected int, got bool"),
+    ], ids=["2", "true"])
+    def test_manifest_format_must_be_1(self, tmp_path, capsys, fmt, message):
+        corpus = self.with_manifest(tmp_path,
+                                    lambda data: data.update(format=fmt))
+        assert invoke("validate", "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert message in capsys.readouterr().err
+
 
 class TestConductors:
     def test_a5_at_5(self):
@@ -397,6 +407,10 @@ class TestConductors:
     def test_unknown_group_is_data_error(self):
         code, _ = invoke("conductors", "--group", "M11")
         assert code == EXIT_DATA
+
+    def test_validate_unknown_group_is_data_error(self, capsys):
+        assert invoke("validate", "--group", "NOPE") == (EXIT_DATA, "")
+        assert "no group named 'NOPE' in the corpus" in capsys.readouterr().err
 
     def test_uncovered_prime_is_data_error(self):
         code, _ = invoke("conductors", "--group", "A5", "--prime", "7")

@@ -11,6 +11,7 @@ import pytest
 from charcond import isometry as iso
 from charcond.blocks import Block, partition_blocks
 from charcond.cyclo import ZERO, CycloNum, lincomb
+from charcond.residue import build_residue_map, reduce_cyclo
 from charcond.tables import (ClassFunction, default_corpus_dir,
                               inner_product, load_dataset)
 
@@ -425,3 +426,24 @@ class TestCertificates:
         data["target"]["block"] = "B9"
         with pytest.raises(iso.IsometryError):
             iso.candidate_from_json(data, corpus)
+
+
+def test_records_compare_and_hash_by_value(corpus, a5_d10, found):
+    # blocks, residues and certificates are values: equal content is equal
+    # and hashes equal, across separate computations
+    a5 = corpus["A5"]
+    first, second = partition_blocks(a5, 5), partition_blocks(a5, 5)
+    assert first == second and first[0] is not second[0]
+    assert {*first, *second} == set(first)
+
+    m = build_residue_map(20, 5)
+    one, zeta5 = (reduce_cyclo(m, x) for x in (CycloNum.from_rational(1),
+                                               CycloNum.zeta(5)))
+    assert one == zeta5 and hash(one) == hash(zeta5)  # zeta_5 -> 1 at p = 5
+    assert one != reduce_cyclo(build_residue_map(10, 5), CycloNum.zeta(5))
+
+    src, tgt = (iso.block_ref(ref.dataset, ref.prime, ref.block.id)
+                for ref in a5_d10)
+    again = iso.search_perfect_isometries(src, tgt)
+    assert again == found and again[0] is not found[0]
+    assert {*again, *found} == set(found) and len(set(found)) == len(found)
