@@ -68,7 +68,7 @@ def _build_parser() -> _Args:
     search = add("isometry-search", "exhaustive perfect-isometry search")
     search.add_argument("source", metavar="GROUP:P:BLOCK")
     search.add_argument("target", metavar="GROUP:P:BLOCK")
-    search.add_argument("--bound", type=int, default=6,
+    search.add_argument("--bound", type=count, default=6,
                         help="isometry search size bound (default 6)")
     add("isometry-check", "check an isometry certificate file").add_argument(
         "certificate", metavar="FILE")

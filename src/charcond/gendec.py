@@ -86,10 +86,6 @@ class GendecMatrix(namedtuple("GendecMatrix", "p columns entries")):
 
     __slots__ = ()
 
-    def section_row(self, chi: int, u_class: int) -> list[CycloNum]:
-        cols = [c for c in self.columns if c[0] == u_class]
-        return [self.entries[c][chi] for c in cols]
-
 
 def section_values(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
     """chi(us) for s over the p-regular classes of the centralizer, in the

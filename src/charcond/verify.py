@@ -10,9 +10,14 @@ of the a_i vanish (`cyclo.conductor_tests`).  So each side, the Irr columns
 and the d^u columns, is held per dataset and prime as one packed integer
 form per level t and character (`_level_forms`); a record's p-part is the
 first t at which sum a_i * form_i is nonzero, exact at a packing width
-chosen from the a_i.  Projective invariance reads psi's d^u row as integer
-sums (`virtual_gendec_row`); only a failing record's strings are built as
-`CycloNum`.
+chosen from the a_i.  Sampled records take one pass per block
+(`_block_records`): each sampled coordinate lies in [-3, 3], so one width
+serves the whole block, its forms are cut to the block's characters once,
+and each level's sums are taken for all of the block's samples together.
+The samples are the stream of `random.Random(seed).randint(-3, 3)`.
+Projective invariance is linear: adding Phi_j keeps a d^u column exactly
+when Phi_j's own row is zero there, which is held per dataset and prime;
+only a failing record's strings are built as `CycloNum`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .blocks import block_component, block_of
@@ -97,59 +103,70 @@ def _level_tests(ds: GroupDataset, p: int) -> tuple[int, list, dict]:
 
 def _pack(sides, width: int) -> list:
     """Each side's test values as one integer sum w_j * 2^(width*j) per
-    character, at each level with a nonzero value."""
+    character, at each level."""
     def pack(row):
         out = 0
         for w in reversed(row):
             out = (out << width) + w
         return out
-    return [[(t, [pack(row) for row in rows]) for t, rows in levels
-             if any(map(any, rows))] for levels in sides]
+    return [[(t, [pack(row) for row in rows]) for t, rows in levels]
+            for levels in sides]
 
 
-def _level_forms(ds: GroupDataset, p: int, terms) -> list:
+def _level_forms(ds: GroupDataset, p: int, weight: int) -> list:
     """The (Irr, d^u) forms of `_level_tests`, packed at a width w with
-    2^w > sum |a| * (largest |value|) over terms (a, i), held per
-    width: each field of sum a * form_i then lies strictly between -2^w and
-    2^w, so the sum is 0 exactly when every field is."""
+    2^w > weight * (largest |value|), held per width: for coefficients a
+    with sum |a| <= weight, each field of sum a * form_i then lies strictly
+    between -2^w and 2^w, so the sum is 0 exactly when every field is."""
     bound, sides, packed = ds._held(p, "level tests", _level_tests, ds, p)
-    need = (bound * sum(abs(a) for a, _ in terms)).bit_length()
+    need = (bound * weight).bit_length()
     width = 16 * max(1, -(-need // 16))  # the least multiple of 16 >= need
     if width not in packed:
         packed[width] = _pack(sides, width)
     return packed[width]
 
 
-def _max_conductor_p(forms, terms) -> int:
-    """Largest conductor p-part of sum a * x_i over terms (a, i), a != 0,
-    and one side's columns: the first level whose form sum is nonzero."""
-    for t, form in forms:
-        if sum(a * form[i] for a, i in terms):
-            return t
-    return 1
+def _p_parts(ds: GroupDataset, p: int, irrs, rows, weight: int) -> list:
+    """Per side (Irr, d^u), the conductor p-part of sum a_i x_i for each row
+    of coefficients a on the Irr indices irrs, with sum |a| <= weight: each
+    side's forms cut to irrs once, then each level, in ascending t, taken by
+    every row whose form sum is nonzero there, so each keeps the largest."""
+    sides = []
+    for forms in _level_forms(ds, p, weight):
+        parts = [1] * len(rows)
+        for t, form in reversed(forms):
+            cut = [form[i] for i in irrs]
+            if any(cut):
+                parts = [t if sum(map(mul, row, cut)) else c
+                         for row, c in zip(rows, parts)]
+        sides.append(parts)
+    return sides
 
 
 def _conductor_p_parts(ds: GroupDataset, p: int, coords) -> list[int]:
     """The conductor p-parts of psi = sum coords_i chi_i over the Irr
     columns and over its d^u columns."""
-    terms = [(a, i) for i, a in enumerate(coords) if a]
-    return [_max_conductor_p(forms, terms)
-            for forms in _level_forms(ds, p, terms)]
-
-
-def _theorem1_record(ds: GroupDataset, p: int, coords,
-                     label: str) -> CheckRecord:
-    """The conductor p-part of psi = sum coords_i chi_i, over the Irr
-    columns (lhs), against that of its d^u (rhs)."""
-    lhs, rhs = _conductor_p_parts(ds, p, coords)
-    return CheckRecord("conductor-identity", label, lhs, rhs,
-                       passed=(lhs == rhs))
+    irrs = [i for i, a in enumerate(coords) if a]
+    row = [coords[i] for i in irrs]
+    return [s[0] for s in _p_parts(ds, p, irrs, [row], sum(map(abs, row)))]
 
 
 def check_theorem1(ds: GroupDataset, p: int, psi: ClassFunction,
                    label: str = "psi") -> CheckRecord:
-    """c(psi)_p equals the conductor p-part of all its d^u values."""
-    return _theorem1_record(ds, p, psi.integer_coords(), label)
+    """c(psi)_p equals the conductor p-part of all its d^u values: that of
+    psi's Irr columns (lhs) against that of its d^u columns (rhs)."""
+    lhs, rhs = _conductor_p_parts(ds, p, psi.integer_coords())
+    return CheckRecord("conductor-identity", label, lhs, rhs,
+                       passed=(lhs == rhs))
+
+
+def _block_records(ds: GroupDataset, p: int, irrs, draws) -> list:
+    """Theorem 1 records of (label, coordinates on the Irr indices irrs)
+    draws, every coordinate in [-3, 3]: one pass at sum |a| <= 3 |irrs|."""
+    sides = _p_parts(ds, p, irrs, [row for _, row in draws], 3 * len(irrs))
+    return [CheckRecord("conductor-identity", label, lhs, rhs,
+                        passed=(lhs == rhs))
+            for (label, _), lhs, rhs in zip(draws, *sides)]
 
 
 def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
@@ -167,23 +184,32 @@ def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
                        passed=(lhs == best))
 
 
+def _moved_columns(ds: GroupDataset, p: int) -> list:
+    """Per projective Phi_j in IBr order, its first non-ordinary d^u column
+    (in `GendecMatrix.columns` order) with a nonzero entry, or None."""
+    ident = ds.table.identity_class
+    return [next((col for col, (_, vec) in virtual_gendec_row(
+                     ds, p, phi.integer_coords()).items()
+                  if col[0] != ident and any(vec)), None)
+            for phi in ds.projectives(p)]
+
+
 def check_projective_invariance(ds: GroupDataset, p: int,
                                 chi: int) -> CheckRecord:
     """Adding a projective character of chi's block changes neither the
-    non-ordinary d^u rows nor the conductor p-part."""
-    ident = ds.table.identity_class
+    non-ordinary d^u rows nor the conductor p-part.  d^u is linear, so
+    chi + Phi_j keeps a column exactly when Phi_j's row is 0 there."""
     base = ds.table.irreducible(chi).integer_coords()
-    base_row = virtual_gendec_row(ds, p, base)
     base_cond = _conductor_p_parts(ds, p, base)[0]
+    moved = ds._held(p, "moved columns", _moved_columns, ds, p)
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
         psi = [a + b for a, b in zip(base,
                                      ds.projectives(p)[j].integer_coords())]
-        for col, (n, vec) in virtual_gendec_row(ds, p, psi).items():
-            if col[0] != ident and vec != base_row[col][1]:
-                was, now = (str(CycloNum(n, v))
-                            for v in (base_row[col][1], vec))
-                return CheckRecord("projective-invariance", f"chi{chi}",
-                                   was, now, witness=(j, col), passed=False)
+        if (col := moved[j]) is not None:
+            was, now = (str(CycloNum(*virtual_gendec_row(ds, p, c)[col]))
+                        for c in (base, psi))
+            return CheckRecord("projective-invariance", f"chi{chi}",
+                               was, now, witness=(j, col), passed=False)
         cond = _conductor_p_parts(ds, p, psi)[0]
         if cond != base_cond:
             return CheckRecord("projective-invariance", f"chi{chi}",
@@ -311,17 +337,22 @@ def check_restriction_props(ds: GroupDataset, p: int) -> VerificationReport:
 
 def random_virtual_characters(ds: GroupDataset, p: int, count: int,
                               seed: int = 0):
-    """Seeded random elements of ZIrr(B), per block, coordinates in [-3, 3];
-    yields (label, Irr coordinates)."""
-    rng = random.Random(seed)
-    table = ds.table
+    """Seeded random elements of ZIrr(B), `count` per block B of ds at p:
+    yields per block its Irr indices in order and its (label, coordinates on
+    those indices).  The coordinates are the stream of
+    `random.Random(seed).randint(-3, 3)`, drawn as CPython draws it: one
+    getrandbits(3) each, values >= 7 rejected and drawn again."""
+    bits = random.Random(seed).getrandbits
     for b in ds.blocks(p):
-        irrs = sorted(b.irr_indices)
-        for t in range(count):
-            coords = [0] * table.num_classes
-            for i in irrs:
-                coords[i] = rng.randint(-3, 3)
-            yield f"{b.id}-rand{t}", coords
+        irrs, vals = sorted(b.irr_indices), []
+        size = len(irrs)
+        # each value still owed takes at least one draw, so the next
+        # count * size - len(vals) draws all belong to the stream
+        while len(vals) < count * size:
+            vals += [r - 3 for r in map(bits, [3] * (count * size - len(vals)))
+                     if r < 7]
+        yield irrs, [(f"{b.id}-rand{t}", vals[t * size:(t + 1) * size])
+                     for t in range(count)]
 
 
 def theorem1_suite(ds: GroupDataset, p: int, samples: int = 0,
@@ -330,8 +361,8 @@ def theorem1_suite(ds: GroupDataset, p: int, samples: int = 0,
     for chi in range(ds.table.num_classes):
         report.add(check_theorem1(ds, p, ds.table.irreducible(chi),
                                   label=f"chi{chi}"))
-    for label, coords in random_virtual_characters(ds, p, samples, seed):
-        report.add(_theorem1_record(ds, p, coords, label))
+    for irrs, draws in random_virtual_characters(ds, p, samples, seed):
+        report.records.extend(_block_records(ds, p, irrs, draws))
     return report
 
 

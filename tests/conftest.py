@@ -25,6 +25,11 @@ def group_primes(manifest):
             for entry in manifest["groups"] for p in entry["primes"]]
 
 
+def section_row(gm, chi, u_class):
+    """The d^u_{chi,phi} of one section u, in `GendecMatrix.columns` order."""
+    return [gm.entries[c][chi] for c in gm.columns if c[0] == u_class]
+
+
 def _galois_conductor(a):
     """Least d | a.order, d != 2 mod 4, such that a is fixed by every k = 1
     mod d coprime to a.order: the conductor by Galois descent, independent

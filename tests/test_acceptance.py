@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
+from conftest import section_row
+
 from charcond import isometry as iso
 from charcond import verify
 from charcond.blocks import nu_p, partition_blocks
@@ -61,7 +63,7 @@ def test_criterion_03_method_equivalence(corpus, group_primes, capsys,
             for chi in range(ds.table.num_classes):
                 want = [CycloNum.from_rational(e) for e in
                         ds.brauer(p).decomposition[chi]]
-                assert gm.section_row(chi, ident) == want
+                assert section_row(gm, chi, ident) == want
 
 
 def test_criterion_04_round_trip(corpus, group_primes, capsys):
@@ -72,7 +74,7 @@ def test_criterion_04_round_trip(corpus, group_primes, capsys):
             for sec in ds.sections(p):
                 bd = sec.centralizer.brauer(p)
                 for chi in range(ds.table.num_classes):
-                    d_row = gm.section_row(chi, sec.u_class)
+                    d_row = section_row(gm, chi, sec.u_class)
                     want = section_values(ds.table, chi, sec, p)
                     for k in range(len(bd.regular_classes)):
                         got = sum((d_row[j] * bd.ibr[j][k]
@@ -88,11 +90,11 @@ def test_criterion_05_second_main_vanishing(corpus, group_primes, capsys):
         s3, gm = corpus["S3"], corpus["S3"].gendec(2)
         sec = next(s for s in s3.sections(2)
                    if s3.table.classes[s.u_class].element_order == 2)
-        assert all(not v for v in gm.section_row(2, sec.u_class))
+        assert all(not v for v in section_row(gm, 2, sec.u_class))
         a5, gm = corpus["A5"], corpus["A5"].gendec(5)
         for sec in a5.sections(5):
             if a5.table.classes[sec.u_class].element_order == 5:
-                assert all(not v for v in gm.section_row(4, sec.u_class))
+                assert all(not v for v in section_row(gm, 4, sec.u_class))
 
 
 def test_criterion_06_block_partition(corpus, group_primes, capsys):

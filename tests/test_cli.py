@@ -557,6 +557,14 @@ class TestIsometry:
                          "--bound", "3")
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("bound", ["-1", "-7"])
+    def test_negative_bound_is_usage_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as err:
+            run(["isometry-search", "A5:5:B0", "D10:5:B0", "--bound", bound])
+        assert err.value.code == EXIT_USAGE
+        assert f"argument --bound: {bound} is negative" in \
+            capsys.readouterr().err
+
     def test_bad_spec(self):
         code, _ = invoke("isometry-search", "A5", "D10:5:B0")
         assert code == EXIT_DATA

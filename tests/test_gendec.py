@@ -5,6 +5,7 @@ hand-computed small cases."""
 import random
 
 import pytest
+from conftest import section_row
 
 from charcond import tables
 from charcond.cyclo import ZERO, CycloNum, lincomb, p_part
@@ -33,7 +34,7 @@ class TestMethodEquivalence:
             ident = ds.table.identity_class
             want = ds.brauer(p).decomposition
             for chi in range(ds.table.num_classes):
-                row = gm.section_row(chi, ident)
+                row = section_row(gm, chi, ident)
                 assert row == [CycloNum.from_rational(e) for e in want[chi]]
 
     def test_virtual_row_equals_lincomb_row(self, corpus, group_primes):
@@ -73,7 +74,7 @@ class TestRoundTrip:
             for sec in ds.sections(p):
                 bd = sec.centralizer.brauer(p)
                 for chi in range(ds.table.num_classes):
-                    d_row = gm.section_row(chi, sec.u_class)
+                    d_row = section_row(gm, chi, sec.u_class)
                     want = section_values(ds.table, chi, sec, p)
                     for k in range(len(bd.regular_classes)):
                         got = sum((d_row[j] * bd.ibr[j][k]
@@ -102,14 +103,14 @@ class TestVanishing:
         gm = gendec_all(ds, 2)
         sec = next(s for s in ds.sections(2)
                    if ds.table.classes[s.u_class].element_order == 2)
-        assert all(not v for v in gm.section_row(2, sec.u_class))
+        assert all(not v for v in section_row(gm, 2, sec.u_class))
 
     def test_a5_defect0_vanishes_on_5_sections(self, corpus):
         ds = corpus["A5"]
         gm = gendec_all(ds, 5)
         for sec in ds.sections(5):
             if ds.table.classes[sec.u_class].element_order == 5:
-                assert all(not v for v in gm.section_row(4, sec.u_class))
+                assert all(not v for v in section_row(gm, 4, sec.u_class))
 
 
 class TestSmallCases:
@@ -119,7 +120,7 @@ class TestSmallCases:
         gm = gendec_all(ds, 3)
         sec = next(s for s in ds.sections(3)
                    if ds.table.classes[s.u_class].element_order == 3)
-        col = [gm.section_row(chi, sec.u_class) for chi in range(3)]
+        col = [section_row(gm, chi, sec.u_class) for chi in range(3)]
         assert [c[0] for c in col] == \
             [ds.table.irreducibles[chi][sec.u_class] for chi in range(3)]
 

@@ -1,5 +1,6 @@
 """Verification suites for the conductor identities."""
 
+import operator
 import random
 
 import pytest
@@ -26,11 +27,33 @@ def reference_theorem1(ds, p, psi, label):
     return label, lhs, rhs, lhs == rhs
 
 
+def reference_samples(ds, p, count, seed):
+    """The sampler the src draw reproduces: one `randint(-3, 3)` per Irr
+    coordinate of each block; yields (label, Irr coordinates)."""
+    rng = random.Random(seed)
+    for b in ds.blocks(p):
+        for t in range(count):
+            coords = [0] * ds.table.num_classes
+            for i in sorted(b.irr_indices):
+                coords[i] = rng.randint(-3, 3)
+            yield f"{b.id}-rand{t}", coords
+
+
+def sampled(ds, p, count, seed):
+    """`random_virtual_characters` as (label, Irr coordinates) pairs."""
+    for irrs, draws in random_virtual_characters(ds, p, count, seed):
+        for label, row in draws:
+            coords = [0] * ds.table.num_classes
+            for i, a in zip(irrs, row):
+                coords[i] = a
+            yield label, coords
+
+
 def reference_suite(ds, p, samples, seed):
     table = ds.table
     out = [reference_theorem1(ds, p, table.irreducible(chi), f"chi{chi}")
            for chi in range(table.num_classes)]
-    for label, coords in random_virtual_characters(ds, p, samples, seed):
+    for label, coords in reference_samples(ds, p, samples, seed):
         out.append(reference_theorem1(ds, p, virtual_character(table, coords),
                                       label))
     return out
@@ -52,15 +75,42 @@ def reference_max_conductor_p(columns, coords, p):
 def level_sides(ds, p, coords):
     """(Irr, d^u) conductor p-parts of sum coords_i chi_i by the held forms,
     and by the reference."""
-    terms = [(a, i) for i, a in enumerate(coords) if a]
-    return ([verify._max_conductor_p(forms, terms)
-             for forms in verify._level_forms(ds, p, terms)],
+    return (verify._conductor_p_parts(ds, p, coords),
             [reference_max_conductor_p(cols, coords, p)
              for cols in verify._int_columns(ds, p)])
 
 
 def records(report):
     return [(r.character, r.lhs, r.rhs, r.passed) for r in report.records]
+
+
+def reference_projective_invariance(ds, p, chi):
+    """The per-chi path the held moved columns replaced: psi's whole d^u row
+    against chi's for every projective Phi_j of chi's block."""
+    ident = ds.table.identity_class
+    base = ds.table.irreducible(chi).integer_coords()
+    base_row = verify.virtual_gendec_row(ds, p, base)
+    base_cond = verify._conductor_p_parts(ds, p, base)[0]
+    for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
+        psi = [a + b for a, b in zip(base,
+                                     ds.projectives(p)[j].integer_coords())]
+        for col, (n, vec) in verify.virtual_gendec_row(ds, p, psi).items():
+            if col[0] != ident and vec != base_row[col][1]:
+                was, now = (str(CycloNum(n, v))
+                            for v in (base_row[col][1], vec))
+                return ("projective-invariance", f"chi{chi}", was, now,
+                        (j, col), False)
+        cond = verify._conductor_p_parts(ds, p, psi)[0]
+        if cond != base_cond:
+            return ("projective-invariance", f"chi{chi}", base_cond, cond, j,
+                    False)
+    return ("projective-invariance", f"chi{chi}", base_cond, base_cond, None,
+            True)
+
+
+def full_record(rec):
+    return (rec.check, rec.character, rec.lhs, rec.rhs, rec.witness,
+            rec.passed)
 
 
 class TestConductorIdentity:
@@ -80,7 +130,7 @@ class TestConductorIdentity:
 
         def values(seed):
             return [virtual_character(ds.table, coords).values for _, coords
-                    in random_virtual_characters(ds, 5, 5, seed=seed)]
+                    in sampled(ds, 5, 5, seed=seed)]
         a = values(42)
         assert a == values(42)
         assert a != values(43)
@@ -89,6 +139,15 @@ class TestConductorIdentity:
         ds = corpus["A5"]
         rec = check_theorem1(ds, 5, ds.table.irreducible(1))
         assert rec.passed and rec.lhs == rec.rhs == 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 7, 42, 43, 123,
+                                      *range(21, 31)])
+    def test_sampler_draws_the_randint_stream(self, corpus, group_primes,
+                                              seed):
+        for name, p in group_primes:
+            ds = corpus[name]
+            assert list(sampled(ds, p, 30, seed)) == \
+                list(reference_samples(ds, p, 30, seed)), (name, p)
 
 
 class TestIntegerRecords:
@@ -105,7 +164,7 @@ class TestIntegerRecords:
         # psi given by its values only: coordinates come from inner products
         for name, p in group_primes:
             ds = corpus[name]
-            for label, coords in random_virtual_characters(ds, p, 3, seed=5):
+            for label, coords in sampled(ds, p, 3, seed=5):
                 psi = ClassFunction(ds.table,
                                     virtual_character(ds.table, coords).values)
                 rec = check_theorem1(ds, p, psi, label)
@@ -143,6 +202,32 @@ class TestIntegerRecords:
         first = next(r for r in got if not r[3])
         assert first == next(r for r in want if not r[3])
         assert first[2] == p ** 3
+        # the sampled records, one pass per block, see the tampering too
+        failed = [r for r in got[ds.table.num_classes:] if not r[3]]
+        assert failed and all(r[2] == p ** 3 for r in failed)
+
+    def test_block_pass_at_the_packing_bound(self, corpus, group_primes):
+        # every coordinate +3 (or -3, or alternating) makes sum |a| equal
+        # 3 |Irr(B)|, the weight the block's width is chosen for
+        for name, p in group_primes:
+            ds = corpus[name]
+            k = ds.table.num_classes
+            for b in ds.blocks(p):
+                irrs = sorted(b.irr_indices)
+                draws = [(f"{b.id}-{s}", [a * (-1) ** (i * alt)
+                                          for i in range(len(irrs))])
+                         for s, (a, alt) in enumerate(
+                             [(3, 0), (-3, 0), (3, 1), (-3, 1)])]
+                got = [(r.character, r.lhs, r.rhs, r.passed) for r in
+                       verify._block_records(ds, p, irrs, draws)]
+                want = []
+                for label, row in draws:
+                    coords = [0] * k
+                    for i, a in zip(irrs, row):
+                        coords[i] = a
+                    want.append(reference_theorem1(
+                        ds, p, virtual_character(ds.table, coords), label))
+                assert got == want, (name, p, b.id)
 
 
 class TestLevelForms:
@@ -194,11 +279,39 @@ class TestLevelForms:
             def _held(self, p, key, compute, *args):
                 return tests
         tests = (1, [[(4, [[1, 0], [0, 1]])]], {})
-        terms = [(2 ** 16, 0), (-1, 1)]
-        forms = verify._level_forms(Held(), 2, terms)[0]
-        assert verify._max_conductor_p(forms, terms) == 4
-        narrow = verify._pack(tests[1], 16)[0]
-        assert verify._max_conductor_p(narrow, terms) == 1
+        coords = [2 ** 16, -1]
+        assert verify._conductor_p_parts(Held(), 2, coords) == [4]
+        (t, narrow), = verify._pack(tests[1], 16)[0]
+        assert sum(map(operator.mul, coords, narrow)) == 0
+
+    def test_block_width_keeps_fields_apart(self):
+        # at 16 bits, 3 * (2^14 + 0 * 2^16) + (2^14 - 1 * 2^16) = 0; a block
+        # of two characters has sum |a| <= 6, so its width must exceed
+        # 6 * 2^14 > 2^16
+        class Held:
+            def _held(self, p, key, compute, *args):
+                return tests
+        level = [(4, [[2 ** 14, 0], [2 ** 14, -1]])]
+        tests = (2 ** 14, [level, level], {})
+        draws = [("psi", [3, 1])]
+        rec, = verify._block_records(Held(), 2, [0, 1], draws)
+        assert (rec.lhs, rec.rhs, rec.passed) == (4, 4, True)
+        (t, narrow), = verify._pack([level], 16)[0]
+        assert sum(map(operator.mul, [3, 1], narrow)) == 0
+
+    def test_largest_nonzero_level_wins(self):
+        # a test below the conductor reads a slice of x and may be nonzero
+        # too; the corpus has at most one level per column, so pin it here
+        class Held:
+            def _held(self, p, key, compute, *args):
+                return tests
+        levels = [(25, [[1], [0]]), (5, [[1], [1]])]
+        tests = (1, [levels, levels], {})
+        draws = [("a", [1, 0]), ("b", [0, 1]), ("c", [0, 0]), ("d", [1, -1])]
+        got = [(r.lhs, r.rhs) for r in
+               verify._block_records(Held(), 5, [0, 1], draws)]
+        assert got == [(25, 25), (5, 5), (1, 1), (25, 25)]
+        assert verify._conductor_p_parts(Held(), 5, [1, 1]) == [25, 25]
 
 
 class TestConductorMaximum:
@@ -224,6 +337,15 @@ class TestProjectiveInvariance:
         rec = check_projective_invariance(corpus["S3"], 3, 2)
         assert rec.passed
 
+    def test_records_match_the_per_character_reference(self, corpus,
+                                                       group_primes):
+        for name, p in group_primes:
+            ds = corpus[name]
+            for chi in range(ds.table.num_classes):
+                assert full_record(check_projective_invariance(ds, p, chi)) \
+                    == reference_projective_invariance(ds, p, chi), \
+                    (name, p, chi)
+
     def test_tampered_entry_fails_with_the_reference_strings(self):
         # a non-ordinary d^u entry of a character in the support of the
         # first projective, plus 1, before any row is computed
@@ -241,6 +363,9 @@ class TestProjectiveInvariance:
                 for fn in (chi_fn, psi)]
         assert not rec.passed and rec.witness == (j, col)
         assert [rec.lhs, rec.rhs] == want and want[0] != want[1]
+        for k in range(ds.table.num_classes):
+            assert full_record(check_projective_invariance(ds, p, k)) == \
+                reference_projective_invariance(ds, p, k), k
 
 
 class TestRestriction:
