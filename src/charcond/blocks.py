@@ -4,8 +4,9 @@ Blocks are recovered from central-character residues and cross-checked
 against the block labels shipped with each dataset; a mismatch is treated as
 data corruption, not a soft failure.  Brauer data is checked against its
 validated table, on integers in Z[zeta_n], so IBr independence is a count.
-Callers read `GroupDataset.blocks(p)` and `.projectives(p)`, which hold these
-results once per dataset and prime.
+A projective character is held as its Irr coordinates, a column of the
+decomposition matrix.  Callers read `GroupDataset.blocks(p)` and
+`.projectives(p)`, which hold these results once per dataset and prime.
 """
 
 from __future__ import annotations
@@ -145,20 +146,18 @@ def block_of(blocks: list[Block], chi: int) -> Block:
     return next(b for b in blocks if chi in b.irr_indices)
 
 
-def projective_characters(table, bd: BrauerData):
-    """Psi_phi = sum_chi D[chi,phi] chi; each vanishes off the regular classes."""
-    from .tables import virtual_character
-    regular = set(bd.regular_classes)
-    out = []
-    for j in range(bd.num_ibr):
-        psi = virtual_character(table, [drow[j] for drow in bd.decomposition])
-        for c in range(table.num_classes):
-            if c not in regular and psi.values[c]:
-                raise BlockError(
-                    f"projective character {j} of {table.group_name} does not "
-                    f"vanish on the p-singular class {c}")
-        out.append(psi)
-    return out
+def projective_characters(bd: BrauerData) -> list[tuple[int, ...]]:
+    """Psi_phi = sum_chi D[chi,phi] chi, as its Irr coordinates: column phi
+    of D, in IBr order.
+
+    Each Psi_phi vanishes on the p-singular classes, with nothing left to
+    check once the data has loaded: the table's rows are orthogonal and it
+    is square, so its columns are orthogonal too; chi = D * IBr on the
+    p-regular classes, with IBr square and so invertible.  For p-singular g
+    and each p-regular s, 0 = sum_chi chi(g) conj(chi(s)) = sum_phi
+    Psi_phi(g) conj(phi(s)), hence every Psi_phi(g) = 0.
+    """
+    return list(zip(*bd.decomposition))
 
 
 def cartan_matrix(bd: BrauerData) -> list[list[int]]:
@@ -167,10 +166,3 @@ def cartan_matrix(bd: BrauerData) -> list[list[int]]:
     return [[sum(row[i] * row[j] for row in bd.decomposition)
              for j in range(k)] for i in range(k)]
 
-
-def block_component(psi, b: Block):
-    """Truncate a virtual character to its coordinates inside one block."""
-    from .tables import virtual_character
-    coords = psi.integer_coords()
-    masked = [c if i in b.irr_indices else 0 for i, c in enumerate(coords)]
-    return virtual_character(psi.table, masked)

@@ -7,7 +7,9 @@ invertible on those classes (`blocks.validate_brauer`).  Each section takes
 one integer pass at one order N, the lcm of the orders of its values.
 Brauer reciprocity against the projective characters Psi of C gives
 |C| d^u_{chi,phi} = sum_s |s^C| chi(us) Psi_phi(s^-1), whose coordinates must
-be divisible by |C| (the power basis is an integral basis of Z[zeta_N]).
+be divisible by |C| (the power basis is an integral basis of Z[zeta_N]);
+Psi_phi(s^-1) is read off C's Irr values through Psi_phi's Irr coordinates,
+a column of C's decomposition matrix.
 The quotients must then reproduce every chi(us) as that product with IBr(C),
 an independent check that pins the system's unique solution.  Callers read
 `GroupDataset.gendec(p)`, which holds the result once per dataset and prime.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
-from .cyclo import CycloNum, nu_p, p_part, sum_products_int
+from .cyclo import CycloNum, lincomb_int, nu_p, p_part, sum_products_int
 
 
 class GendecError(ValueError):
@@ -123,12 +125,15 @@ def gendec_all(ds, p: int) -> GendecMatrix:
                     for s in bd.regular_classes]
         chi_us = [section_values(table, chi, sec, p)
                   for chi in range(table.num_classes)]
-        psi_inv = [[psi.values[s] for s in inverses]
-                   for psi in sec.centralizer.projectives(p)]
-        n = lcm(*[x.order for rows in (chi_us, psi_inv, bd.ibr)
+        irr_inv = [[row[s] for s in inverses] for row in cent.irreducibles]
+        n = lcm(*[x.order for rows in (chi_us, irr_inv, bd.ibr)
                   for row in rows for x in row])
-        chi_us, psi_inv, ibr = ([[x.int_terms(n) for x in row] for row in rows]
-                                for rows in (chi_us, psi_inv, bd.ibr))
+        chi_us, irr_inv, ibr = ([[x.int_terms(n) for x in row] for row in rows]
+                                for rows in (chi_us, irr_inv, bd.ibr))
+        # Psi_phi(s^-1) = sum_chi D[chi,phi] chi(s^-1) over Irr(C)
+        psi_inv = [[[(e, c) for e, c in enumerate(lincomb_int(n, zip(psi, x)))
+                     if c] for x in zip(*irr_inv)]
+                   for psi in sec.centralizer.projectives(p)]
         weights = [cent.classes[s].size for s in bd.regular_classes]
         rows = []
         for chi, sums in enumerate(_reciprocity(n, weights, chi_us, psi_inv)):

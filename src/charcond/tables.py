@@ -5,7 +5,10 @@ ingested from JSON files and validated eagerly; the toolkit never multiplies
 group elements.  README's "Dataset format" section describes the files
 ("format": 1); `_require` checks every field's JSON type exactly.
 A table's exponent rules are checked before its values are parsed, and its
-orthogonality on integers, in Z[zeta_N] (`_validate_table`).
+orthogonality on integers, in Z[zeta_N] (`_validate_table`).  A subgroup's
+fusion must make each Res chi a virtual character; the load holds those Irr
+coordinates (`SubgroupEmbedding.restriction`).  A `ClassFunction` is a
+virtual character and always holds its integer Irr coordinates.
 """
 
 from __future__ import annotations
@@ -128,37 +131,31 @@ class CharTable:
 
 
 class ClassFunction:
-    """A class function with exact cyclotomic values.
+    """A virtual character: its exact cyclotomic values and `coords`, its
+    integer coordinates over Irr(G).  Its maker gives both, computed from
+    the same data, so neither is recovered from the other."""
 
-    `coords`, its integer coordinates over Irr(G), is passed only where they
-    are true by construction; otherwise inner products recover them."""
-
-    def __init__(self, table: CharTable, values, coords=None):
+    def __init__(self, table: CharTable, values, coords):
         self.table = table
         self.values = tuple(values)
         k = table.num_classes
         if len(self.values) != k:
             raise DatasetError(f"class function on {table.group_name}: "
                                f"{len(self.values)} values for {k} classes")
-        if coords is not None:
-            ints = tuple(int(c) for c in coords)
-            if len(ints) != k or ints != tuple(coords):
-                raise DatasetError(f"class function on {table.group_name}: Irr "
-                                   f"coordinates {coords} are not {k} integers")
-            coords = ints
-        self._coords = coords
+        ints = tuple(int(c) for c in coords)
+        if len(ints) != k or ints != tuple(coords):
+            raise DatasetError(f"class function on {table.group_name}: Irr "
+                               f"coordinates {coords} are not {k} integers")
+        self._coords = ints
 
     def _combine(self, other, op) -> "ClassFunction":
         if self.table is not other.table:
             raise DatasetError(f"cannot combine class functions on "
                                f"{self.table.group_name} and "
                                f"{other.table.group_name}")
-        coords = None
-        if self._coords is not None and other._coords is not None:
-            coords = [op(a, b) for a, b in zip(self._coords, other._coords)]
-        return ClassFunction(self.table,
-                             [op(a, b) for a, b in zip(self.values, other.values)],
-                             coords)
+        return ClassFunction(
+            self.table, [op(a, b) for a, b in zip(self.values, other.values)],
+            [op(a, b) for a, b in zip(self._coords, other._coords)])
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         return self._combine(other, operator.add)
@@ -167,10 +164,8 @@ class ClassFunction:
         return self._combine(other, operator.sub)
 
     def __rmul__(self, k: int) -> "ClassFunction":
-        coords = None
-        if self._coords is not None and isinstance(k, int):
-            coords = [k * c for c in self._coords]
-        return ClassFunction(self.table, [k * v for v in self.values], coords)
+        return ClassFunction(self.table, [k * v for v in self.values],
+                             [k * c for c in self._coords])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
@@ -179,32 +174,8 @@ class ClassFunction:
     def __hash__(self):
         return hash((id(self.table), self.values))
 
-    @cached_property
-    def irr_coords(self) -> tuple[Fraction, ...] | None:
-        """Coordinates over Irr(G) when rational; None otherwise."""
-        if self._coords is not None:
-            return tuple(Fraction(c) for c in self._coords)
-        coords = []
-        for i in range(self.table.num_classes):
-            ip = inner_product(self, self.table.irreducible(i))
-            if not ip.is_rational:
-                return None
-            coords.append(ip.rational_value())
-        return tuple(coords)
-
     def integer_coords(self) -> tuple[int, ...]:
-        if self._coords is not None:
-            return self._coords
-        coords = self.irr_coords
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise DatasetError(
-                f"class function on {self.table.group_name} is not a virtual "
-                f"character (Irr coordinates {coords})")
-        return tuple(int(c) for c in coords)
-
-    def is_virtual_character(self) -> bool:
-        coords = self.irr_coords
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        return self._coords
 
 
 def virtual_character(table: CharTable, coords) -> ClassFunction:
@@ -269,10 +240,13 @@ class SubgroupPrimeInfo:
 
 class SubgroupEmbedding:
     """A subgroup dataset with its `fusion`, subgroup class -> ambient class,
-    and its `SubgroupPrimeInfo` per prime in `primes`."""
+    its `restriction`, row i the Irr coordinates of Res chi_i, and its
+    `SubgroupPrimeInfo` per prime in `primes`."""
 
-    def __init__(self, name: str, subgroup: "GroupDataset", fusion: list[int]):
+    def __init__(self, name: str, subgroup: "GroupDataset", fusion: list[int],
+                 restriction: list[tuple[int, ...]]):
         self.name, self.subgroup, self.fusion = name, subgroup, fusion
+        self.restriction = restriction
         self.primes: dict[int, SubgroupPrimeInfo] = {}
 
 
@@ -318,10 +292,10 @@ class GroupDataset:
         return self._held(p, "blocks", _blocks.partition_blocks, self, p)
 
     def projectives(self, p: int) -> list:
-        """The projective characters at p in IBr order, by
-        `blocks.projective_characters`."""
+        """The projective characters at p in IBr order, as Irr coordinates,
+        by `blocks.projective_characters`."""
         return self._held(p, "projectives", _blocks.projective_characters,
-                          self.table, self.brauer(p))
+                          self.brauer(p))
 
     def gendec(self, p: int):
         """All d^u at p, by `gendec.gendec_all`."""
@@ -575,6 +549,29 @@ def _validate_fusion(sub: CharTable, amb: CharTable, fusion, path: str):
                                f"not divide ambient centralizer order {cent_amb}")
 
 
+def _restriction(sub: CharTable, amb: CharTable, fusion,
+                 path: str) -> list[tuple[int, ...]]:
+    """Row i: the Irr(H) coordinates of Res chi_i, from |H| <Res chi, psi>
+    as one integer sum in Z[zeta_n] per (chi, psi); each must be an integer
+    multiple of |H|, or the fusion is not a restriction."""
+    chis = [[row[t] for t in fusion] for row in amb.irreducibles]
+    n = lcm(*[v.order for row in chis + sub.irreducibles for v in row])
+    chis = [[v.int_terms(n) for v in row] for row in chis]
+    conj = [[[(-e, a) for e, a in v.int_terms(n)] for v in row]
+            for row in sub.irreducibles]
+    sizes, order = [c.size for c in sub.classes], sub.group_order
+    sums = [[sum_products_int(n, zip(sizes, chi, psi)) for psi in conj]
+            for chi in chis]
+    for i, row in enumerate(sums):
+        for j, vec in enumerate(row):
+            if any(vec[1:]) or vec[0] % order:
+                raise DatasetError(
+                    f"{path}: restriction of irreducible {i} is not a "
+                    f"virtual character of {sub.group_name} (coefficient "
+                    f"{CycloNum(n, vec, order)} at irreducible {j})")
+    return [tuple(vec[0] // order for vec in row) for row in sums]
+
+
 def _read_json(path):
     """The JSON document in the file; a file that cannot be read, is not
     UTF-8 or is not JSON is a `DatasetError` naming it."""
@@ -616,7 +613,8 @@ def load_dataset(path) -> GroupDataset:
         sub = _parse_group(_require(sobj, "table", dict, spath),
                            f"{spath}.table", ambient, parsed)
         _validate_fusion(sub.table, ds.table, fusion, f"{spath}.fusion")
-        emb = SubgroupEmbedding(name, sub, fusion)
+        emb = SubgroupEmbedding(name, sub, fusion, _restriction(
+            sub.table, ds.table, fusion, f"{spath}.fusion"))
         for key in sub_primes_meta:
             q = _prime_key(key, f"{spath}.primes")
             meta = _require(sub_primes_meta, key, dict, f"{spath}.primes")

@@ -2,7 +2,9 @@
 
 A failing record here is evidence of corrupted dataset ingredients, not a
 soft condition: the identities are theorems.  Checks read the blocks,
-projectives and d^u a dataset holds per prime (`GroupDataset.blocks` etc.).
+projectives and d^u a dataset holds per prime (`GroupDataset.blocks` etc.);
+a projective is its Irr coordinates, and a restriction's coordinates come
+from the matrix its `SubgroupEmbedding` holds.
 
 Theorem 1 records run on integers.  For a column x of algebraic integers,
 "the conductor p-part of sum a_i x_i is below t" says that Z-linear tests
@@ -28,10 +30,10 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .blocks import block_component, block_of
+from .blocks import block_of
 from .cyclo import CycloNum, conductor_p_int, conductor_tests, lincomb_int
-from .tables import (ClassFunction, DatasetError, GroupDataset,
-                     SubgroupEmbedding, char_conductor)
+from .tables import (ClassFunction, GroupDataset, SubgroupEmbedding,
+                     char_conductor, virtual_character)
 
 
 class CheckRecord:
@@ -189,7 +191,7 @@ def _moved_columns(ds: GroupDataset, p: int) -> list:
     (in `GendecMatrix.columns` order) with a nonzero entry, or None."""
     ident = ds.table.identity_class
     return [next((col for col, (_, vec) in virtual_gendec_row(
-                     ds, p, phi.integer_coords()).items()
+                     ds, p, phi).items()
                   if col[0] != ident and any(vec)), None)
             for phi in ds.projectives(p)]
 
@@ -203,8 +205,7 @@ def check_projective_invariance(ds: GroupDataset, p: int,
     base_cond = _conductor_p_parts(ds, p, base)[0]
     moved = ds._held(p, "moved columns", _moved_columns, ds, p)
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
-        psi = [a + b for a, b in zip(base,
-                                     ds.projectives(p)[j].integer_coords())]
+        psi = [a + b for a, b in zip(base, ds.projectives(p)[j])]
         if (col := moved[j]) is not None:
             was, now = (str(CycloNum(*virtual_gendec_row(ds, p, c)[col]))
                         for c in (base, psi))
@@ -219,16 +220,17 @@ def check_projective_invariance(ds: GroupDataset, p: int,
 
 
 def restrict(chi: ClassFunction, emb: SubgroupEmbedding) -> ClassFunction:
-    """Restriction along the embedding; must decompose integrally over the
-    subgroup's irreducible characters."""
-    sub = emb.subgroup.table
-    values = [chi.values[emb.fusion[c]] for c in range(sub.num_classes)]
-    res = ClassFunction(sub, values)
-    if not res.is_virtual_character():
-        raise DatasetError(
-            f"restriction to {emb.name} is not a virtual character; "
-            f"fusion data is corrupted")
-    return res
+    """Restriction along the embedding: values through the fusion, Irr
+    coordinates through the restriction matrix the load computed."""
+    coords = [sum(map(mul, chi.integer_coords(), col))
+              for col in zip(*emb.restriction)]
+    return ClassFunction(emb.subgroup.table,
+                         [chi.values[c] for c in emb.fusion], coords)
+
+
+def _block_mask(coords, b) -> list[int]:
+    """The coordinates inside one block, the rest set to zero."""
+    return [c if i in b.irr_indices else 0 for i, c in enumerate(coords)]
 
 
 def _is_projective(pim_cols, coords) -> bool:
@@ -244,25 +246,16 @@ def _cyclic_defect_records(ds, p, emb, g_block, h_block, report):
     """Per-character form for cyclic defect: 1_C Res chi = sign * gamma(chi)
     plus a projective of C, with c(gamma(chi))_p = c(chi)_p and gamma a
     bijection Irr(B) -> Irr(C)."""
-    table = ds.table
     sub = emb.subgroup
-    h_bd = sub.brauer(p)
-    pim_cols = [[h_bd.decomposition[i][j] for i in range(sub.table.num_classes)]
-                for j in sorted(h_block.ibr_indices)]
+    pim_cols = [sub.projectives(p)[j] for j in sorted(h_block.ibr_indices)]
     chis = sorted(g_block.irr_indices)
     options = {}
     for chi in chis:
-        res = restrict(table.irreducible(chi), emb)
-        comp = block_component(res, h_block)
-        coords = comp.integer_coords()
-        candidates = []
-        for j in sorted(h_block.irr_indices):
-            for sign in (1, -1):
-                rest = [c - (sign if i == j else 0)
-                        for i, c in enumerate(coords)]
-                if _is_projective(pim_cols, rest):
-                    candidates.append((j, sign))
-        options[chi] = candidates
+        coords = _block_mask(emb.restriction[chi], h_block)
+        options[chi] = [
+            (j, sign) for j in sorted(h_block.irr_indices) for sign in (1, -1)
+            if _is_projective(pim_cols, [c - (sign if i == j else 0)
+                                         for i, c in enumerate(coords)])]
 
     # gamma must be a bijection; pick distinct representatives by backtracking
     def assign(idx, used):
@@ -284,7 +277,7 @@ def _cyclic_defect_records(ds, p, emb, g_block, h_block, report):
         return
     for chi in chis:
         j, sign = gamma[chi]
-        lhs = char_conductor(table.irreducible(chi), p)
+        lhs = char_conductor(ds.table.irreducible(chi), p)
         rhs = char_conductor(sub.table.irreducible(j), p)
         report.add(CheckRecord("cyclic-defect-bijection", f"chi{chi}",
                                lhs, rhs, witness=(j, sign),
@@ -312,15 +305,15 @@ def check_restriction_props(ds: GroupDataset, p: int) -> VerificationReport:
         for chi in range(table.num_classes):
             chi_fn = table.irreducible(chi)
             lhs = char_conductor(chi_fn, p)
-            res = restrict(chi_fn, emb)
-            mid = char_conductor(res, p)
+            mid = char_conductor(restrict(chi_fn, emb), p)
             report.add(CheckRecord("restriction-monotonic", f"chi{chi}",
                                    mid, lhs, witness=emb.name,
                                    passed=(mid <= lhs)))
             b = block_of(g_blocks, chi)
             target = info.correspondent_block.get(b.id)
             if info.ti and target is not None:
-                comp = block_component(res, h_by_id[target])
+                comp = virtual_character(emb.subgroup.table, _block_mask(
+                    emb.restriction[chi], h_by_id[target]))
                 rhs = char_conductor(comp, p)
                 report.add(CheckRecord(
                     "restriction-ti", f"chi{chi}", lhs, (mid, rhs),

@@ -5,7 +5,8 @@ import pytest
 
 from charcond import gendec, linalg
 from charcond.cyclo import lincomb
-from charcond.tables import load_corpus, load_manifest, power_class
+from charcond.tables import (load_corpus, load_manifest, power_class,
+                             virtual_character)
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,17 @@ def group_primes(manifest):
     """All (group name, prime) pairs covered by the shipped corpus."""
     return [(entry["name"], p)
             for entry in manifest["groups"] for p in entry["primes"]]
+
+
+def all_datasets(corpus):
+    """Every dataset the corpus loads: the groups, their section
+    centralizers and their subgroups."""
+    out = []
+    for ds in corpus.values():
+        out.append(ds)
+        out += [sec.centralizer for p in ds.primes for sec in ds.sections(p)]
+        out += [emb.subgroup for emb in ds.subgroups]
+    return out
 
 
 def section_row(gm, chi, u_class):
@@ -62,7 +74,8 @@ def half_gendec_entries(monkeypatch):
 
 def reciprocity_reference(table, chi, sec, p):
     """d^u_{chi,.} = (1/|C|) sum_{s in C_p'} |s^C| chi(us) Psi(s^-1), with
-    Psi the centralizer's projectives, by one lincomb per phi over CycloNum."""
+    Psi the centralizer's projectives built from their Irr coordinates by
+    `virtual_character`, by one lincomb per phi over CycloNum."""
     cent = sec.centralizer.table
     regular = sec.centralizer.brauer(p).regular_classes
     weights = [Fraction(cent.classes[s].size, cent.group_order)
@@ -70,9 +83,11 @@ def reciprocity_reference(table, chi, sec, p):
     inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
                 for s in regular]
     chi_us = gendec.section_values(table, chi, sec, p)
+    psis = [virtual_character(cent, phi)
+            for phi in sec.centralizer.projectives(p)]
     return [lincomb((w, val * psi.values[sinv])
                     for w, val, sinv in zip(weights, chi_us, inverses))
-            for psi in sec.centralizer.projectives(p)]
+            for psi in psis]
 
 
 def solve_reference(table, chi, sec, p):

@@ -1,11 +1,17 @@
 """Block partitions, defects, projective characters and Cartan matrices,
 against hand-checked classical values."""
 
-import pytest
+import copy
+import io
+import json
+
+from conftest import all_datasets
 
 from charcond.blocks import (cartan_matrix, nu_p, partition_blocks,
                              projective_characters)
+from charcond.cli import EXIT_DATA, run
 from charcond.cyclo import ZERO
+from charcond.tables import default_corpus_dir, virtual_character
 
 
 def summary(ds, p):
@@ -61,14 +67,19 @@ class TestPartitions:
 
 
 class TestProjectives:
-    def test_vanish_on_singular_classes(self, corpus, group_primes):
-        for name, p in group_primes:
-            ds = corpus[name]
+    def test_vanish_on_singular_classes(self, corpus):
+        # projective_characters holds only coordinates; the values, built
+        # over CycloNum, vanish off the p-regular classes on every table
+        # the corpus holds: groups, section centralizers and subgroups
+        pairs = [(ds, p) for ds in all_datasets(corpus) for p in ds.primes]
+        assert len(pairs) > 19
+        for ds, p in pairs:
             table = ds.table
-            for psi in projective_characters(table, ds.brauer(p)):
+            for phi in projective_characters(ds.brauer(p)):
+                psi = virtual_character(table, phi)
                 for c, cls in enumerate(table.classes):
                     if cls.element_order % p == 0:
-                        assert not psi.values[c]
+                        assert not psi.values[c], (ds.name, p, phi, c)
 
     def test_degree_divisible_by_p_part(self, corpus, group_primes):
         for name, p in group_primes:
@@ -77,9 +88,39 @@ class TestProjectives:
             pa = 1
             while ds.table.group_order % (pa * p) == 0:
                 pa *= p
-            for psi in projective_characters(table, ds.brauer(p)):
+            for phi in projective_characters(ds.brauer(p)):
+                psi = virtual_character(table, phi)
                 deg = psi.values[table.identity_class].rational_value()
                 assert deg % pa == 0
+
+    def test_columns_of_the_decomposition_matrix(self, corpus, group_primes):
+        for name, p in group_primes:
+            dec = corpus[name].brauer(p).decomposition
+            assert projective_characters(corpus[name].brauer(p)) == \
+                [tuple(row[j] for row in dec) for j in range(len(dec[0]))]
+
+    def test_decomposition_entry_plus_one_is_data_error(self, tmp_path,
+                                                        manifest, capsys):
+        # one D entry + 1 breaks chi = D * IBr on the p-regular classes, so
+        # the load stops before any projective is formed
+        for entry in manifest["groups"]:
+            data = json.loads((default_corpus_dir() /
+                               entry["file"]).read_text())
+            for key in data["primes"]:
+                tampered = copy.deepcopy(data)
+                tampered["primes"][key]["decomposition"][0][0] += 1
+                corpus = tmp_path / f"{entry['name']}-{key}"
+                corpus.mkdir()
+                (corpus / entry["file"]).write_text(json.dumps(tampered))
+                (corpus / "manifest.json").write_text(json.dumps(
+                    {"format": 1, "groups": [{"file": entry["file"]}]}))
+                out = io.StringIO()
+                code = run(["validate", "--corpus", str(corpus)], out=out)
+                assert (code, out.getvalue()) == (EXIT_DATA, ""), \
+                    (entry["file"], key)
+                err = capsys.readouterr().err
+                assert f"{entry['file']}.primes.{key}: decomposition row 0 " \
+                    "does not reproduce" in err, err
 
     def test_cartan_from_inner_products(self, corpus):
         # <Psi_i, Psi_j> recovers the Cartan matrix via D^T D

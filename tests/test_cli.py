@@ -317,6 +317,20 @@ class TestLoadErrors:
             assert "A5 p=5: ingested label 'B0' covers different " \
                 "irreducibles" in capsys.readouterr().err
 
+    def test_fusion_that_is_no_restriction_fails_at_load(self, tmp_path,
+                                                         capsys):
+        # D10's two 5-classes both sent to 5a: element orders and
+        # centralizer orders still fit, but Res chi is no virtual character
+        def fuse(data):
+            data["subgroups"][0]["fusion"] = [0, 1, 3, 3]
+        corpus = tampered_corpus(tmp_path, "A5.json", fuse)
+        for command in ("validate", "conductors", "restrict-check"):
+            assert invoke(command, "--corpus", str(corpus)) == \
+                (EXIT_DATA, ""), command
+            assert "A5.json.subgroups[0].fusion: restriction of irreducible " \
+                "1 is not a virtual character of D10" in \
+                capsys.readouterr().err, command
+
     # bytes that are not UTF-8: each input file names itself in the error
     @pytest.mark.parametrize("file", ["C4.json", "manifest.json"])
     def test_undecodable_corpus_file_is_data_error(self, tmp_path, capsys,
@@ -443,8 +457,7 @@ class TestVerify:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(blocks, "partition_blocks", lambda ds, p: (ds, p))
-        counted(blocks, "projective_characters",
-                lambda table, bd: (table, bd.p))
+        counted(blocks, "projective_characters", lambda bd: (bd, bd.p))
         counted(gendec, "gendec_all", lambda ds, p: (ds, p))
         code, text = invoke("verify")
         assert code == EXIT_OK and "FAIL" not in text

@@ -12,8 +12,7 @@ from charcond import isometry as iso
 from charcond.blocks import Block, partition_blocks
 from charcond.cyclo import ZERO, CycloNum, lincomb
 from charcond.residue import build_residue_map, reduce_cyclo
-from charcond.tables import (ClassFunction, default_corpus_dir,
-                              inner_product, load_dataset)
+from charcond.tables import default_corpus_dir, load_dataset
 
 
 def signed_matrix(cand):
@@ -123,15 +122,16 @@ def outcome(report):
 
 
 def regular_gram(ref):
-    """<chi^0, psi^0> by inner products of the characters with their values
-    on p-singular classes set to zero."""
+    """<chi^0, psi^0> by inner products, one lincomb each, of the characters'
+    values with those on p-singular classes set to zero (a truncation is
+    not a virtual character)."""
     table = ref.dataset.table
-    restricted = [
-        ClassFunction(table, [v if cls.element_order % ref.prime else ZERO
-                              for v, cls in zip(table.irreducibles[i],
-                                                table.classes)])
-        for i in ref.irrs]
-    return [[inner_product(a, b) for b in restricted] for a in restricted]
+    weights = [Fraction(cls.size, table.group_order) for cls in table.classes]
+    restricted = [[v if cls.element_order % ref.prime else ZERO
+                   for v, cls in zip(table.irreducibles[i], table.classes)]
+                  for i in ref.irrs]
+    return [[lincomb((w, x * y.conjugate()) for w, x, y in zip(weights, a, b))
+             for b in restricted] for a in restricted]
 
 
 def keys(cands):

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,7 @@ from charcond import verify
 from charcond.blocks import block_of
 from charcond.cyclo import (CycloNum, conductor_p, conductor_p_int, lincomb,
                             lincomb_int)
-from charcond.tables import (ClassFunction, char_conductor, load_corpus,
-                             virtual_character)
+from charcond.tables import char_conductor, load_corpus, virtual_character
 from charcond.verify import (check_cor05, check_projective_invariance,
                              check_restriction_props, check_theorem1,
                              cor05_suite, projective_invariance_suite,
@@ -92,8 +92,7 @@ def reference_projective_invariance(ds, p, chi):
     base_row = verify.virtual_gendec_row(ds, p, base)
     base_cond = verify._conductor_p_parts(ds, p, base)[0]
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
-        psi = [a + b for a, b in zip(base,
-                                     ds.projectives(p)[j].integer_coords())]
+        psi = [a + b for a, b in zip(base, ds.projectives(p)[j])]
         for col, (n, vec) in verify.virtual_gendec_row(ds, p, psi).items():
             if col[0] != ident and vec != base_row[col][1]:
                 was, now = (str(CycloNum(n, v))
@@ -159,17 +158,6 @@ class TestIntegerRecords:
             ds = corpus[name]
             assert records(theorem1_suite(ds, p, samples=50, seed=seed)) == \
                 reference_suite(ds, p, 50, seed), (name, p)
-
-    def test_check_theorem1_recovers_coordinates(self, corpus, group_primes):
-        # psi given by its values only: coordinates come from inner products
-        for name, p in group_primes:
-            ds = corpus[name]
-            for label, coords in sampled(ds, p, 3, seed=5):
-                psi = ClassFunction(ds.table,
-                                    virtual_character(ds.table, coords).values)
-                rec = check_theorem1(ds, p, psi, label)
-                assert (rec.character, rec.lhs, rec.rhs, rec.passed) == \
-                    reference_theorem1(ds, p, psi, label)
 
     def test_columns_held_once_per_dataset_and_prime(self, monkeypatch):
         calls = []
@@ -358,7 +346,9 @@ class TestProjectiveInvariance:
         gm.entries[col][i] += 1
         rec = check_projective_invariance(ds, p, chi)
         chi_fn = ds.table.irreducible(chi)
-        psi = chi_fn + ds.projectives(p)[j]
+        psi = virtual_character(ds.table, [
+            a + b for a, b in zip(chi_fn.integer_coords(),
+                                  ds.projectives(p)[j])])
         want = [str(lincomb(zip(fn.integer_coords(), gm.entries[col])))
                 for fn in (chi_fn, psi)]
         assert not rec.passed and rec.witness == (j, col)
@@ -396,6 +386,28 @@ class TestRestriction:
         assert verify._is_projective(cols, [0, 0, 0, 0])
         assert not verify._is_projective(cols, [0, 1, -1, 0])  # c1 - c2
         assert not verify._is_projective(cols, [1, 0, 0, 0])  # not in the span
+
+    def test_held_restriction_matches_inner_products(self, corpus):
+        # the integer matrix the load holds against <Res chi, psi> by one
+        # lincomb over CycloNum per pair, on every embedding of the corpus
+        embs = [(ds, emb) for ds in corpus.values() for emb in ds.subgroups]
+        assert embs
+        rng = random.Random(3)
+        for ds, emb in embs:
+            table, sub = ds.table, emb.subgroup.table
+            weights = [Fraction(c.size, sub.group_order) for c in sub.classes]
+            for chi, row in enumerate(table.irreducibles):
+                values = [row[c] for c in emb.fusion]
+                want = [lincomb((w, x * y.conjugate())
+                                for w, x, y in zip(weights, values, psi))
+                        for psi in sub.irreducibles]
+                assert list(emb.restriction[chi]) == want, (emb.name, chi)
+            # restrict extends the held rows linearly
+            for _ in range(5):
+                coords = [rng.randint(-3, 3) for _ in range(table.num_classes)]
+                res = verify.restrict(virtual_character(table, coords), emb)
+                assert res.values == virtual_character(
+                    sub, res.integer_coords()).values, (emb.name, coords)
 
     def test_not_applicable_without_subgroup(self, corpus):
         rep = check_restriction_props(corpus["S4"], 2)
