@@ -9,6 +9,9 @@ its denominator is 1 (the power basis is an integral basis of Z[zeta_n]).
 Products, embeddings and Galois images are maps on exponents followed by
 one integer reduction mod Phi_n (`_reduce`, `reduce_int`); `lincomb` and
 `parse_cyclo` sum many terms with one reduction and one normalisation.
+On algebraic integers, `hermitian_int` is the one weighted Hermitian sum
+sum_c w_c x_c conj(y_c) of class functions (inner products, reciprocity,
+restrictions, Gram forms), with conj read as the exponent map e -> -e.
 Two views read an element: `coeffs(n)`, rational coordinates on the power
 basis of Q(zeta_n), and `int_terms(n)`, the integer pairs (e, c) of an
 algebraic integer as a sum of c * zeta_n^e.
@@ -148,6 +151,15 @@ def sum_products_int(n: int, triples) -> list[int]:
             for f, b in y:
                 acc[(e + f) % n] += w * a * b
     return reduce_int(n, acc)
+
+
+def hermitian_int(n: int, weights, rows, cols) -> list[list[list[int]]]:
+    """sum_c w_c * x_c * conj(y_c) for each row x and each col y, all given
+    as `int_terms(n)`, on the power basis of Z[zeta_n]: one
+    `sum_products_int` per (x, y), conjugation being exponent negation."""
+    conj = [[[(-e, a) for e, a in y] for y in col] for col in cols]
+    return [[sum_products_int(n, zip(weights, x, y)) for y in conj]
+            for x in rows]
 
 
 def _mul(n: int, a, s: int, b, t: int) -> list[int]:

@@ -7,9 +7,11 @@ invertible on those classes (`blocks.validate_brauer`).  Each section takes
 one integer pass at one order N, the lcm of the orders of its values.
 Brauer reciprocity against the projective characters Psi of C gives
 |C| d^u_{chi,phi} = sum_s |s^C| chi(us) Psi_phi(s^-1), whose coordinates must
-be divisible by |C| (the power basis is an integral basis of Z[zeta_N]);
-Psi_phi(s^-1) is read off C's Irr values through Psi_phi's Irr coordinates,
-a column of C's decomposition matrix.
+be divisible by |C| (the power basis is an integral basis of Z[zeta_N]).
+Psi_phi is a Z>=0-combination of Irr(C), its coordinates a column of C's
+decomposition matrix, so it is a character and Psi_phi(s^-1) is
+conj Psi_phi(s): Psi_phi is formed at s from C's Irr values and the sums
+are `cyclo.hermitian_int`, with no power map read.
 The quotients must then reproduce every chi(us) as that product with IBr(C),
 an independent check that pins the system's unique solution.  Callers read
 `GroupDataset.gendec(p)`, which holds the result once per dataset and prime.
@@ -20,7 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
-from .cyclo import CycloNum, lincomb_int, nu_p, p_part, sum_products_int
+from .cyclo import (CycloNum, hermitian_int, lincomb_int, nu_p, p_part,
+                    sum_products_int)
 
 
 class GendecError(ValueError):
@@ -96,13 +99,6 @@ def section_values(table, chi: int, sec: SectionData, p: int) -> list[CycloNum]:
             for s in sec.centralizer.brauer(p).regular_classes]
 
 
-def _reciprocity(n: int, weights, chi_us, psi_inv) -> list[list[list[int]]]:
-    """|C| d^u_{chi,phi} = sum_s |s^C| chi(us) Psi_phi(s^-1) for each row of
-    chi_us (a chi) and of psi_inv (a phi), on the power basis of Z[zeta_n]."""
-    return [[sum_products_int(n, zip(weights, row, col)) for col in psi_inv]
-            for row in chi_us]
-
-
 def gendec_all(ds, p: int) -> GendecMatrix:
     """Assemble d^u for all p-element classes, one integer pass per section.
 
@@ -110,7 +106,6 @@ def gendec_all(ds, p: int) -> GendecMatrix:
     that the entries reproduce every chi(us), and that the u = 1 block equals
     the ingested decomposition matrix.
     """
-    from .tables import power_class
     table = ds.table
     sections = ds.sections(p)
     if not sections:
@@ -121,22 +116,21 @@ def gendec_all(ds, p: int) -> GendecMatrix:
         cent, bd = sec.centralizer.table, sec.centralizer.brauer(p)
         size = cent.group_order
         u_order = table.classes[sec.u_class].element_order
-        inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
-                    for s in bd.regular_classes]
         chi_us = [section_values(table, chi, sec, p)
                   for chi in range(table.num_classes)]
-        irr_inv = [[row[s] for s in inverses] for row in cent.irreducibles]
-        n = lcm(*[x.order for rows in (chi_us, irr_inv, bd.ibr)
+        irr_s = [[row[s] for s in bd.regular_classes]
+                 for row in cent.irreducibles]
+        n = lcm(*[x.order for rows in (chi_us, irr_s, bd.ibr)
                   for row in rows for x in row])
-        chi_us, irr_inv, ibr = ([[x.int_terms(n) for x in row] for row in rows]
-                                for rows in (chi_us, irr_inv, bd.ibr))
-        # Psi_phi(s^-1) = sum_chi D[chi,phi] chi(s^-1) over Irr(C)
-        psi_inv = [[[(e, c) for e, c in enumerate(lincomb_int(n, zip(psi, x)))
-                     if c] for x in zip(*irr_inv)]
-                   for psi in sec.centralizer.projectives(p)]
+        chi_us, irr_s, ibr = ([[x.int_terms(n) for x in row] for row in rows]
+                              for rows in (chi_us, irr_s, bd.ibr))
+        # Psi_phi(s) = sum_chi D[chi,phi] chi(s) over Irr(C)
+        psi = [[[(e, c) for e, c in enumerate(lincomb_int(n, zip(coords, x)))
+                 if c] for x in zip(*irr_s)]
+               for coords in sec.centralizer.projectives(p)]
         weights = [cent.classes[s].size for s in bd.regular_classes]
         rows = []
-        for chi, sums in enumerate(_reciprocity(n, weights, chi_us, psi_inv)):
+        for chi, sums in enumerate(hermitian_int(n, weights, chi_us, psi)):
             rows.append([CycloNum(n, vec, size) for vec in sums])
             # the power basis is an integral basis of Z[zeta_n]
             for val in rows[-1]:

@@ -17,6 +17,10 @@ perfect isometry commute with restriction to p-regular classes, so it
 carries one block's form onto the other's (Broue, Asterisque 181-182, 1990).
 Every assignment that survives is still checked in full, so pruning decides
 only which candidates are checked, never which pass.
+
+L0(B), the block's virtual characters vanishing on the p-regular classes,
+is the kernel of the block's power-basis coordinates at those classes; a
+candidate preserves L0 when it maps each basis vector into the target's.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from . import linalg
 from .blocks import Block
 from .cyclo import CycloError, CycloNum, p_part, sum_products_int
 from .tables import (DatasetError, GroupDataset, _require, _shape_fault,
-                     char_conductor, virtual_character)
+                     char_conductor)
 
 
 class IsometryError(ValueError):
@@ -232,23 +236,26 @@ def check_conductor_preservation(cand: IsometryCandidate, p: int):
     return not witnesses, witnesses
 
 
-def l0_basis(ref: BlockRef) -> list[list[int]]:
-    """Spanning set of L0(B): block virtual characters vanishing on the
-    p-regular classes, as coordinate vectors over the block's characters,
-    denominators cleared to integers."""
+def _regular_rows(ref: BlockRef) -> list[list]:
+    """The nonzero power-basis coordinates of the block's characters at each
+    p-regular class, one row per coordinate: integers, as `Fraction`s."""
     table = ref.dataset.table
     rows = []
     for c, cls in enumerate(table.classes):
         if cls.element_order % ref.prime != 0:
             col = [table.irreducibles[i][c] for i in ref.irrs]
-            n_max = lcm(*[v.order for v in col])
-            vecs = [v.coeffs(n_max) for v in col]
-            for r in range(len(vecs[0])):
-                row = [vecs[i][r] for i in range(len(col))]
-                if any(row):
-                    rows.append(row)
+            n = lcm(*[v.order for v in col])
+            rows += [list(r) for r in zip(*[v.coeffs(n) for v in col])
+                     if any(r)]
+    return rows
+
+
+def l0_basis(ref: BlockRef) -> list[list[int]]:
+    """Spanning set of L0(B): block virtual characters vanishing on the
+    p-regular classes, as coordinate vectors over the block's characters,
+    denominators cleared to integers."""
     basis = []
-    for v in linalg.nullspace(rows):
+    for v in linalg.nullspace(_regular_rows(ref)):
         den = lcm(*[f.denominator for f in v])
         basis.append([int(f * den) for f in v])
     return basis
@@ -257,16 +264,12 @@ def l0_basis(ref: BlockRef) -> list[list[int]]:
 def check_l0_preservation(cand: IsometryCandidate) -> bool:
     """The image of every element of L0(B) vanishes on the p-regular
     classes of the target group."""
-    src, tgt = cand.source, cand.target
-    t_tab = tgt.dataset.table
-    t_reg = [c for c, cls in enumerate(t_tab.classes)
-             if cls.element_order % tgt.prime != 0]
-    for vec in l0_basis(src):
-        coords = [0] * t_tab.num_classes
+    rows = [list(map(int, row)) for row in _regular_rows(cand.target)]
+    for vec in l0_basis(cand.source):
+        image = [0] * len(cand.target.irrs)
         for k, a in enumerate(vec):
-            coords[tgt.irrs[cand.permutation[k]]] = cand.signs[k] * a
-        image = virtual_character(t_tab, coords)
-        if any(image.values[c] for c in t_reg):
+            image[cand.permutation[k]] = cand.signs[k] * a
+        if any(sum(map(operator.mul, row, image)) for row in rows):
             return False
     return True
 

@@ -5,10 +5,14 @@ ingested from JSON files and validated eagerly; the toolkit never multiplies
 group elements.  README's "Dataset format" section describes the files
 ("format": 1); `_require` checks every field's JSON type exactly.
 A table's exponent rules are checked before its values are parsed, and its
-orthogonality on integers, in Z[zeta_N] (`_validate_table`).  A subgroup's
-fusion must make each Res chi a virtual character; the load holds those Irr
-coordinates (`SubgroupEmbedding.restriction`).  A `ClassFunction` is a
-virtual character and always holds its integer Irr coordinates.
+orthogonality on integers, in Z[zeta_N] (`_validate_table`).  Power maps
+are checked on load and read by nothing after: a character's value at the
+inverse class is the conjugate.  A subgroup's fusion must make each Res chi
+a virtual character; the load holds those Irr coordinates
+(`SubgroupEmbedding.restriction`).  Restrictions and p-regular Gram forms
+are weighted Hermitian sums on integers (`cyclo.hermitian_int`).  A
+`ClassFunction` is a virtual character and always holds its integer Irr
+coordinates.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from pathlib import Path
 from . import blocks as _blocks
 from . import gendec as _gendec
 from .cyclo import (CycloNum, CycloParseError, conductor, conductor_p,
-                    euler_phi, lincomb, p_part, parse_cyclo, prime_factors,
-                    sum_products_int)
+                    euler_phi, hermitian_int, lincomb, p_part, parse_cyclo,
+                    prime_factors, sum_products_int)
 
 
 class DatasetError(ValueError):
@@ -199,26 +203,6 @@ def inner_product(alpha: ClassFunction, beta: ClassFunction) -> CycloNum:
                    if a and b)
 
 
-def power_class(table: CharTable, c: int, k: int) -> int:
-    """Class of g^k for g in class c, composed from the prime power maps."""
-    if k < 0:
-        raise DatasetError(f"power_class exponent must be non-negative, got {k}")
-    k %= table.classes[c].element_order
-    if k == 0:
-        return table.identity_class
-    q = 2
-    while k > 1:
-        while k % q == 0:
-            if q not in table.classes[c].power_maps:
-                raise DatasetError(
-                    f"{table.group_name}: no power map for prime {q} "
-                    f"(needed for exponent {k})")
-            c = table.classes[c].power_maps[q]
-            k //= q
-        q += 1
-    return c
-
-
 def char_conductor(chi: ClassFunction, p: int | None = None) -> int:
     """Conductor of the value set of chi, or its p-part."""
     return conductor(chi.values) if p is None else conductor_p(chi.values, p)
@@ -310,14 +294,17 @@ class GroupDataset:
 
 
 def _regular_gram(table: CharTable, p: int, irrs) -> list[list[Fraction]]:
+    """|G| <chi^0, psi^0> = sum_s |s^G| chi(s) conj psi(s) over the
+    p-regular classes s, on integers, then divided by |G|."""
     regular = [c for c, cls in enumerate(table.classes)
                if cls.element_order % p != 0]
-    rows = [table.irreducibles[i] for i in irrs]
-    return [[lincomb((Fraction(1, table.centralizer_order(c)),
-                      a[c] * b[c].conjugate())
-                     for c in regular).rational_value()
-             for b in rows]
-            for a in rows]
+    rows = [[table.irreducibles[i][c] for c in regular] for i in irrs]
+    n = lcm(*[v.order for row in rows for v in row])
+    rows = [[v.int_terms(n) for v in row] for row in rows]
+    sums = hermitian_int(n, [table.classes[c].size for c in regular],
+                         rows, rows)
+    return [[CycloNum(n, vec, table.group_order).rational_value()
+             for vec in row] for row in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +384,9 @@ def _validate_table(table: CharTable, path: str):
     # row orthogonality, exact, on algebraic integers: |G| <chi_i, chi_j> is
     # a sum of w * x * conj(y) in Z[zeta_n], n the lcm of the value orders;
     # only a failing row pair has its inner product built.  For the square
-    # X, X W X* = |G| I gives X* X = |G| W^-1: column orthogonality follows
+    # X, X W X* = |G| I gives X* X = |G| W^-1: column orthogonality follows.
+    # Not `hermitian_int`: this runs on every load, and the upper triangle,
+    # stopping at the first failing pair, takes k(k+1)/2 sums, not k^2
     n = lcm(*[v.order for row in table.irreducibles for v in row])
     rows = [[v.int_terms(n) for v in row] for row in table.irreducibles]
     conj = [[[(-e, a) for e, a in x] for x in row] for row in rows]
@@ -556,12 +545,10 @@ def _restriction(sub: CharTable, amb: CharTable, fusion,
     multiple of |H|, or the fusion is not a restriction."""
     chis = [[row[t] for t in fusion] for row in amb.irreducibles]
     n = lcm(*[v.order for row in chis + sub.irreducibles for v in row])
-    chis = [[v.int_terms(n) for v in row] for row in chis]
-    conj = [[[(-e, a) for e, a in v.int_terms(n)] for v in row]
-            for row in sub.irreducibles]
-    sizes, order = [c.size for c in sub.classes], sub.group_order
-    sums = [[sum_products_int(n, zip(sizes, chi, psi)) for psi in conj]
-            for chi in chis]
+    chis, psis = ([[v.int_terms(n) for v in row] for row in rows]
+                  for rows in (chis, sub.irreducibles))
+    order = sub.group_order
+    sums = hermitian_int(n, [c.size for c in sub.classes], chis, psis)
     for i, row in enumerate(sums):
         for j, vec in enumerate(row):
             if any(vec[1:]) or vec[0] % order:

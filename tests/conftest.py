@@ -5,8 +5,7 @@ import pytest
 
 from charcond import gendec, linalg
 from charcond.cyclo import lincomb
-from charcond.tables import (load_corpus, load_manifest, power_class,
-                             virtual_character)
+from charcond.tables import load_corpus, load_manifest, virtual_character
 
 
 @pytest.fixture(scope="session")
@@ -63,25 +62,36 @@ def half_gendec_entries(monkeypatch):
     """The reciprocity sum |C| d^u of the trivial character at the first IBr
     has its first coordinate halved: for S3, whose first section is u = 1
     with |C| = 6, that entry reads 1/2."""
-    real = gendec._reciprocity
+    real = gendec.hermitian_int
 
-    def halved(n, weights, chi_us, psi_inv):
-        sums = real(n, weights, chi_us, psi_inv)
+    def halved(n, weights, rows, cols):
+        sums = real(n, weights, rows, cols)
         sums[0][0][0] //= 2
         return sums
-    monkeypatch.setattr(gendec, "_reciprocity", halved)
+    monkeypatch.setattr(gendec, "hermitian_int", halved)
+
+
+def inverse_class(table, c):
+    """The class of g^-1 for g in class c, g^(order - 1), by walking the
+    table's prime power maps one prime factor of the exponent at a time."""
+    k, q = table.classes[c].element_order - 1, 2
+    while k > 1:
+        while k % q == 0:
+            c, k = table.classes[c].power_maps[q], k // q
+        q += 1
+    return c if k else table.identity_class
 
 
 def reciprocity_reference(table, chi, sec, p):
     """d^u_{chi,.} = (1/|C|) sum_{s in C_p'} |s^C| chi(us) Psi(s^-1), with
     Psi the centralizer's projectives built from their Irr coordinates by
-    `virtual_character`, by one lincomb per phi over CycloNum."""
+    `virtual_character` and read at s^-1 through the power maps, not by
+    conjugation, by one lincomb per phi over CycloNum."""
     cent = sec.centralizer.table
     regular = sec.centralizer.brauer(p).regular_classes
     weights = [Fraction(cent.classes[s].size, cent.group_order)
                for s in regular]
-    inverses = [power_class(cent, s, cent.classes[s].element_order - 1)
-                for s in regular]
+    inverses = [inverse_class(cent, s) for s in regular]
     chi_us = gendec.section_values(table, chi, sec, p)
     psis = [virtual_character(cent, phi)
             for phi in sec.centralizer.projectives(p)]

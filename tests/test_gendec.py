@@ -7,7 +7,7 @@ import random
 import pytest
 from conftest import section_row
 
-from charcond import tables
+from charcond import gendec
 from charcond.cyclo import ZERO, CycloNum, lincomb, p_part
 from charcond.gendec import (GendecError, check_second_main, gendec_all,
                              section_values)
@@ -57,10 +57,17 @@ class TestMethodEquivalence:
                                         ("F20", 5)])
     def test_psi_at_s_instead_of_inverse_is_caught(self, corpus,
                                                    monkeypatch, name, p):
-        # the pairs whose projectives take non-real values on C_p': with s in
-        # place of s^-1, reciprocity pairs chi with conj(Psi), and the
-        # product check sees the result fail to reproduce chi(us)
-        monkeypatch.setattr(tables, "power_class", lambda table, c, k: c)
+        # the pairs whose projectives take non-real values on C_p': with the
+        # kernel's conjugation cancelled, reciprocity pairs chi with Psi(s)
+        # in place of Psi(s^-1) = conj Psi(s), and the product check sees
+        # the result fail to reproduce chi(us)
+        real = gendec.hermitian_int
+
+        def unconjugated(n, weights, rows, cols):
+            return real(n, weights, rows,
+                        [[[(-e, a) for e, a in y] for y in col]
+                         for col in cols])
+        monkeypatch.setattr(gendec, "hermitian_int", unconjugated)
         with pytest.raises(GendecError, match="do not reproduce"):
             gendec_all(corpus[name], p)
 

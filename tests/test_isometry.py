@@ -5,14 +5,17 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from charcond import isometry as iso
+from charcond import linalg
 from charcond.blocks import Block, partition_blocks
 from charcond.cyclo import ZERO, CycloNum, lincomb
 from charcond.residue import build_residue_map, reduce_cyclo
-from charcond.tables import default_corpus_dir, load_dataset
+from charcond.tables import (default_corpus_dir, load_dataset,
+                             virtual_character)
 
 
 def signed_matrix(cand):
@@ -132,6 +135,34 @@ def regular_gram(ref):
                   for i in ref.irrs]
     return [[lincomb((w, x * y.conjugate()) for w, x, y in zip(weights, a, b))
              for b in restricted] for a in restricted]
+
+
+def reference_l0(cand):
+    """check_l0_preservation through CycloNum: L0(B) is the nullspace of the
+    source block's values at its p-regular classes, each on the power basis
+    of their field, and each basis vector's image is built as a whole
+    virtual character of the target group by `virtual_character`, its
+    values read at the target's p-regular classes."""
+    src, tgt = cand.source, cand.target
+    s_tab, t_tab = src.dataset.table, tgt.dataset.table
+    rows = []
+    for c, cls in enumerate(s_tab.classes):
+        if cls.element_order % src.prime:
+            col = [s_tab.irreducibles[i][c] for i in src.irrs]
+            n = lcm(*[v.order for v in col])
+            rows += [list(r) for r in zip(*[v.coeffs(n) for v in col])
+                     if any(r)]
+    for vec in linalg.nullspace(rows):
+        den = lcm(*[f.denominator for f in vec])
+        coords = [0] * t_tab.num_classes
+        for k, a in enumerate(vec):
+            coords[tgt.irrs[cand.permutation[k]]] = \
+                int(cand.signs[k] * a * den)
+        image = virtual_character(t_tab, coords)
+        if any(image.values[c] for c, cls in enumerate(t_tab.classes)
+               if cls.element_order % tgt.prime):
+            return False
+    return True
 
 
 def keys(cands):
@@ -405,6 +436,26 @@ class TestPerfection:
         cand = iso.IsometryCandidate(src, tgt, (2, 0, 1, 3), (1, 1, 1, 1))
         ok, witnesses = iso.check_conductor_preservation(cand, 5)
         assert not ok and witnesses
+
+
+class TestL0:
+    def test_integer_check_equals_cyclonum_reference(self, corpus, manifest):
+        # a seeded sample of the signed bijections between nonzero-defect
+        # blocks of at most 4 characters; most of them fail the check
+        refs = [iso.BlockRef(corpus[entry["name"]], p, b)
+                for entry in manifest["groups"] for p in entry["primes"]
+                for b in partition_blocks(corpus[entry["name"]], p)
+                if b.defect > 0 and len(b.irr_indices) <= 4]
+        cands = [iso.IsometryCandidate(s, t, perm, signs)
+                 for s in refs for t in refs if len(s.irrs) == len(t.irrs)
+                 for perm in itertools.permutations(range(len(s.irrs)))
+                 for signs in itertools.product((1, -1), repeat=len(perm))]
+        verdicts = set()
+        for cand in random.Random(20).sample(cands, 150):
+            verdict = iso.check_l0_preservation(cand)
+            assert verdict == reference_l0(cand), cand
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestCertificates:

@@ -5,19 +5,19 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from conftest import all_datasets
+from conftest import all_datasets, inverse_class
 
 from charcond import linalg, tables
 from charcond.blocks import (BlockError, BrauerData, partition_blocks,
                              projective_characters, validate_brauer)
-from charcond.cyclo import CycloNum, lincomb
+from charcond.cyclo import CycloNum, hermitian_int, lincomb
 from charcond.gendec import gendec_all
 from charcond.tables import (CharTable, ClassFunction, DatasetError,
                              char_conductor, default_corpus_dir, inner_product,
-                             load_corpus, load_dataset, power_class,
-                             virtual_character)
+                             load_corpus, load_dataset, virtual_character)
 
 ONE = CycloNum.from_rational(1)
 
@@ -92,6 +92,39 @@ class TestClassFunctions:
         table = corpus["C4"].table
         conds = sorted(char_conductor(table.irreducible(i)) for i in range(4))
         assert conds == [1, 1, 4, 4]
+
+
+class TestHermitianKernel:
+    def test_kernel_equals_inner_products(self, corpus):
+        # |G| <chi_i, chi_j> by `hermitian_int` on integers against the
+        # CycloNum inner product, for every row pair of every loaded table;
+        # a table that several centralizers or subgroups share is run once
+        distinct = {(ds.table.group_name, repr(ds.table.irreducibles)):
+                    ds.table for ds in all_datasets(corpus)}
+        for table in distinct.values():
+            n = lcm(*[v.order for row in table.irreducibles for v in row])
+            rows = [[v.int_terms(n) for v in row]
+                    for row in table.irreducibles]
+            sums = hermitian_int(n, [c.size for c in table.classes], rows,
+                                 rows)
+            for i, row in enumerate(sums):
+                for j, vec in enumerate(row):
+                    want = table.group_order * inner_product(
+                        table.irreducible(i), table.irreducible(j))
+                    assert CycloNum(n, vec) == want, (table.group_name, i, j)
+
+
+class TestPowerMaps:
+    def test_inverse_class_carries_conjugate_values(self, corpus):
+        # the loaded power maps agree with conjugation: g^-1, walked through
+        # them, carries the conjugate of every character value at g
+        for ds in all_datasets(corpus):
+            table = ds.table
+            for c in range(table.num_classes):
+                inv = inverse_class(table, c)
+                for row in table.irreducibles:
+                    assert row[inv] == row[c].conjugate(), \
+                        (table.group_name, c)
 
 
 class TestHeldCoords:
@@ -202,24 +235,6 @@ class TestParseOnce:
             values = strings(json.loads(path.read_text()))
             assert len(values) > len(parsed) == len(set(parsed))
             assert set(parsed) == set(values), path.name
-
-
-class TestPowerMaps:
-    def test_power_class_inverse(self, corpus):
-        for ds in corpus.values():
-            table = ds.table
-            for c, cls in enumerate(table.classes):
-                inv = power_class(table, c, cls.element_order - 1)
-                # the inverse class carries the conjugate character values
-                for i in range(table.num_classes):
-                    assert table.irreducibles[i][inv] == \
-                        table.irreducibles[i][c].conjugate()
-
-    def test_power_class_composition(self, corpus):
-        table = corpus["F20"].table
-        for c in range(table.num_classes):
-            assert power_class(table, power_class(table, c, 2), 3) == \
-                power_class(table, c, 6)
 
 
 class TestValidation:
