@@ -1,8 +1,9 @@
 """p-blocks: central characters, defects, decomposition data, projectives.
 
-Blocks are recovered from central-character residues and cross-checked
-against the block labels shipped with each dataset; a mismatch is treated as
-data corruption, not a soft failure.  Brauer data is checked against its
+Blocks are recovered from central-character residues modulo the radical of
+p (`residue`), which pick no prime above p, and cross-checked against the
+block labels shipped with each dataset; a mismatch is treated as data
+corruption, not a soft failure.  Brauer data is checked against its
 validated table, on integers in Z[zeta_n], so IBr independence is a count.
 A projective character is held as its Irr coordinates, a column of the
 decomposition matrix.  Callers read `GroupDataset.blocks(p)` and
@@ -103,7 +104,8 @@ def central_character(table, chi: int) -> list[CycloNum]:
 
 
 def partition_blocks(ds, p: int) -> list[Block]:
-    """Blocks of Irr(G) at p via central-character residues.
+    """Blocks of Irr(G) at p: classes of characters whose central
+    characters agree modulo the radical of p.
 
     The computed partition must agree with the dataset's ingested block
     labels; disagreement raises, since it signals corrupted data.

@@ -2,13 +2,15 @@
 theorem verification over the corpus, and perfect-isometry search/checking.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 bad data,
-3 usage error.  Output is deterministic for fixed inputs, seed and format.
+3 usage error, 141 (128 + SIGPIPE) the reader closed the output early.
+Output is deterministic for fixed inputs, seed and format.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # Every module loads here.  tables (with blocks, gendec, cyclo, residue) goes
@@ -19,7 +21,7 @@ from .blocks import BlockError, cartan_matrix
 from .cyclo import cyclo_to_str
 from .gendec import GendecError, check_second_main
 
-EXIT_OK, EXIT_CHECK, EXIT_DATA, EXIT_USAGE = 0, 1, 2, 3
+EXIT_OK, EXIT_CHECK, EXIT_DATA, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 3, 141
 
 
 class _Args(argparse.ArgumentParser):
@@ -295,7 +297,15 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does; stdout goes to devnull
+        # so that the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

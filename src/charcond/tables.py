@@ -382,8 +382,8 @@ def _validate_table(table: CharTable, path: str):
             raise DatasetError(f"{path}.irreducibles[{i}]: degree {deg} is not a "
                                f"positive integer")
     # row orthogonality, exact, on algebraic integers: |G| <chi_i, chi_j> is
-    # a sum of w * x * conj(y) in Z[zeta_n], n the lcm of the value orders;
-    # only a failing row pair has its inner product built.  For the square
+    # a sum of w * x * conj(y) in Z[zeta_n], n the lcm of the value orders,
+    # printed over |G| when a row pair fails.  For the square
     # X, X W X* = |G| I gives X* X = |G| W^-1: column orthogonality follows.
     # Not `hermitian_int`: this runs on every load, and the upper triangle,
     # stopping at the first failing pair, takes k(k+1)/2 sums, not k^2
@@ -394,11 +394,11 @@ def _validate_table(table: CharTable, path: str):
     for i in range(k):
         for j in range(i, k):
             want = [table.group_order if i == j else 0] + zeros
-            if sum_products_int(n, zip(sizes, rows[i], conj[j])) != want:
-                ip = inner_product(table.irreducible(i), table.irreducible(j))
+            vec = sum_products_int(n, zip(sizes, rows[i], conj[j]))
+            if vec != want:
                 raise DatasetError(
                     f"{path}: row orthogonality fails for rows {i},{j} "
-                    f"(inner product {ip})")
+                    f"(inner product {CycloNum(n, vec, table.group_order)})")
     if not any(all(v == 1 for v in row) for row in table.irreducibles):
         raise DatasetError(f"{path}.irreducibles: no trivial character")
 

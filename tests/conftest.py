@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from charcond import gendec, linalg
-from charcond.cyclo import lincomb
+from charcond.cyclo import _mul, lincomb
 from charcond.tables import load_corpus, load_manifest, virtual_character
 
 
@@ -34,6 +34,17 @@ def all_datasets(corpus):
         out += [sec.centralizer for p in ds.primes for sec in ds.sections(p)]
         out += [emb.subgroup for emb in ds.subgroups]
     return out
+
+
+def residue_add(m, a, b):
+    """a + b for residues a, b of the map m, in F_p[x]/(Phi_n')."""
+    return tuple((x + y) % m.p for x, y in zip(a, b))
+
+
+def residue_mul(m, a, b):
+    """a * b for residues a, b of the map m, in F_p[x]/(Phi_n'): one
+    product on the power basis of Z[zeta_n'], then mod p."""
+    return tuple(c % m.p for c in _mul(m.nprime, a, 1, b, 1))
 
 
 def section_row(gm, chi, u_class):

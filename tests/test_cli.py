@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from charcond import blocks, cyclo, gendec
-from charcond.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from charcond.cli import (EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE,
+                          EXIT_USAGE, run)
 from charcond.tables import default_corpus_dir
 
 
@@ -607,6 +612,26 @@ class TestOther:
         with pytest.raises(SystemExit) as err:
             run(["frobnicate"])
         assert err.value.code == EXIT_USAGE
+
+    def test_closed_reader_prints_no_traceback(self):
+        # `charcond gendec | head`, with the reader gone before the first
+        # write: the console entry point exits quietly
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from charcond.cli import main; main()",
+                 "gendec"], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        # no traceback, and no "Exception ignored" from the exit flush
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_PIPE
 
     # each subcommand registers only the flags it reads
     @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ The finished files are re-validated with the library loader before writing.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -623,10 +624,10 @@ def correspondent_blocks(G: Group, g_rows, g_bd, H: Group, h_rows, h_bd,
     for label in dict.fromkeys(h_bd["block_of_irr"]):
         i = h_bd["block_of_irr"].index(label)
         deg = int(h_rows[i][h_ident].rational_value())
-        induced = [rmap.zero for _ in G.classes]
+        induced = [CycloNum.from_rational(0) for _ in G.classes]
         for c in range(len(H.classes)):
-            val = Fraction(h_sizes[c], deg) * h_rows[i][c]
-            induced[fusion[c]] = induced[fusion[c]] + reduce_cyclo(rmap, val)
+            induced[fusion[c]] += Fraction(h_sizes[c], deg) * h_rows[i][c]
+        induced = [reduce_cyclo(rmap, v) for v in induced]
         matches = [gl for gl, om in g_omegas.items()
                    if all(x == y for x, y in zip(om, induced))]
         if len(matches) == 1:
@@ -722,8 +723,15 @@ def build_groups():
     return groups
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Build the corpus of group datasets and write it, with "
+                    "its manifest, to a directory.")
+    parser.add_argument("--out", type=Path, default=OUT, metavar="DIR",
+                        help="output directory (default: the shipped "
+                             "src/charcond/data)")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     groups = build_groups()
     manifest = {"format": 1, "groups": []}
     for name, G in groups.items():
@@ -741,7 +749,7 @@ def main():
         print(f"building {name} (order {G.order}, primes {primes})")
         obj = dataset_json(G, name, primes, subgroups)
         fname = name.replace("(", "").replace(")", "").replace(",", "") + ".json"
-        path = OUT / fname
+        path = out / fname
         path.write_text(json.dumps(obj, indent=1) + "\n")
         ds = load_dataset(path)     # full eager validation
         assert ds.name == name
@@ -749,8 +757,8 @@ def main():
             "name": name, "file": fname, "order": G.order, "primes": primes,
             "subgroups": [{"name": s[0], "primes": s[2]} for s in subgroups],
         })
-    (OUT / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    print(f"wrote {len(manifest['groups'])} datasets to {OUT}")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    print(f"wrote {len(manifest['groups'])} datasets to {out}")
 
 
 if __name__ == "__main__":
