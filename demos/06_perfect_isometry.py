@@ -21,7 +21,7 @@ found = search_perfect_isometries(src, tgt)
 print(f"{len(found)} perfect isometries out of 384 candidates\n")
 
 for cand in found:
-    cond_ok, _ = check_conductor_preservation(cand, 5)
+    cond_ok, _ = check_conductor_preservation(cand)
     l0_ok = check_l0_preservation(cand)
     print(f"  pi = {cand.permutation}, signs = {cand.signs}, "
           f"conductors preserved: {cond_ok}, L0 preserved: {l0_ok}")

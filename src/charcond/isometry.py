@@ -12,15 +12,22 @@ integral power basis: mu(g, g') is a signed sum of integer vectors, tested
 for zero (separation) or divisibility by centralizer p-parts (integrality).
 
 The search backtracks over partial assignments and prunes on the p-regular
-Gram form <chi^0, psi^0>, held per block on the dataset: separation makes a
-perfect isometry commute with restriction to p-regular classes, so it
-carries one block's form onto the other's (Broue, Asterisque 181-182, 1990).
+Gram form G = (<chi^0, psi^0>), held per block on the dataset: separation
+makes a perfect isometry commute with restriction to p-regular classes, so
+it carries one block's form onto the other's (Broue, Asterisque 181-182, 1990).
 Every assignment that survives is still checked in full, so pruning decides
 only which candidates are checked, never which pass.
 
 L0(B), the block's virtual characters vanishing on the p-regular classes,
-is the kernel of the block's power-basis coordinates at those classes; a
-candidate preserves L0 when it maps each basis vector into the target's.
+is the kernel of that form G.  With D the block's decomposition matrix and
+C = D^T D its Cartan matrix, chi^0 = D IBr and the projectives are dual to
+IBr, so IBr's own form is C^-1 and G = D C^-1 D^T: the orthogonal
+projection onto the span of D's columns.  Its kernel is the v with
+D^T v = 0, the virtual characters vanishing on the p-regular classes, as
+IBr is a basis of the class functions there.  So I - G projects onto
+L0(B), and a signed bijection M maps L0(S) into L0(T) exactly when
+G_T M (I - G_S) = 0: an inclusion, which also holds for some maps that do
+not carry G_S onto G_T.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import operator
 from collections import namedtuple
 from math import factorial, lcm
 
-from . import linalg
 from .blocks import Block
 from .cyclo import CycloError, CycloNum, p_part, sum_products_int
 from .tables import (DatasetError, GroupDataset, _require, _shape_fault,
@@ -156,7 +162,7 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
         value = CycloNum(kernel.order, mu)
         report.witnesses.append((kind, g, h, str(value)))
     if collect_witnesses:
-        ok, wits = check_conductor_preservation(cand, src.prime)
+        ok, wits = check_conductor_preservation(cand)
         report.conductor_preserved = ok
         report.witnesses.extend(("conductor",) + w for w in wits)
         report.l0_preserved = check_l0_preservation(cand)
@@ -165,17 +171,16 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
     return report
 
 
-def _integer_grams(src: BlockRef, tgt: BlockRef) -> list[list[list[int]]]:
-    """Both blocks' p-regular Gram forms as integers over one common
-    denominator.  Every entry is rational: <chi^0, psi^0> is the (chi, psi)
-    entry of D C^-1 D^T, D the decomposition and C the Cartan matrix."""
+def _integer_grams(src: BlockRef, tgt: BlockRef) -> tuple[int, list, list]:
+    """(d, g_src, g_tgt): both blocks' p-regular Gram forms as integers over
+    one common denominator d.  Every entry is rational, as G = D C^-1 D^T."""
     try:
         forms = [r.dataset.regular_gram(r.prime, r.block) for r in (src, tgt)]
     except CycloError as exc:
         raise IsometryError(f"p-regular Gram form: {exc}") from None
     den = lcm(*[f.denominator for form in forms for row in form for f in row])
-    return [[[f.numerator * (den // f.denominator) for f in row]
-             for row in form] for form in forms]
+    return (den, *[[[f.numerator * (den // f.denominator) for f in row]
+                    for row in form] for form in forms])
 
 
 def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
@@ -213,7 +218,7 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
             f"bound for {n} characters (bound {bound})")
     kernel = _PairKernel(src, tgt)
     found = []
-    for perm, signs in _gram_matchings(*_integer_grams(src, tgt)):
+    for perm, signs in _gram_matchings(*_integer_grams(src, tgt)[1:]):
         cand = IsometryCandidate(src, tgt, perm, signs)
         if check_perfection(cand, collect_witnesses=False,
                             kernel=kernel).perfect:
@@ -223,55 +228,30 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
     return found
 
 
-def check_conductor_preservation(cand: IsometryCandidate, p: int):
-    """c(chi)_p = c(image of chi)_p for every chi in the source block."""
+def check_conductor_preservation(cand: IsometryCandidate):
+    """c(chi)_p = c(image of chi)_p for every chi in the source block, p the
+    source's prime."""
     src, tgt = cand.source, cand.target
     witnesses = []
     for k, i in enumerate(src.irrs):
         j = tgt.irrs[cand.permutation[k]]
-        lhs = char_conductor(src.dataset.table.irreducible(i), p)
-        rhs = char_conductor(tgt.dataset.table.irreducible(j), p)
+        lhs = char_conductor(src.dataset.table.irreducible(i), src.prime)
+        rhs = char_conductor(tgt.dataset.table.irreducible(j), src.prime)
         if lhs != rhs:
             witnesses.append((i, j, lhs, rhs))
     return not witnesses, witnesses
 
 
-def _regular_rows(ref: BlockRef) -> list[list]:
-    """The nonzero power-basis coordinates of the block's characters at each
-    p-regular class, one row per coordinate: integers, as `Fraction`s."""
-    table = ref.dataset.table
-    rows = []
-    for c, cls in enumerate(table.classes):
-        if cls.element_order % ref.prime != 0:
-            col = [table.irreducibles[i][c] for i in ref.irrs]
-            n = lcm(*[v.order for v in col])
-            rows += [list(r) for r in zip(*[v.coeffs(n) for v in col])
-                     if any(r)]
-    return rows
-
-
-def l0_basis(ref: BlockRef) -> list[list[int]]:
-    """Spanning set of L0(B): block virtual characters vanishing on the
-    p-regular classes, as coordinate vectors over the block's characters,
-    denominators cleared to integers."""
-    basis = []
-    for v in linalg.nullspace(_regular_rows(ref)):
-        den = lcm(*[f.denominator for f in v])
-        basis.append([int(f * den) for f in v])
-    return basis
-
-
 def check_l0_preservation(cand: IsometryCandidate) -> bool:
     """The image of every element of L0(B) vanishes on the p-regular
-    classes of the target group."""
-    rows = [list(map(int, row)) for row in _regular_rows(cand.target)]
-    for vec in l0_basis(cand.source):
-        image = [0] * len(cand.target.irrs)
-        for k, a in enumerate(vec):
-            image[cand.permutation[k]] = cand.signs[k] * a
-        if any(sum(map(operator.mul, row, image)) for row in rows):
-            return False
-    return True
+    classes of the target group: G_T M (I - G_S) = 0, tested on
+    `_integer_grams`' integers as g_T M (d I - g_S) = 0."""
+    d, g_src, g_tgt = _integer_grams(cand.source, cand.target)
+    # g_T M: its column k is signs[k] times column permutation[k] of g_T
+    gm = [[s * row[j] for j, s in zip(cand.permutation, cand.signs)]
+          for row in g_tgt]
+    return not any(d * x - sum(map(operator.mul, row, col))
+                   for row in gm for x, col in zip(row, zip(*g_src)))
 
 
 def block_ref(ds: GroupDataset, p: int, block_id: str) -> BlockRef:

@@ -2,8 +2,8 @@
 
 One kernel, `rref`, serves every exact linear problem in the package.  Its
 entries need only +, -, *, truth testing and 1 / x, so the same code runs
-over `Fraction` (the L0 lattice, the corpus generator) and over `CycloNum`
-(the test references).
+over `Fraction` (the projectivity test, the corpus generator), over a prime
+field (the generator's eigenspaces) and over `CycloNum` (the test references).
 """
 
 from __future__ import annotations
@@ -50,23 +50,3 @@ def solve(rows: list[list], rhs: list) -> list | None:
 
 def rank(rows: list[list]) -> int:
     return len(rref(rows)[1])
-
-
-def nullspace(rows: list[list]) -> list[list]:
-    """Basis of the right nullspace, one vector per free column c: 1 at c,
-    0 at the other free columns."""
-    ncols = len(rows[0]) if rows else 0
-    if not ncols:
-        return []
-    mat, pivots = rref(rows)
-    zero = rows[0][0] * 0
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [zero] * ncols
-        v[c] = zero + 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][c]
-        basis.append(v)
-    return basis

@@ -36,6 +36,26 @@ def all_datasets(corpus):
     return out
 
 
+def nullspace(rows: list[list]) -> list[list]:
+    """Basis of the right nullspace by `linalg.rref`, one vector per free
+    column c: 1 at c, 0 at the other free columns."""
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return []
+    mat, pivots = linalg.rref(rows)
+    zero = rows[0][0] * 0
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [zero] * ncols
+        v[c] = zero + 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][c]
+        basis.append(v)
+    return basis
+
+
 def residue_add(m, a, b):
     """a + b for residues a, b of the map m, in F_p[x]/(Phi_n')."""
     return tuple((x + y) % m.p for x, y in zip(a, b))

@@ -138,7 +138,7 @@ def test_criterion_08_perfect_isometry(corpus, capsys):
         for cand in found:
             assert iso.check_isometry(cand)
             assert iso.check_perfection(cand).perfect
-            ok, _ = iso.check_conductor_preservation(cand, 5)
+            ok, _ = iso.check_conductor_preservation(cand)
             assert ok
             assert iso.check_l0_preservation(cand)
 

@@ -3,14 +3,15 @@ and certificates."""
 
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from conftest import nullspace
 
 from charcond import isometry as iso
-from charcond import linalg
 from charcond.blocks import Block, partition_blocks
 from charcond.cyclo import ZERO, CycloNum, lincomb
 from charcond.residue import build_residue_map, reduce_cyclo
@@ -95,7 +96,7 @@ def reference_perfection(cand, products, collect_witnesses=True):
                 return report
             report.witnesses.append((kind, g, h, str(mu)))
     if collect_witnesses:
-        ok, wits = iso.check_conductor_preservation(cand, src.prime)
+        ok, wits = iso.check_conductor_preservation(cand)
         report.conductor_preserved = ok
         report.witnesses.extend(("conductor",) + w for w in wits)
         report.l0_preserved = iso.check_l0_preservation(cand)
@@ -137,30 +138,58 @@ def regular_gram(ref):
              for b in restricted] for a in restricted]
 
 
-def reference_l0(cand):
-    """check_l0_preservation through CycloNum: L0(B) is the nullspace of the
-    source block's values at its p-regular classes, each on the power basis
-    of their field, and each basis vector's image is built as a whole
-    virtual character of the target group by `virtual_character`, its
-    values read at the target's p-regular classes."""
-    src, tgt = cand.source, cand.target
-    s_tab, t_tab = src.dataset.table, tgt.dataset.table
+def regular_rows(ref):
+    """The nonzero power-basis coordinates of the block's characters at each
+    p-regular class, one row per coordinate, as integers."""
+    table = ref.dataset.table
     rows = []
-    for c, cls in enumerate(s_tab.classes):
-        if cls.element_order % src.prime:
-            col = [s_tab.irreducibles[i][c] for i in src.irrs]
+    for c, cls in enumerate(table.classes):
+        if cls.element_order % ref.prime:
+            col = [table.irreducibles[i][c] for i in ref.irrs]
             n = lcm(*[v.order for v in col])
-            rows += [list(r) for r in zip(*[v.coeffs(n) for v in col])
-                     if any(r)]
-    for vec in linalg.nullspace(rows):
-        den = lcm(*[f.denominator for f in vec])
+            rows += [[int(x) for x in r]
+                     for r in zip(*[v.coeffs(n) for v in col]) if any(r)]
+    return rows
+
+
+def l0_basis(ref):
+    """Spanning set of L0(B) as integer coordinate vectors over the block's
+    characters: the nullspace of `regular_rows`, denominators cleared."""
+    basis = []
+    for v in nullspace([[Fraction(x) for x in row]
+                        for row in regular_rows(ref)]):
+        den = lcm(*[f.denominator for f in v])
+        basis.append([int(f * den) for f in v])
+    return basis
+
+
+def reference_l0(cand):
+    """check_l0_preservation through CycloNum: each vector of `l0_basis` of
+    the source has its image built as a whole virtual character of the
+    target group by `virtual_character`, its values read at the target's
+    p-regular classes."""
+    tgt = cand.target
+    t_tab = tgt.dataset.table
+    for vec in l0_basis(cand.source):
         coords = [0] * t_tab.num_classes
         for k, a in enumerate(vec):
-            coords[tgt.irrs[cand.permutation[k]]] = \
-                int(cand.signs[k] * a * den)
+            coords[tgt.irrs[cand.permutation[k]]] = cand.signs[k] * a
         image = virtual_character(t_tab, coords)
         if any(image.values[c] for c, cls in enumerate(t_tab.classes)
                if cls.element_order % tgt.prime):
+            return False
+    return True
+
+
+def lattice_l0(cand, basis, rows):
+    """check_l0_preservation by a basis of L0(source): each basis vector's
+    signed image is orthogonal to every row of the target's
+    `regular_rows`."""
+    for vec in basis:
+        image = [0] * len(vec)
+        for k, a in enumerate(vec):
+            image[cand.permutation[k]] = cand.signs[k] * a
+        if any(sum(map(operator.mul, row, image)) for row in rows):
             return False
     return True
 
@@ -239,7 +268,7 @@ class TestSearch:
             assert iso.check_isometry(cand)
             rep = iso.check_perfection(cand)
             assert rep.perfect
-            ok, witnesses = iso.check_conductor_preservation(cand, 5)
+            ok, witnesses = iso.check_conductor_preservation(cand)
             assert ok and not witnesses
             assert iso.check_l0_preservation(cand)
 
@@ -293,7 +322,7 @@ class TestPrunedSearch:
             kernel = iso._PairKernel(src, tgt)
             products = value_products(src, tgt)
             for perm, signs in iso._gram_matchings(
-                    *iso._integer_grams(src, tgt)):
+                    *iso._integer_grams(src, tgt)[1:]):
                 cand = iso.IsometryCandidate(src, tgt, perm, signs)
                 leaves += 1
                 for collect in (False, True):
@@ -421,7 +450,7 @@ class TestPerfection:
                                           * mu)
                             for tab, c in ((s_tab, g), (t_tab, h))):
                         expected.append(("integrality", g, h, str(mu)))
-            _, conductor = iso.check_conductor_preservation(cand, 5)
+            _, conductor = iso.check_conductor_preservation(cand)
             expected += [("conductor",) + w for w in conductor]
             if not iso.check_l0_preservation(cand):
                 expected.append(("l0",))
@@ -434,7 +463,7 @@ class TestPerfection:
         src, tgt = a5_d10
         # target positions 2, 3 are the degree-2 characters of conductor 5
         cand = iso.IsometryCandidate(src, tgt, (2, 0, 1, 3), (1, 1, 1, 1))
-        ok, witnesses = iso.check_conductor_preservation(cand, 5)
+        ok, witnesses = iso.check_conductor_preservation(cand)
         assert not ok and witnesses
 
 
@@ -456,6 +485,44 @@ class TestL0:
             assert verdict == reference_l0(cand), cand
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_gram_form_is_the_projection_onto_decomposition_columns(
+            self, corpus, group_primes):
+        # G = D C^-1 D^T: G^2 = G and G d = d for each column d of D
+        blocks = 0
+        for name, p in group_primes:
+            ds = corpus[name]
+            dec = ds.brauer(p).decomposition
+            for b in ds.blocks(p):
+                irrs = sorted(b.irr_indices)
+                g = ds.regular_gram(p, b)
+                assert [[sum(map(operator.mul, row, col)) for col in zip(*g)]
+                        for row in g] == g, (name, p, b.id)
+                for j in b.ibr_indices:
+                    col = [dec[i][j] for i in irrs]
+                    assert [sum(map(operator.mul, row, col))
+                            for row in g] == col, (name, p, b.id, j)
+                blocks += 1
+        assert blocks == 34
+
+    def test_inclusion_across_defect_ranks_equals_lattice_path(self, corpus):
+        # sources of three Brauer characters onto targets of one: no map
+        # carries G_S onto G_T, yet some map L0(S) into L0(T)
+        sources = [iso.block_ref(corpus[g], 2, "B0") for g in ("A4", "A5")]
+        targets = [iso.block_ref(corpus[g], 2, "B0") for g in ("C4", "F20")]
+        bases = {id(s): l0_basis(s) for s in sources}
+        rows = {id(t): regular_rows(t) for t in targets}
+        preserved = checked = 0
+        for src, tgt in itertools.product(sources, targets):
+            for perm in itertools.permutations(range(4)):
+                for signs in itertools.product((1, -1), repeat=4):
+                    cand = iso.IsometryCandidate(src, tgt, perm, signs)
+                    verdict = iso.check_l0_preservation(cand)
+                    assert verdict == lattice_l0(cand, bases[id(src)],
+                                                 rows[id(tgt)]), cand
+                    preserved += verdict
+                    checked += 1
+        assert (checked, preserved) == (1536, 576)
 
 
 class TestCertificates:

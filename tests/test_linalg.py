@@ -1,13 +1,15 @@
 """The elimination kernel, checked against the defining properties of
-solutions, rank and nullspace on seeded Fraction and CycloNum matrices."""
+solutions, rank and nullspace on seeded Fraction and CycloNum matrices; the
+nullspace is the tests' own, built on `rref`."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import nullspace
 
 from charcond.cyclo import ONE, ZERO, CycloNum
-from charcond.linalg import nullspace, rank, rref, solve
+from charcond.linalg import rank, rref, solve
 
 
 def fraction_entry(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from charcond import verify
+from charcond import linalg, verify
 from charcond.blocks import block_of
 from charcond.cyclo import (CycloNum, conductor_p, conductor_p_int, lincomb,
                             lincomb_int)
@@ -216,6 +216,55 @@ class TestIntegerRecords:
                     want.append(reference_theorem1(
                         ds, p, virtual_character(ds.table, coords), label))
                 assert got == want, (name, p, b.id)
+
+
+def lattice_faults(ds, p):
+    """(block, T) for each level threshold T at which Theorem 1 fails on
+    some psi in Z Irr(B): "the conductor p-part of psi is below T" is the
+    vanishing of psi's Irr coordinates against the test values at every
+    level t >= T, on each side, so Theorem 1 for all of Z Irr(B) says the
+    two sides' test matrices A (Irr) and B (d^u), cut to the block, have
+    one left kernel: rank A = rank B = rank [A | B] over Q."""
+    _, sides, _ = verify._level_tests(ds, p)
+    thresholds = sorted({t for levels in sides for t, _ in levels})
+    faults = []
+    for b in ds.blocks(p):
+        irrs = sorted(b.irr_indices)
+        for threshold in thresholds:
+            a, c = ([[Fraction(x) for t, rows in levels if t >= threshold
+                      for x in rows[i]] for i in irrs] for levels in sides)
+            ranks = {linalg.rank(a), linalg.rank(c),
+                     linalg.rank([x + y for x, y in zip(a, c)])}
+            if len(ranks) > 1:
+                faults.append((b.id, threshold))
+    return faults
+
+
+class TestTheorem1Lattice:
+    """Theorem 1 on every generalised character of each block at once."""
+
+    def test_every_corpus_block(self, corpus, group_primes):
+        assert len(group_primes) == 19
+        for name, p in group_primes:
+            assert lattice_faults(corpus[name], p) == [], (name, p)
+
+    def test_du_entry_times_zeta_p_fails(self):
+        ds = load_corpus()["A5"]
+        gm = ds.gendec(5)
+        ident = ds.table.identity_class
+        col, chi = next((c, i) for c in gm.columns if c[0] != ident
+                        for i, v in enumerate(gm.entries[c]) if v)
+        gm.entries[col][chi] = gm.entries[col][chi] * CycloNum.zeta(5)
+        assert lattice_faults(ds, 5) == [("B0", 5)]
+
+    def test_galois_twisted_table_value_fails(self):
+        # the d^u are taken before the twist, so only the Irr side sees it
+        ds = load_corpus()["A5"]
+        ds.gendec(5)
+        row = ds.table.irreducibles[1]
+        c = next(c for c, v in enumerate(row) if v.galois(2) != v)
+        row[c] = row[c].galois(2)
+        assert lattice_faults(ds, 5) == [("B0", 5)]
 
 
 class TestLevelForms:

@@ -207,8 +207,18 @@ def _gf_rows(mat, ell):
 
 
 def _nullspace(mat, ell):
-    """Basis of the right nullspace of a matrix over F_ell."""
-    return [[x.v for x in v] for v in linalg.nullspace(_gf_rows(mat, ell))]
+    """Basis of the right nullspace of a matrix over F_ell, read off its
+    reduced form: one vector per free column c, 1 at c, 0 at the other free
+    columns."""
+    red, pivots = linalg.rref(_gf_rows(mat, ell))
+    basis = []
+    for c in range(len(mat[0])):
+        if c not in pivots:
+            v = [int(j == c) for j in range(len(mat[0]))]
+            for i, pc in enumerate(pivots):
+                v[pc] = (-red[i][c]).v
+            basis.append(v)
+    return basis
 
 
 def _solve_mod(mat, rhs, ell):
