@@ -17,22 +17,32 @@ basis of Q(zeta_n), and `int_terms(n)`, the integer pairs (e, c) of an
 algebraic integer as a sum of c * zeta_n^e.
 
 Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
-prime q | n at a time, with no linear solve (`_descend`).  If n = 2 mod 4
-the fields are equal; otherwise x lies in Q(zeta_(n/q)) iff a Z-linear test
-of its numerators vanishes (`_fixed_test`): if q^2 | n, its coordinates off
+prime q | n at a time, with no linear solve.  If n = 2 mod 4 the fields are
+equal; otherwise x lies in Q(zeta_(n/q)) iff a Z-linear test of its
+numerators vanishes (`_fixed_test`): if q^2 | n, its coordinates off
 multiples of q; if not, sigma(x) - x for a generator sigma of the cyclic
-H = Gal(Q(zeta_n)/Q(zeta_(n/q))), and then x = Tr_H(x)/(q-1), a division
+H = Gal(Q(zeta_n)/Q(zeta_(n/q))).  `_descend` maps the coordinates of an x
+that lies there one field down: if q || n, x = Tr_H(x)/(q-1), a division
 that is exact on numerators since Z[zeta_n] meets Q(zeta_(n/q)) in
 Z[zeta_(n/q)].  `_normalise` descends while some prime lets the element
 down; `invert` multiplies the numerators y by c, the product of their
-nontrivial H-conjugates, so that y*c = N_H(y) lies one field down, and
-collects the c on the way down to the integer norm N: 1/x = den * c / N.
-`conductor_tests` runs the same tests at one prime, as Z-linear maps;
-`conductor_p_int` reads a p-part off them.
+nontrivial H-conjugates, so that y*c = N_H(y) lies one field down with no
+test, and collects the c on the way down to the integer norm N:
+1/x = den * c / N.  `conductor_tests` runs the same tests at one prime, as
+Z-linear maps; `conductor_p_int` reads a p-part off them.
+
+Normalisation tests only the primes where the conductor can drop
+(`_tied`).  If, among the canonical terms of a sum in Q(zeta_n) or the two
+factors of a product, exactly one reaches the q-part of n, the result keeps
+that q-part: Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), so were the
+result in Q(zeta_(n/q)), that one term (the result less the others, or over
+the other factor) would lie in a field with a smaller q-part than its
+conductor.  `parse_cyclo` applies the rule to the conductors of its atoms.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -59,7 +69,9 @@ def euler_phi(n: int) -> int:
 
 
 def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of a positive integer."""
+    """p-adic valuation of a positive integer, p >= 2."""
+    if n < 1 or p < 2:
+        raise CycloError(f"nu_p needs n >= 1 and p >= 2, got {n} and {p}")
     v = 0
     while n % p == 0:
         n //= p
@@ -176,6 +188,7 @@ def _over_lcm(terms) -> tuple[int, list]:
     return den, [(key, a * (den // b)) for key, a, b in terms]
 
 
+@lru_cache(maxsize=256)
 def _generator(n: int, q: int) -> int:
     """k = 1 mod n/q generating Gal(Q(zeta_n)/Q(zeta_(n/q))), odd q || n."""
     g = next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1
@@ -195,15 +208,13 @@ def _fixed_test(n: int, q: int, vec) -> list[int]:
             zip(_reduce(n, ((j * k, c) for j, c in enumerate(vec))), vec)]
 
 
-def _descend(n: int, q: int, vec) -> list[int] | None:
-    """Integer coordinates of x in Q(zeta_(n/q)), q | n prime, or None if x
-    is not there."""
+def _descend(n: int, q: int, vec) -> list[int]:
+    """Integer coordinates in Q(zeta_(n/q)), q | n prime, of an x that lies
+    there."""
     m = n // q
     if q == 2 and m % 2:  # zeta_n = -zeta_m^((m+1)/2)
         return _reduce(m, ((j * (m + 1) // 2, -c if j % 2 else c)
                            for j, c in enumerate(vec)))
-    if any(_fixed_test(n, q, vec)):
-        return None
     if m % q == 0:
         return vec[::q]
     # Tr(zeta_n^j) is zeta_m^(j/q) times q-1 if q | j, and times -1 if not
@@ -213,19 +224,46 @@ def _descend(n: int, q: int, vec) -> list[int] | None:
             for j, c in enumerate(vec)))]
 
 
+@lru_cache(maxsize=256)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """(q, p_part(n, q)) for each prime q | n, ascending."""
+    return tuple((q, p_part(n, q)) for q in prime_factors(n))
+
+
+def _tied(n: int, orders) -> list[int]:
+    """The primes q | n where a sum or product in Q(zeta_n) of nonzero terms
+    at these conductors can lie in Q(zeta_(n/q)): all but those where one
+    order alone reaches the q-part of n (see the module docstring)."""
+    out = []
+    for q, t in _prime_powers(n):
+        reached = 0
+        for c in orders:
+            if c % t == 0:
+                reached += 1
+        if reached != 1:
+            out.append(q)
+    return out
+
+
 class CycloNum:
     """sum num[j] * zeta_order^j / den, for integers num[j] and a positive
-    integer den, held in canonical form."""
+    integer den, held in canonical form.  Inside this module, `_primes`
+    lists the primes where the element can leave Q(zeta_order), none if
+    order is its conductor; by default every prime is tested."""
 
     __slots__ = ("order", "_num", "_den", "_hash")
 
-    def __init__(self, order: int, num, den: int = 1,
-                 _at_conductor: bool = False):
-        if not _at_conductor:
-            order, num = _normalise(order, num)
+    def __init__(self, order: int, num, den: int = 1, _primes=None):
+        if _primes is None:
+            if order < 1 or den < 1 or len(num) != euler_phi(order):
+                raise CycloError(f"no element of order {order} with "
+                                 f"{len(num)} numerators over {den}")
+            _primes = prime_factors(order)
+        if _primes:
+            order, num = _normalise(order, num, _primes)
         g = gcd(den, *num)
         self.order = order
-        self._num = tuple(c // g for c in num)
+        self._num = tuple(num) if g == 1 else tuple([c // g for c in num])
         self._den = den // g
         self._hash = None
 
@@ -233,7 +271,7 @@ class CycloNum:
 
     @staticmethod
     def from_rational(q) -> "CycloNum":  # q an int or a Fraction
-        return CycloNum(1, (q.numerator,), q.denominator, _at_conductor=True)
+        return CycloNum(1, (q.numerator,), q.denominator, _primes=())
 
     @staticmethod
     def zeta(n: int, e: int = 1) -> "CycloNum":
@@ -268,17 +306,24 @@ class CycloNum:
         multiple of the order (the order itself by default)."""
         num = self._num
         if n not in (None, self.order):
-            num = _reduce(n, (((n // self.order) * j, c)
+            num = _reduce(n, ((self._step(n) * j, c)
                               for j, c in enumerate(num)))
         return tuple(Fraction(c, self._den) for c in num)
 
     def int_terms(self, n: int) -> list[tuple[int, int]] | None:
         """Pairs (e, c), self = sum c * zeta_n^e for n a multiple of the
         order; None if self is not an algebraic integer."""
+        step = self._step(n)
         if self._den != 1:
             return None
-        step = n // self.order
         return [(step * e, c) for e, c in enumerate(self._num) if c]
+
+    def _step(self, n: int) -> int:
+        """n / order, the exponent of zeta_n that is zeta_order."""
+        if n < 1 or n % self.order:
+            raise CycloError(f"Q(zeta_{n}) does not contain Q(zeta_"
+                             f"{self.order})")
+        return n // self.order
 
     def __bool__(self) -> bool:
         return any(self._num)
@@ -292,7 +337,7 @@ class CycloNum:
 
     def __neg__(self) -> "CycloNum":
         return CycloNum(self.order, [-c for c in self._num], self._den,
-                        _at_conductor=True)
+                        _primes=())
 
     def __sub__(self, other) -> "CycloNum":
         return self + (-_coerce(other))
@@ -307,13 +352,14 @@ class CycloNum:
             if not q:
                 return self
             return CycloNum(other.order, [q * c for c in other._num],
-                            self._den * other._den, _at_conductor=True)
+                            self._den * other._den, _primes=())
         if other.order == 1:
             return other * self
         n = lcm(self.order, other.order)
         return CycloNum(n, _mul(n, self._num, n // self.order,
                                 other._num, n // other.order),
-                        self._den * other._den)
+                        self._den * other._den,
+                        _tied(n, (self.order, other.order)))
 
     __rmul__ = __mul__
 
@@ -337,7 +383,7 @@ class CycloNum:
         for n, c in reversed(cofactors):
             inv, order = _mul(n, inv, n // order, c, 1), n
         # Q(1/a) = Q(a), so the inverse is already at its conductor
-        return CycloNum(order, inv, abs(y[0]), _at_conductor=True)
+        return CycloNum(order, inv, abs(y[0]), _primes=())
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).invert()
@@ -356,7 +402,7 @@ class CycloNum:
         # conjugates share the conductor, so the result is already canonical
         return CycloNum(n, _reduce(n, ((j * k, c)
                                        for j, c in enumerate(self._num))),
-                        self._den, _at_conductor=True)
+                        self._den, _primes=())
 
     def conjugate(self) -> "CycloNum":
         return self.galois(-1)
@@ -404,17 +450,20 @@ def lincomb(terms) -> CycloNum:
                               for q, x in terms])
     return CycloNum(n, _reduce(n, (((n // x.order) * j, w * c)
                                    for x, w in weights
-                                   for j, c in enumerate(x._num) if c)), den)
+                                   for j, c in enumerate(x._num) if c)), den,
+                    _tied(n, [x.order for _, x in terms]))
 
 
-def _normalise(n: int, vec) -> tuple[int, list[int]]:
-    """(conductor, coordinates there) of the element, one prime at a time;
-    once x is not in Q(zeta_(n/q)) it is in no Q(zeta_d), d | n/q."""
+def _normalise(n: int, vec, primes) -> tuple[int, list[int]]:
+    """(conductor, coordinates there) of the element, testing the given
+    primes one at a time; once x is not in Q(zeta_(n/q)) it is in no
+    Q(zeta_d), d | n/q."""
     if not any(vec[1:]):  # a rational, on the basis 1, z, z^2, ...
         return 1, vec[:1]
-    for q in prime_factors(n):
-        while n % q == 0 and (down := _descend(n, q, vec)) is not None:
-            n, vec = n // q, down
+    for q in primes:
+        while n % q == 0 and (q == 2 and n % 4 == 2
+                              or not any(_fixed_test(n, q, vec))):
+            n, vec = n // q, _descend(n, q, vec)
     return n, vec
 
 
@@ -440,7 +489,7 @@ def conductor_p(values, p: int) -> int:
 
 
 def conductor_tests(n: int, vec: list[int], p: int):
-    """`_descend`'s tests at p alone on x = sum vec[j] * z^j in Z[zeta_n], on
+    """`_normalise`'s tests at p alone on x = sum vec[j] * z^j in Z[zeta_n], on
     `reduce_int`'s basis, as pairs (t, y) in descending t: the conductor
     p-part of x is the first t with y nonzero, and 1 if there is none.  Each
     y is a `_fixed_test`, Z-linear in vec; after a test at p^2 | n the next
@@ -462,93 +511,69 @@ def conductor_p_int(n: int, vec: list[int], p: int) -> int:
 # the E(n) expression grammar
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        raise CycloParseError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not (self.pos < len(self.text) and self.text[self.pos].isdecimal()):
-            self.pos = start
-            self.error("expected an integer")
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        return int(self.text[start:self.pos])
-
-    def atom(self) -> tuple[int, int]:
-        # 'E(' n ')' ['^' e] as (n, e); a term c * E(n)^e is (c, n, e)
-        self.take("E")
-        self.take("(")
-        n = self.integer()
-        if n <= 0:
-            self.error(f"E({n}) is not a valid root of unity")
-        self.take(")")
-        e = 1
-        if self.peek() == "^":
-            self.take("^")
-            e = self.integer()
-        return n, e
-
-    def term(self) -> tuple[Fraction, int, int]:
-        if self.peek() == "E":
-            return (Fraction(1),) + self.atom()
-        num = self.integer()
-        if self.peek() == "/":
-            self.take("/")
-            den = self.integer()
-            if den <= 0:
-                self.error("denominator must be a positive integer")
-            coeff = Fraction(num, den)
-        else:
-            coeff = Fraction(num)
-        if self.peek() == "*":
-            self.take("*")
-            return (coeff,) + self.atom()
-        return coeff, 1, 0
-
-    def expr(self) -> CycloNum:
-        op, terms = self.peek(), []
-        if op == "-":
-            self.take("-")
-        while True:
-            c, n, e = self.term()
-            terms.append((-c if op == "-" else c, n, e))
-            op = self.peek()
-            if op not in ("+", "-"):
-                break
-            self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        order = lcm(*[n for _, n, _ in terms])
-        den, terms = _over_lcm([(e * (order // n), c.numerator, c.denominator)
-                                for c, n, e in terms])
-        return CycloNum(order, _reduce(order, terms), den)
+_WS = re.compile(r"\s*")
+# one signed term: [c[/d]][*]E(n)[^e], every part optional so that the
+# first missing one locates a syntax error
+_TERM = re.compile(
+    r"\s*(?P<op>[-+]?)\s*(?:(?P<c>-?\d+)(?:\s*(?P<sl>/)(?:\s*(?P<d>-?\d+))?)?"
+    r"(?:\s*(?P<x>\*))?)?(?:\s*(?P<z>E)(?:\s*(?P<lp>\()(?:\s*(?P<n>-?\d+)"
+    r"(?:\s*(?P<rp>\))(?:\s*(?P<hat>\^)(?:\s*(?P<e>-?\d+))?)?)?)?)?)?")
 
 
-def parse_cyclo(expr: str) -> CycloNum:
-    """Parse an E(n)-notation cyclotomic expression into canonical form."""
-    return _Parser(expr).expr()
+def parse_cyclo(text: str) -> CycloNum:
+    """Parse an E(n)-notation cyclotomic expression into canonical form: a
+    sum of terms c, c/d, E(n) or c/d*E(n), each E(n) optionally ^e, the
+    first one optionally negated; one `_TERM` match per term."""
+    def fail(message, pos, skip=False):
+        raise CycloParseError(message, _WS.match(text, pos).end() if skip
+                              else pos)
+
+    pos, terms = 0, []
+    while True:
+        m = _TERM.match(text, pos)
+        op, c, sl, d, x, z, lp, n, rp, hat, e = m.groups()
+        if terms and not op:
+            break
+        if op == "+" and not terms:
+            fail("expected an integer", m.start("op"))
+        if c is None and not z:
+            fail("expected an integer", m.end())
+        if sl and d is None:
+            fail("expected an integer", m.end("sl"), True)
+        if d is not None and int(d) <= 0:
+            fail("denominator must be a positive integer", m.end("d"))
+        coeff = ((-1 if op == "-" else 1) * int(c or 1), int(d or 1))
+        if c is not None and not x:
+            terms.append(coeff + (1, 0))
+            pos = m.end("d" if sl else "c")
+            continue
+        if not z:
+            fail("expected 'E'", m.end("x"), True)
+        if not lp:
+            fail("expected '('", m.end("z"), True)
+        if n is None:
+            fail("expected an integer", m.end("lp"), True)
+        if int(n) <= 0:
+            fail(f"E({int(n)}) is not a valid root of unity", m.end("n"))
+        if not rp:
+            fail("expected ')'", m.end("n"), True)
+        if hat and e is None:
+            fail("expected an integer", m.end("hat"), True)
+        terms.append(coeff + (int(n), int(e) if hat else 1))
+        pos = m.end()
+    pos = m.start("op")
+    if pos != len(text):
+        fail(f"unexpected {text[pos]!r}", pos)
+    order = lcm(*[n for _, _, n, _ in terms])
+    den = lcm(*[d for _, d, _, _ in terms])
+    acc, conds = [0] * order, []
+    for c, d, n, e in terms:
+        acc[e * (order // n) % order] += c * (den // d)
+        # c * E(n)^e has conductor n / gcd(n, e), halved if that is 2 mod 4,
+        # or 1 if c = 0
+        k = n // gcd(n, e) if c else 1
+        conds.append(k // 2 if k % 4 == 2 else k)
+    return CycloNum(order, reduce_int(order, acc), den, _tied(order, conds))
 
 
 def _frac_str(num: int, den: int) -> str:
@@ -566,12 +591,7 @@ def cyclo_to_str(a: CycloNum) -> str:
             continue
         atom = f"E({a.order})" if e == 1 else f"E({a.order})^{e}" if e else None
         mag = _frac_str(abs(c), a._den)
-        if atom is None:
-            body = mag
-        elif mag == "1":
-            body = atom
-        else:
-            body = f"{mag}*{atom}"
+        body = mag if atom is None else atom if mag == "1" else f"{mag}*{atom}"
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     return "".join(parts) if parts else "0"

@@ -13,8 +13,8 @@ import pytest
 from charcond import cyclo, linalg
 from charcond.cyclo import (ONE, ZERO, CycloError, CycloNum, CycloParseError,
                             conductor, conductor_p, cyclo_to_str,
-                            cyclotomic_poly, euler_phi, lincomb, p_part,
-                            parse_cyclo)
+                            cyclotomic_poly, euler_phi, lincomb, nu_p, p_part,
+                            parse_cyclo, prime_factors)
 from charcond.tables import default_corpus_dir
 
 
@@ -92,6 +92,51 @@ class TestBasics:
         z6 = CycloNum.zeta(6)
         assert z6.order == 3
         assert z6 == -(CycloNum.zeta(3) * CycloNum.zeta(3))
+
+
+class TestRejects:
+    """What cannot be a CycloNum, or a view of one, is a CycloError."""
+
+    @pytest.mark.parametrize("order,num,den", [
+        (5, [0, 1], 1),          # phi(5) = 4 numerators
+        (1, [1], -2), (1, [1], 0), (3, [1, 1], 0),
+        (-3, [1, 1], 1), (0, [], 1), (6, [1, 1, 1], 1)])
+    def test_constructor(self, order, num, den):
+        with pytest.raises(CycloError):
+            CycloNum(order, num, den)
+
+    def test_constructor_accepts_what_it_prints(self):
+        assert CycloNum(5, [0, 1, 0, 0]) == parse_cyclo("E(5)")
+        assert CycloNum(6, [0, 1]) == parse_cyclo("E(6)")
+        assert parse_cyclo("E(6)") == 1 + CycloNum.zeta(3)
+        assert CycloNum(1, [4], 6) == Fraction(2, 3)
+
+    @pytest.mark.parametrize("n", [7, 12, 0, -5])
+    def test_views_need_a_multiple_of_the_order(self, n):
+        z = CycloNum.zeta(5)
+        with pytest.raises(CycloError):
+            z.coeffs(n)
+        with pytest.raises(CycloError):
+            z.int_terms(n)
+        with pytest.raises(CycloError):
+            (z / 2).int_terms(n)
+
+    def test_views_at_multiples(self):
+        z = CycloNum.zeta(5)
+        assert z.int_terms(15) == [(3, 1)]
+        assert z.coeffs(10) == (0, 0, 1, 0)
+        assert (z / 2).int_terms(10) is None
+
+    @pytest.mark.parametrize("n,p", [(0, 2), (-4, 2), (5, 1), (5, 0), (5, -3)])
+    def test_nu_p_needs_positive_n_and_a_base_of_two_or_more(self, n, p):
+        with pytest.raises(CycloError):
+            nu_p(n, p)
+        with pytest.raises(CycloError):
+            p_part(n, p)
+
+    def test_conductor_p_at_one(self):
+        with pytest.raises(CycloError):
+            conductor_p([CycloNum.zeta(5)], 1)
 
 
 class TestConductor:
@@ -241,7 +286,94 @@ class TestParser:
             parse_cyclo(bad)
 
 
-class FoldParser(cyclo._Parser):
+class CharParser:
+    """The reference parser, one method call per character: the grammar
+    parse_cyclo reads with one regular expression per term."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str):
+        raise CycloParseError(msg, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        if not (self.pos < len(self.text) and self.text[self.pos].isdecimal()):
+            self.pos = start
+            self.error("expected an integer")
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        return int(self.text[start:self.pos])
+
+    def atom(self) -> tuple[int, int]:
+        # 'E(' n ')' ['^' e] as (n, e); a term c * E(n)^e is (c, n, e)
+        self.take("E")
+        self.take("(")
+        n = self.integer()
+        if n <= 0:
+            self.error(f"E({n}) is not a valid root of unity")
+        self.take(")")
+        e = 1
+        if self.peek() == "^":
+            self.take("^")
+            e = self.integer()
+        return n, e
+
+    def term(self) -> tuple[Fraction, int, int]:
+        if self.peek() == "E":
+            return (Fraction(1),) + self.atom()
+        num = self.integer()
+        if self.peek() == "/":
+            self.take("/")
+            den = self.integer()
+            if den <= 0:
+                self.error("denominator must be a positive integer")
+            coeff = Fraction(num, den)
+        else:
+            coeff = Fraction(num)
+        if self.peek() == "*":
+            self.take("*")
+            return (coeff,) + self.atom()
+        return coeff, 1, 0
+
+    def expr(self) -> CycloNum:
+        op, terms = self.peek(), []
+        if op == "-":
+            self.take("-")
+        while True:
+            c, n, e = self.term()
+            terms.append((-c if op == "-" else c, n, e))
+            op = self.peek()
+            if op not in ("+", "-"):
+                break
+            self.pos += 1
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        order = math.lcm(*[n for _, n, _ in terms])
+        den, terms = cyclo._over_lcm([(e * (order // n), c.numerator,
+                                       c.denominator) for c, n, e in terms])
+        return CycloNum(order, cyclo._reduce(order, terms), den)
+
+
+class FoldParser(CharParser):
     """The parser before terms were collected: one CycloNum.zeta per atom
     and one + or - per term, each normalised."""
 
@@ -319,30 +451,69 @@ class TestParseOnce:
     ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16)
 
     @staticmethod
-    def same(text):
+    def same(text, reference=FoldParser):
+        """Check that parse_cyclo agrees with the reference parser on text;
+        return the error's message without its position, or None if text
+        parses."""
         try:
-            want = FoldParser(text).expr()
+            want = reference(text).expr()
         except CycloParseError as ex:
             with pytest.raises(CycloParseError) as got:
                 parse_cyclo(text)
-            assert (str(got.value), got.value.pos) == (str(ex), ex.pos)
-            return
+            assert (str(got.value), got.value.pos) == (str(ex), ex.pos), text
+            return str(ex).split(" (at position")[0]
         got = parse_cyclo(text)
         assert (got.order, got.coeffs()) == (want.order, want.coeffs()), text
+        return None
+
+    def expression(self, rng, most=4):
+        parts = []
+        for k in range(rng.randint(1, most)):
+            n = rng.choice(self.ORDERS)
+            atom = rng.choice([f"E({n})", f"E({n})^{rng.randint(-2 * n, 2 * n)}"])
+            num, den = rng.randint(-6, 6), rng.randint(1, 4)
+            coeff = f"{abs(num)}/{den}" if den > 1 else str(abs(num))
+            body = rng.choice([atom, coeff, f"{coeff}*{atom}"])
+            sign = "-" if num < 0 else "+" if k else ""
+            parts.append(sign + rng.choice(["", " "]) + body)
+        return " ".join(parts) if rng.random() < 0.2 else "".join(parts)
 
     def test_seeded_expressions(self):
         rng = random.Random(2024)
         for _ in range(2000):
-            parts = []
-            for k in range(rng.randint(1, 4)):
-                n = rng.choice(self.ORDERS)
-                atom = rng.choice([f"E({n})", f"E({n})^{rng.randint(-2 * n, 2 * n)}"])
-                num, den = rng.randint(-6, 6), rng.randint(1, 4)
-                coeff = f"{abs(num)}/{den}" if den > 1 else str(abs(num))
-                body = rng.choice([atom, coeff, f"{coeff}*{atom}"])
-                sign = "-" if num < 0 else "+" if k else ""
-                parts.append(sign + rng.choice(["", " "]) + body)
-            self.same(" ".join(parts) if rng.random() < 0.2 else "".join(parts))
+            self.same(self.expression(rng))
+
+    def test_single_character_mutations(self):
+        """One character inserted, deleted or replaced in a valid expression
+        (seeded or from the corpus): parse_cyclo gives the character
+        parser's value, or its error message at its position."""
+        # superscript two is a digit but not a decimal; Arabic-Indic three
+        # is a decimal that int() reads as 3
+        alphabet = " +-*/^()E0123456789\u00b2\u0663"
+        rng = random.Random(25)
+        corpus = sorted(set(corpus_value_strings()))
+        outcomes = set()
+        for _ in range(3000):
+            # at most two terms, so that a digit inserted into an order
+            # keeps the lcm small enough for the reference's reduction
+            text = (rng.choice(corpus) if rng.random() < 0.5
+                    else self.expression(rng, 2))
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(["insert", "delete", "replace"])
+            if edit != "insert" and i == len(text):
+                i -= 1
+            if edit == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                keep = i + (edit == "replace")
+                text = text[:i] + rng.choice(alphabet) + text[keep:]
+            outcomes.add(self.same(text, CharParser))
+        # valid mutants, and every message the grammar has
+        kinds = {"expected an integer", "expected 'E'", "expected '('",
+                 "expected ')'", "is not a valid root of unity",
+                 "denominator must be a positive integer", "unexpected"}
+        assert None in outcomes
+        assert {k for k in kinds for o in outcomes if o and k in o} == kinds
 
     def test_corpus_values(self):
         values = corpus_value_strings()
@@ -558,6 +729,87 @@ class TestDescentAgainstSolve:
                                        for q, x in terms
                                        for j, c in enumerate(x.coeffs())))
             assert (s.order, s.coeffs()) == normalise_by_solve(n, vec)
+
+    PRUNING_ORDERS = (1, 3, 4, 5, 8, 9, 12, 15, 20)
+
+    def pruning_draws(self):
+        """Seeded operands (a, b, op) for a + b and a * b; in about a third
+        of the draws b is c - a or c / a, a term that cancels, so that the
+        result is c."""
+        rng = random.Random(2025)
+        draws = []
+        for _ in range(40):
+            a, c = (random_cyclo(rng, rng.choice(self.PRUNING_ORDERS))
+                    for _ in range(2))
+            cancel = rng.random() < 0.35 and a
+            draws.append((a, c - a if cancel else c, "+"))
+            draws.append((a, c / a if cancel else c, "*"))
+        return [(a, b, op) for a, b, op in draws if a and b]
+
+    @staticmethod
+    def pruned_results(draws):
+        """(op, reach, got, want) per draw: reach holds, per prime q of
+        n = lcm(a.order, b.order), how many of a, b reach the q-part of n
+        and whether the result's order falls below it; want is
+        `normalise_by_solve` on the operands' coordinates in Q(zeta_n)."""
+        for a, b, op in draws:
+            n = math.lcm(a.order, b.order)
+            ta, tb = ([((n // x.order) * j, c)
+                       for j, c in enumerate(x.coeffs())] for x in (a, b))
+            got = a + b if op == "+" else a * b
+            terms = (ta + tb if op == "+" else
+                     [(e + f, c * d) for e, c in ta for f, d in tb])
+            reach = {(q, (a.order % p_part(n, q) == 0)
+                      + (b.order % p_part(n, q) == 0),
+                      p_part(got.order, q) < p_part(n, q))
+                     for q in prime_factors(n)}
+            yield op, reach, got, normalise_by_solve(
+                n, reference_reduce(n, terms))
+
+    def test_pruned_sums_and_products(self):
+        seen = set()
+        for op, reach, got, want in self.pruned_results(self.pruning_draws()):
+            assert (got.order, got.coeffs()) == want, (op, got)
+            seen |= {(op, k, fell) for _, k, fell in reach}
+        # primes reached by one operand, which never fall, and by both,
+        # which fall in some draws (through a cancelling term) and stay
+        # in others
+        assert seen == {(op, k, fell) for op in "+*" for k, fell in
+                        ((1, False), (2, False), (2, True))}
+
+    def test_pruning_tied_primes_fails(self, monkeypatch):
+        # a copy of the rule that skips also the primes both operands reach
+        # leaves some result above its conductor
+        def untied(n, orders):
+            return [q for q in prime_factors(n)
+                    if not any(c % p_part(n, q) == 0 for c in orders)]
+
+        draws = self.pruning_draws()  # operands made by the real rule
+        monkeypatch.setattr(cyclo, "_tied", untied)
+        wrong = set()
+        for op, _, got, want in self.pruned_results(draws):
+            if (got.order, got.coeffs()) != want:
+                wrong.add(op)
+                if wrong == {"+", "*"}:
+                    return
+        pytest.fail(f"only {wrong or 'no'} results were wrong")
+
+    @pytest.mark.parametrize("terms", [
+        [(1, 6, 1)], [(1, 10, 5)], [(1, 12, 2)], [(1, 12, 3), (1, 4, 1)],
+        [(0, 5, 1), (1, 3, 1)], [(1, 5, 1), (-1, 5, 1), (1, 3, 1)],
+        [(1, 15, 5), (1, 15, 10)], [(2, 20, 4), (-1, 5, 1), (1, 4, 1)],
+        [(1, 9, 3), (1, 3, 2), (1, 4, 1)],
+        [(Fraction(3, 2), 8, 1), (1, 8, 3), (-1, 8, 5)]])
+    def test_parse(self, terms):
+        # sums c * E(m)^e with primes that no atom reaches (2 in E(6)), that
+        # one atom reaches, that two reach, and atoms whose coefficient is 0
+        # or that cancel
+        text = "+".join(f"{c}*E({m})^{e}" for c, m, e in terms)
+        n = math.lcm(*[m for _, m, _ in terms])
+        got = parse_cyclo(text)
+        assert got == CharParser(text).expr()
+        assert (got.order, got.coeffs()) == normalise_by_solve(
+            n, reference_reduce(n, [(e * (n // m), c) for c, m, e in terms]))
 
     def test_invert(self):
         rng = random.Random(48)

@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from math import isqrt, lcm
 from pathlib import Path
+from string import ascii_lowercase
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
@@ -553,13 +554,15 @@ def cached_table(G: Group):
 
 
 def class_names(G: Group):
+    """GAP-style names: the element order, then a letter per class of that
+    order, a to z, then a1 to z1, a2, and so on."""
     names = []
     counts = {}
     for cl in G.classes:
         o = G.element_order(cl[0])
-        counts[o] = counts.get(o, 0)
-        names.append(f"{o}{'abcdefghij'[counts[o]]}")
-        counts[o] += 1
+        k = counts.get(o, 0)
+        names.append(f"{o}{ascii_lowercase[k % 26]}{k // 26 or ''}")
+        counts[o] = k + 1
     return names
 
 
