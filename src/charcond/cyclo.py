@@ -9,6 +9,9 @@ its denominator is 1 (the power basis is an integral basis of Z[zeta_n]).
 Products, embeddings and Galois images are maps on exponents followed by
 one integer reduction mod Phi_n (`_reduce`, `reduce_int`); `lincomb` and
 `parse_cyclo` sum many terms with one reduction and one normalisation.
+`reduce_int` clears by the relation z^phi(n) = -(lower terms of Phi_n),
+held per order (`_relation`); `cyclotomic_poly` builds Phi_n as a power
+series truncated past degree phi(n), one pass per factor 1 - x^d.
 On algebraic integers, `hermitian_int` is the one weighted Hermitian sum
 sum_c w_c x_c conj(y_c) of class functions (inner products, reciprocity,
 restrictions, Gram forms), with conj read as the exponent map e -> -e.
@@ -28,8 +31,10 @@ Z[zeta_(n/q)].  `_normalise` descends while some prime lets the element
 down; `invert` multiplies the numerators y by c, the product of their
 nontrivial H-conjugates, so that y*c = N_H(y) lies one field down with no
 test, and collects the c on the way down to the integer norm N:
-1/x = den * c / N.  `conductor_tests` runs the same tests at one prime, as
-Z-linear maps; `conductor_p_int` reads a p-part off them.
+1/x = den * c / N.  A level with n = 2 mod 4 has trivial H and only
+descends, and the walk stops as soon as y is rational.  `conductor_tests`
+runs the same tests at one prime, as Z-linear maps; `conductor_p_int`
+reads a p-part off them.
 
 Normalisation tests only the primes where the conductor can drop
 (`_tied`).  If, among the canonical terms of a sum in Q(zeta_n) or the two
@@ -99,43 +104,47 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # the quotient by the monic den; the one caller divides Phi_m(x^q) by
-    # Phi_m(x), q a prime not dividing m, which leaves no remainder
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    return out
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the n-th cyclotomic polynomial.  For
+    n > 1, Phi_n(x) is the product of (1 - x^d)^mu(n/d) over the d | n with
+    n/d squarefree, as a power series truncated past x^phi(n): a factor
+    with d > phi(n) leaves those coefficients alone, and each other one is
+    one pass over them, times 1 - x^d or times 1 + x^d + x^(2d) + ...
+    (Arnold and Monagan, Math. Comp. 80, 2011)."""
+    if n == 1:
+        return (-1, 1)
+    k = euler_phi(n)
+    poly, factors = [1] + [0] * k, [(n, 1)]
+    for q in prime_factors(n):
+        factors += [(d // q, -mu) for d, mu in factors]
+    for d, mu in factors:  # both ranges are empty if d > k
+        if mu > 0:
+            for i in range(k, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:
+            for i in range(d, k + 1):
+                poly[i] += poly[i - d]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=256)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial: for a prime
-    q with n = qm, Phi_n(x) = Phi_m(x^q), divided by Phi_m(x) unless q | m."""
-    if n == 1:
-        return (-1, 1)
-    q = prime_factors(n)[0]
-    below = cyclotomic_poly(n // q)
-    poly = [0] * (q * (len(below) - 1) + 1)
-    poly[::q] = below
-    return tuple(poly if n % (q * q) == 0 else _poly_divide_exact(poly, below))
+def _relation(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), pairs (j - phi(n), a) for the nonzero a = Phi_n[j], j below
+    phi(n)): z^phi(n) = -sum a * z^j, the relation `reduce_int` clears by."""
+    poly = cyclotomic_poly(n)
+    k = len(poly) - 1
+    return k, tuple((j - k, a) for j, a in enumerate(poly[:k]) if a)
 
 
 def reduce_int(n: int, acc: list[int]) -> list[int]:
     """sum acc[e] * z^e on the power basis of Z[zeta_n]: the remainder by
     the monic Phi_n, computed in place in the integer list acc."""
-    phi_n = cyclotomic_poly(n)
-    k = len(phi_n) - 1
-    low = [(j, a) for j, a in enumerate(phi_n[:k]) if a]
+    k, low = _relation(n)
     for top in range(n - 1, k - 1, -1):
         c = acc[top]
         if c:
             for j, a in low:
-                acc[top - k + j] -= c * a
+                acc[top + j] -= c * a
     return acc[:k]
 
 
@@ -368,18 +377,23 @@ class CycloNum:
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         n, y, cofactors = self.order, self._num, []
-        while n > 1:
+        while any(y[1:]):  # else y is the integer N on the basis 1, z, ...
             q = prime_factors(n)[0]
-            m, c = n // q, [1]
-            for k in range(1 + m, n, m):  # H less 1: k = 1 mod m, prime to n
-                if gcd(k, n) == 1:
-                    c = _mul(n, c, 1, _reduce(n, ((j * k, a) for j, a
-                                                  in enumerate(y))), 1)
-            cofactors.append((n, c))
-            n, y = m, _descend(n, q, _mul(n, y, 1, c, 1))
-        # y is the integer norm N of the numerators, their product with all
-        # the cofactors; 1/x = den * (product of the cofactors) / N
-        inv, order = [self._den if y[0] > 0 else -self._den], 1
+            m, c = n // q, None
+            if n % 4 != 2:  # else Q(zeta_n) = Q(zeta_m) and H is trivial
+                for k in range(1 + m, n, m):  # k = 1 mod m
+                    if gcd(k, n) == 1:  # k in H, k != 1
+                        image = _reduce(n, ((j * k, a) for j, a
+                                            in enumerate(y)))
+                        c = image if c is None else _mul(n, c, 1, image, 1)
+                cofactors.append((n, c))
+                y = _mul(n, y, 1, c, 1)
+            n, y = m, _descend(n, q, y)
+        # y is the norm N of the numerators, their product with all the
+        # cofactors; 1/x = den * (product of the cofactors) / N
+        den = self._den if y[0] > 0 else -self._den
+        order, inv = cofactors.pop() if cofactors else (1, [1])
+        inv = [den * a for a in inv]
         for n, c in reversed(cofactors):
             inv, order = _mul(n, inv, n // order, c, 1), n
         # Q(1/a) = Q(a), so the inverse is already at its conductor

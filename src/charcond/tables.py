@@ -347,6 +347,23 @@ def _prime_key(key: str, path: str) -> int:
     return q
 
 
+# a failing inner product prints in full up to this many characters, and
+# a longer one as its number of terms and the first terms that fit
+MESSAGE_CHARS = 200
+
+
+def _bounded(x: CycloNum) -> str:
+    text = str(x)
+    if len(text) <= MESSAGE_CHARS:
+        return text
+    terms, head = re.findall(r"[-+]?[^-+]+", text), ""
+    for term in terms:
+        if len(head) + len(term) > MESSAGE_CHARS:
+            break
+        head += term
+    return f"with {len(terms)} terms: {head}..."
+
+
 def _validate_table(table: CharTable, path: str):
     classes = table.classes
     idents = [i for i, c in enumerate(classes) if c.element_order == 1]
@@ -398,7 +415,8 @@ def _validate_table(table: CharTable, path: str):
             if vec != want:
                 raise DatasetError(
                     f"{path}: row orthogonality fails for rows {i},{j} "
-                    f"(inner product {CycloNum(n, vec, table.group_order)})")
+                    f"(inner product "
+                    f"{_bounded(CycloNum(n, vec, table.group_order))})")
     if not any(all(v == 1 for v in row) for row in table.irreducibles):
         raise DatasetError(f"{path}.irreducibles: no trivial character")
 

@@ -2,9 +2,11 @@
 embedding oracle and hand-computed field facts."""
 
 import cmath
+import functools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -38,6 +40,27 @@ def reference_reduce(n: int, terms) -> tuple[Fraction, ...]:
             for j, a in enumerate(phi_n[:k]):
                 acc[top - k + j] -= c * a
     return tuple(acc[:k])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """The recursion Phi_n(x) = Phi_m(x^q) for a prime q with n = qm,
+    divided exactly by the monic Phi_m(x) unless q | m: the reference for
+    the power series."""
+    if n == 1:
+        return (-1, 1)
+    q = prime_factors(n)[0]
+    below = reference_cyclotomic_poly(n // q)
+    num = [0] * (q * (len(below) - 1) + 1)
+    num[::q] = below
+    if n % (q * q) == 0:
+        return tuple(num)
+    out = [0] * (len(num) - len(below) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = c = num[i + len(below) - 1]
+        for j, d in enumerate(below):
+            num[i + j] -= c * d
+    return tuple(out)
 
 
 def random_cyclo(rng, n: int) -> CycloNum:
@@ -77,6 +100,22 @@ class TestBasics:
                             out[i + j] += a * b
                     product = out
             assert product == [-1] + [0] * (n - 1) + [1]
+
+    def test_power_series_matches_the_recursion(self):
+        for n in range(1, 601):
+            assert cyclotomic_poly(n) == reference_cyclotomic_poly(n), n
+
+    def test_large_composite_conductor_parses_fast(self):
+        # conductor 7 * 11 * 13^2 = 13,013: Phi_13013 has 321 nonzero
+        # coefficients of 9,361
+        text = "5*E(11)^2+E(8)^-16+5/3*E(7)^9-E(169)^25"
+        cyclo._relation.cache_clear()
+        start = time.perf_counter()
+        got = parse_cyclo(text)
+        elapsed = time.perf_counter() - start
+        assert got == CharParser(text).expr()
+        assert got.order == 13013
+        assert elapsed < 1.0
 
     def test_i_squared(self):
         i = CycloNum.zeta(4)
@@ -673,6 +712,27 @@ def invert_by_solve(a):
     return n, tuple(linalg.solve(rows, [Fraction(1)] + [Fraction(0)] * (k - 1)))
 
 
+def invert_by_tower(a):
+    """Reference inverse by the full tower walk: every level down to order
+    1, also where H is trivial or y is already rational, builds its
+    cofactor from [1], one Galois image at a time, and descends y * c; the
+    assembly starts from the scalar den."""
+    n, y, cofactors = a.order, a._num, []
+    while n > 1:
+        q = prime_factors(n)[0]
+        m, c = n // q, [1]
+        for k in range(1 + m, n, m):
+            if math.gcd(k, n) == 1:
+                c = cyclo._mul(n, c, 1, cyclo._reduce(
+                    n, ((j * k, b) for j, b in enumerate(y))), 1)
+        cofactors.append((n, c))
+        n, y = m, cyclo._descend(n, q, cyclo._mul(n, y, 1, c, 1))
+    inv, order = [a._den if y[0] > 0 else -a._den], 1
+    for n, c in reversed(cofactors):
+        inv, order = cyclo._mul(n, inv, n // order, c, 1), n
+    return CycloNum(order, inv, abs(y[0]))
+
+
 class TestDescentAgainstSolve:
     """The prime-by-prime descent and the inverse down the Galois tower give
     the same canonical (order, coordinates) as the dense linear solves."""
@@ -814,12 +874,42 @@ class TestDescentAgainstSolve:
     def test_invert(self):
         rng = random.Random(48)
         for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 35, 36,
-                  40, 60, 72, 105):
-            for _ in range(1 if n == 105 else 4):
+                  40, 60, 72, 105,
+                  28, 44, 84, 140,  # towers through n = 2 mod 4, trivial H
+                  11, 13, 49, 77):  # a level with |H| >= 6
+            for _ in range(1 if n in (105, 44, 49, 77, 84, 140) else 4):
                 a = random_cyclo(rng, n)
                 if a:
                     inv = a.invert()
                     assert (inv.order, inv.coeffs()) == invert_by_solve(a)
+
+    @pytest.mark.parametrize("text,levels", [
+        ("1+E(4)", [4]), ("E(3)-E(3)^2", [3]), ("E(12)", [12, 6, 3]),
+        # sqrt(-3) + sqrt(5): its norm to Q(zeta_5) is 5 + 3 = 8
+        ("E(3)-E(3)^2+E(5)-E(5)^2-E(5)^3+E(5)^4", [15]),
+        ("1/2", []),
+    ])
+    def test_invert_stops_once_the_norm_is_rational(self, monkeypatch, text,
+                                                     levels):
+        # the orders whose level descends; 12 -> 6 is a level of trivial H
+        seen, real = [], cyclo._descend
+        monkeypatch.setattr(cyclo, "_descend", lambda n, q, vec: (
+            seen.append(n), real(n, q, vec))[1])
+        a = parse_cyclo(text)
+        seen.clear()
+        inv = a.invert()
+        assert seen == levels
+        assert (inv.order, inv.coeffs()) == invert_by_solve(a)
+
+    def test_invert_matches_the_full_tower(self):
+        rng = random.Random(120)
+        for n in range(1, 121):
+            if n % 4 == 2:
+                continue
+            for _ in range(2):
+                a = random_cyclo(rng, n)
+                if a:
+                    assert a.invert() == invert_by_tower(a), a
 
 
 def canonical(x: CycloNum) -> bool:

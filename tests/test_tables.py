@@ -329,6 +329,25 @@ def reference_orthogonality(table, path):
                     f"{path}: column orthogonality fails for classes {c},{cprime}")
 
 
+def skewed_table(N: int) -> CharTable:
+    """A table that passes every check before row orthogonality and fails
+    it with a long inner product: N odd and squarefree, |G| = exponent =
+    2N, one class of order 2 and one per divisor d of N, g^q of order
+    d / gcd(d, q), all values 1 but E(N) in row 0 and E(N)^2 in row 1 at
+    the last class, which holds the classes' remaining size."""
+    orders = [d for d in range(1, N + 1) if N % d == 0]
+    orders.insert(1, 2)
+    primes = [2] + [q for q in orders[2:] if all(q % r for r in range(2, q))]
+    classes = [tables.ClassData(f"{d}a", 1, d, {
+        q: orders.index(d // q if d % q == 0 else d) for q in primes})
+        for d in orders]
+    k = len(classes)
+    classes[-1] = classes[-1]._replace(size=2 * N - (k - 1))
+    rows = [[ONE] * k for _ in range(k)]
+    rows[0][-1], rows[1][-1] = CycloNum.zeta(N), CycloNum.zeta(N, 2)
+    return CharTable("T", 2 * N, 2 * N, classes, rows)
+
+
 def reference_independent(bd):
     """The IBr rows are linearly independent, by elimination."""
     return linalg.rank(bd.ibr) == len(bd.ibr)
@@ -389,6 +408,25 @@ class TestIntegerValidation:
                 rejected += got is not None
         # the other 5 are swaps of 1 and -1 in a table of C2, which relabel it
         assert rejected == 385
+
+    def test_long_inner_product_is_cut_to_its_first_terms(self):
+        N = 1155
+        table = skewed_table(N)
+        size = table.classes[-1].size
+        ip = lincomb([(Fraction(2 * N - size, 2 * N), ONE),
+                      (Fraction(size, 2 * N), CycloNum.zeta(N, -1))])
+        full = str(ip)
+        assert len(full) > 10 * tables.MESSAGE_CHARS
+        got = self.verdict(tables._validate_table, table)
+        count = sum(1 for c in ip.coeffs() if c)
+        prefix = (f"T: row orthogonality fails for rows 0,1 (inner product "
+                  f"with {count} terms: ")
+        assert got.startswith(prefix) and got.endswith("...)")
+        head = got[len(prefix):-4]
+        # whole terms, as many as fit
+        following = re.match(r"[-+][^-+]+", full[len(head):]).group()
+        assert full.startswith(head)
+        assert len(head) <= tables.MESSAGE_CHARS < len(head + following)
 
     def test_rank_verdict_equals_count(self, corpus):
         pairs = 0
