@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
-from .cyclo import CycloNum, lincomb_int, nu_p
+from .cyclo import CycloNum, int_rows, lincomb_int, nu_p
 from .residue import build_residue_map, reduce_cyclo
 
 
@@ -62,15 +61,14 @@ def validate_brauer(table, bd: BrauerData, path: str):
     # integer sum in Z[zeta_n], n the lcm of the value orders at s
     for col, s in enumerate(bd.regular_classes):
         values = [row[col] for row in bd.ibr]
-        chis = [row[s] for row in table.irreducibles]
-        n = lcm(*[x.order for x in values + chis])
-        ibr = [x.int_terms(n) for x in values]
+        n, (ibr, chis) = int_rows([values,
+                                   [row[s] for row in table.irreducibles]])
         if None in ibr:
             j = ibr.index(None)
             raise BlockError(f"{path}.ibr[{j}][{col}]: value {values[j]} is "
                              f"not an algebraic integer")
         for i, (drow, chi) in enumerate(zip(bd.decomposition, chis)):
-            if any(lincomb_int(n, [*zip(drow, ibr), (-1, chi.int_terms(n))])):
+            if any(lincomb_int(n, [*zip(drow, ibr), (-1, chi)])):
                 raise BlockError(
                     f"{path}: decomposition row {i} does not reproduce the "
                     f"character value on regular class {s}")

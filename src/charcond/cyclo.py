@@ -17,7 +17,8 @@ sum_c w_c x_c conj(y_c) of class functions (inner products, reciprocity,
 restrictions, Gram forms), with conj read as the exponent map e -> -e.
 Two views read an element: `coeffs(n)`, rational coordinates on the power
 basis of Q(zeta_n), and `int_terms(n)`, the integer pairs (e, c) of an
-algebraic integer as a sum of c * zeta_n^e.
+algebraic integer as a sum of c * zeta_n^e.  `int_rows` is the one place
+matrices of values become integer terms, at the lcm of their orders.
 
 Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
 prime q | n at a time, with no linear solve.  If n = 2 mod 4 the fields are
@@ -33,8 +34,7 @@ nontrivial H-conjugates, so that y*c = N_H(y) lies one field down with no
 test, and collects the c on the way down to the integer norm N:
 1/x = den * c / N.  A level with n = 2 mod 4 has trivial H and only
 descends, and the walk stops as soon as y is rational.  `conductor_tests`
-runs the same tests at one prime, as Z-linear maps; `conductor_p_int`
-reads a p-part off them.
+runs the same tests at one prime, as Z-linear maps.
 
 Normalisation tests only the primes where the conductor can drop
 (`_tied`).  If, among the canonical terms of a sum in Q(zeta_n) or the two
@@ -172,6 +172,14 @@ def sum_products_int(n: int, triples) -> list[int]:
             for f, b in y:
                 acc[(e + f) % n] += w * a * b
     return reduce_int(n, acc)
+
+
+def int_rows(*matrices) -> tuple:
+    """(n, each matrix as `int_terms(n)`), n the lcm of the orders of all
+    the values in all the matrices; a non-integral value's terms are None."""
+    n = lcm(*[x.order for rows in matrices for row in rows for x in row])
+    return (n, *[[[x.int_terms(n) for x in row] for row in rows]
+                 for rows in matrices])
 
 
 def hermitian_int(n: int, weights, rows, cols) -> list[list[list[int]]]:
@@ -505,20 +513,14 @@ def conductor_p(values, p: int) -> int:
 def conductor_tests(n: int, vec: list[int], p: int):
     """`_normalise`'s tests at p alone on x = sum vec[j] * z^j in Z[zeta_n], on
     `reduce_int`'s basis, as pairs (t, y) in descending t: the conductor
-    p-part of x is the first t with y nonzero, and 1 if there is none.  Each
-    y is a `_fixed_test`, Z-linear in vec; after a test at p^2 | n the next
-    reads the slice vec[::p].  Q(zeta_n) = Q(zeta_(n/2)) when n = 2 mod 4."""
+    p-part of x is the first t with y nonzero, and 1 if there is none, since
+    Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)) and a conductor is
+    never 2 mod 4.  Each y is a `_fixed_test`, Z-linear in vec; after a test
+    at p^2 | n the next reads the slice vec[::p].  Q(zeta_n) = Q(zeta_(n/2))
+    when n = 2 mod 4."""
     while n % p == 0 and (p != 2 or n % 4 == 0):
         yield p_part(n, p), _fixed_test(n, p, vec)
         n, vec = n // p, vec[::p]
-
-
-def conductor_p_int(n: int, vec: list[int], p: int) -> int:
-    """The p-part of the conductor c of x = sum vec[j] * z^j in Z[zeta_n], on
-    `reduce_int`'s basis, by `conductor_tests`: Q(zeta_a) and Q(zeta_b) meet
-    in Q(zeta_gcd(a, b)) and c is never 2 mod 4, so x lies in Q(zeta_(n/p))
-    exactly when p does not divide c / gcd(c, n/p)."""
-    return next((t for t, y in conductor_tests(n, vec, p) if any(y)), 1)
 
 
 # ---------------------------------------------------------------------------

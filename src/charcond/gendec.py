@@ -20,10 +20,10 @@ an independent check that pins the system's unique solution.  Callers read
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd
 
-from .cyclo import (CycloNum, hermitian_int, lincomb_int, nu_p, p_part,
-                    sum_products_int)
+from .cyclo import (CycloNum, hermitian_int, int_rows, lincomb_int, nu_p,
+                    p_part, sum_products_int)
 
 
 class GendecError(ValueError):
@@ -120,10 +120,7 @@ def gendec_all(ds, p: int) -> GendecMatrix:
                   for chi in range(table.num_classes)]
         irr_s = [[row[s] for s in bd.regular_classes]
                  for row in cent.irreducibles]
-        n = lcm(*[x.order for rows in (chi_us, irr_s, bd.ibr)
-                  for row in rows for x in row])
-        chi_us, irr_s, ibr = ([[x.int_terms(n) for x in row] for row in rows]
-                              for rows in (chi_us, irr_s, bd.ibr))
+        n, chi_us, irr_s, ibr = int_rows(chi_us, irr_s, bd.ibr)
         # Psi_phi(s) = sum_chi D[chi,phi] chi(s) over Irr(C)
         psi = [[[(e, c) for e, c in enumerate(lincomb_int(n, zip(coords, x)))
                  if c] for x in zip(*irr_s)]

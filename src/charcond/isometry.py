@@ -37,9 +37,9 @@ from collections import namedtuple
 from math import factorial, lcm
 
 from .blocks import Block
-from .cyclo import CycloError, CycloNum, p_part, sum_products_int
-from .tables import (DatasetError, GroupDataset, _require, _shape_fault,
-                     char_conductor)
+from .cyclo import (CycloError, CycloNum, conductor_p, int_rows, p_part,
+                    sum_products_int)
+from .tables import DatasetError, GroupDataset, _require, _shape_fault
 
 
 class IsometryError(ValueError):
@@ -113,14 +113,11 @@ class _PairKernel:
         s_tab, t_tab = src.dataset.table, tgt.dataset.table
         s_rows = [s_tab.irreducibles[i] for i in src.irrs]
         t_rows = [t_tab.irreducibles[j] for j in tgt.irrs]
-        self.order = n = lcm(*[v.order for row in s_rows + t_rows for v in row])
-
-        def terms(v):
-            if (out := v.int_terms(n)) is None:
-                raise IsometryError(f"value {v} is not an algebraic integer")
-            return out
-        self._src = [list(map(terms, row)) for row in s_rows]
-        self._tgt = [list(map(terms, row)) for row in t_rows]
+        bad = [v for row in s_rows + t_rows for v in row
+               if not v.is_algebraic_integer()]
+        if bad:
+            raise IsometryError(f"value {bad[0]} is not an algebraic integer")
+        self.order, self._src, self._tgt = int_rows(s_rows, t_rows)
         s_reg = [c.element_order % src.prime != 0 for c in s_tab.classes]
         t_reg = [c.element_order % tgt.prime != 0 for c in t_tab.classes]
         self.cells = [
@@ -235,8 +232,8 @@ def check_conductor_preservation(cand: IsometryCandidate):
     witnesses = []
     for k, i in enumerate(src.irrs):
         j = tgt.irrs[cand.permutation[k]]
-        lhs = char_conductor(src.dataset.table.irreducible(i), src.prime)
-        rhs = char_conductor(tgt.dataset.table.irreducible(j), src.prime)
+        lhs = conductor_p(src.dataset.table.irreducibles[i], src.prime)
+        rhs = conductor_p(tgt.dataset.table.irreducibles[j], src.prime)
         if lhs != rhs:
             witnesses.append((i, j, lhs, rhs))
     return not witnesses, witnesses

@@ -29,8 +29,8 @@ from pathlib import Path
 from . import blocks as _blocks
 from . import gendec as _gendec
 from .cyclo import (CycloNum, CycloParseError, conductor, conductor_p,
-                    euler_phi, hermitian_int, lincomb, p_part, parse_cyclo,
-                    prime_factors, sum_products_int)
+                    euler_phi, hermitian_int, int_rows, lincomb, p_part,
+                    parse_cyclo, prime_factors, sum_products_int)
 
 
 class DatasetError(ValueError):
@@ -298,9 +298,8 @@ def _regular_gram(table: CharTable, p: int, irrs) -> list[list[Fraction]]:
     p-regular classes s, on integers, then divided by |G|."""
     regular = [c for c, cls in enumerate(table.classes)
                if cls.element_order % p != 0]
-    rows = [[table.irreducibles[i][c] for c in regular] for i in irrs]
-    n = lcm(*[v.order for row in rows for v in row])
-    rows = [[v.int_terms(n) for v in row] for row in rows]
+    n, rows = int_rows([[table.irreducibles[i][c] for c in regular]
+                        for i in irrs])
     sums = hermitian_int(n, [table.classes[c].size for c in regular],
                          rows, rows)
     return [[CycloNum(n, vec, table.group_order).rational_value()
@@ -350,6 +349,10 @@ def _prime_key(key: str, path: str) -> int:
 # a failing inner product prints in full up to this many characters, and
 # a longer one as its number of terms and the first terms that fit
 MESSAGE_CHARS = 200
+# the largest ambient order a dataset may declare: arithmetic in Q(zeta_n)
+# holds lists of n integers, and reductions mod Phi_n grow faster than n;
+# at 6006 a table built to fail orthogonality slowly still fails in 0.6 s
+AMBIENT_MAX = 6006
 
 
 def _bounded(x: CycloNum) -> str:
@@ -404,8 +407,7 @@ def _validate_table(table: CharTable, path: str):
     # X, X W X* = |G| I gives X* X = |G| W^-1: column orthogonality follows.
     # Not `hermitian_int`: this runs on every load, and the upper triangle,
     # stopping at the first failing pair, takes k(k+1)/2 sums, not k^2
-    n = lcm(*[v.order for row in table.irreducibles for v in row])
-    rows = [[v.int_terms(n) for v in row] for row in table.irreducibles]
+    n, rows = int_rows(table.irreducibles)
     conj = [[[(-e, a) for e, a in x] for x in row] for row in rows]
     sizes, zeros = [c.size for c in classes], [0] * (euler_phi(n) - 1)
     for i in range(k):
@@ -561,10 +563,8 @@ def _restriction(sub: CharTable, amb: CharTable, fusion,
     """Row i: the Irr(H) coordinates of Res chi_i, from |H| <Res chi, psi>
     as one integer sum in Z[zeta_n] per (chi, psi); each must be an integer
     multiple of |H|, or the fusion is not a restriction."""
-    chis = [[row[t] for t in fusion] for row in amb.irreducibles]
-    n = lcm(*[v.order for row in chis + sub.irreducibles for v in row])
-    chis, psis = ([[v.int_terms(n) for v in row] for row in rows]
-                  for rows in (chis, sub.irreducibles))
+    n, chis, psis = int_rows([[row[t] for t in fusion]
+                              for row in amb.irreducibles], sub.irreducibles)
     order = sub.group_order
     sums = hermitian_int(n, [c.size for c in sub.classes], chis, psis)
     for i, row in enumerate(sums):
@@ -604,6 +604,9 @@ def load_dataset(path) -> GroupDataset:
     if ambient < 1:
         raise DatasetError(f"{root}.ambient: must be a positive integer, "
                            f"got {ambient}")
+    if ambient > AMBIENT_MAX:
+        raise DatasetError(f"{root}.ambient: {ambient} exceeds the largest "
+                           f"supported order {AMBIENT_MAX}")
     exponent = _require(raw, "exponent", int, root)
     if exponent != ambient:
         raise DatasetError(f"{root}.exponent: {exponent} is not the declared "

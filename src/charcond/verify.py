@@ -4,7 +4,9 @@ A failing record here is evidence of corrupted dataset ingredients, not a
 soft condition: the identities are theorems.  Checks read the blocks,
 projectives and d^u a dataset holds per prime (`GroupDataset.blocks` etc.);
 a projective is its Irr coordinates, and a restriction's coordinates come
-from the matrix its `SubgroupEmbedding` holds.
+from the matrix its `SubgroupEmbedding` holds.  Every held value is stored
+at its conductor, so Corollary 0.5 reads each d^u entry's p-part off its
+order, and a restriction's conductor is that of the fused values.
 
 Theorem 1 records run on integers.  For a column x of algebraic integers,
 "the conductor p-part of sum a_i x_i is below t" says that Z-linear tests
@@ -26,14 +28,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
 from .blocks import block_of
-from .cyclo import CycloNum, conductor_p_int, conductor_tests, lincomb_int
-from .tables import (ClassFunction, GroupDataset, SubgroupEmbedding,
-                     char_conductor, virtual_character)
+from .cyclo import (CycloNum, conductor_p, conductor_tests, int_rows,
+                    lincomb_int, p_part)
+from .tables import ClassFunction, GroupDataset, virtual_character
 
 
 class CheckRecord:
@@ -66,8 +67,8 @@ def _int_columns(ds: GroupDataset, p: int) -> tuple[list, list]:
     """(n, int_terms(n) per character), n the lcm of the value orders, of
     each Irr column and of each d^u column, in `GendecMatrix.columns` order."""
     def column(values):
-        n = lcm(*[x.order for x in values])
-        return n, [x.int_terms(n) for x in values]
+        n, (col,) = int_rows([values])
+        return n, col
 
     gm = ds.gendec(p)
     return ([column(c) for c in zip(*ds.table.irreducibles)],
@@ -171,18 +172,18 @@ def _block_records(ds: GroupDataset, p: int, irrs, draws) -> list:
             for (label, _), lhs, rhs in zip(draws, *sides)]
 
 
-def check_cor05(ds: GroupDataset, p: int, psi: ClassFunction,
-                label: str = "psi") -> CheckRecord:
-    """c(psi)_p is the maximum of the single-entry conductors c(d^u_{psi,phi}),
-    with a maximising (u_class, phi) witness."""
-    lhs = char_conductor(psi, p)
+def check_cor05(ds: GroupDataset, p: int, chi: int) -> CheckRecord:
+    """c(chi)_p is the maximum of the single-entry conductors c(d^u_{chi,phi}),
+    read off the orders the held entries are stored at, with the first
+    maximising (u_class, phi) as witness."""
+    lhs = conductor_p(ds.table.irreducibles[chi], p)
+    gm = ds.gendec(p)
     best, witness = 1, None
-    for col, (n, vec) in virtual_gendec_row(ds, p,
-                                            psi.integer_coords()).items():
-        c = conductor_p_int(n, vec, p)
+    for col in gm.columns:
+        c = p_part(gm.entries[col][chi].order, p)
         if c > best or witness is None:
             best, witness = c, col
-    return CheckRecord("conductor-maximum", label, lhs, best, witness,
+    return CheckRecord("conductor-maximum", f"chi{chi}", lhs, best, witness,
                        passed=(lhs == best))
 
 
@@ -217,15 +218,6 @@ def check_projective_invariance(ds: GroupDataset, p: int,
                                base_cond, cond, witness=j, passed=False)
     return CheckRecord("projective-invariance", f"chi{chi}",
                        base_cond, base_cond)
-
-
-def restrict(chi: ClassFunction, emb: SubgroupEmbedding) -> ClassFunction:
-    """Restriction along the embedding: values through the fusion, Irr
-    coordinates through the restriction matrix the load computed."""
-    coords = [sum(map(mul, chi.integer_coords(), col))
-              for col in zip(*emb.restriction)]
-    return ClassFunction(emb.subgroup.table,
-                         [chi.values[c] for c in emb.fusion], coords)
 
 
 def _block_mask(coords, b) -> list[int]:
@@ -277,8 +269,8 @@ def _cyclic_defect_records(ds, p, emb, g_block, h_block, report):
         return
     for chi in chis:
         j, sign = gamma[chi]
-        lhs = char_conductor(ds.table.irreducible(chi), p)
-        rhs = char_conductor(sub.table.irreducible(j), p)
+        lhs = conductor_p(ds.table.irreducibles[chi], p)
+        rhs = conductor_p(sub.table.irreducibles[j], p)
         report.add(CheckRecord("cyclic-defect-bijection", f"chi{chi}",
                                lhs, rhs, witness=(j, sign),
                                passed=(lhs == rhs)))
@@ -302,10 +294,9 @@ def check_restriction_props(ds: GroupDataset, p: int) -> VerificationReport:
     for emb in embs:
         info = emb.primes[p]
         h_by_id = {b.id: b for b in emb.subgroup.blocks(p)}
-        for chi in range(table.num_classes):
-            chi_fn = table.irreducible(chi)
-            lhs = char_conductor(chi_fn, p)
-            mid = char_conductor(restrict(chi_fn, emb), p)
+        for chi, row in enumerate(table.irreducibles):
+            lhs = conductor_p(row, p)
+            mid = conductor_p([row[c] for c in emb.fusion], p)
             report.add(CheckRecord("restriction-monotonic", f"chi{chi}",
                                    mid, lhs, witness=emb.name,
                                    passed=(mid <= lhs)))
@@ -314,7 +305,7 @@ def check_restriction_props(ds: GroupDataset, p: int) -> VerificationReport:
             if info.ti and target is not None:
                 comp = virtual_character(emb.subgroup.table, _block_mask(
                     emb.restriction[chi], h_by_id[target]))
-                rhs = char_conductor(comp, p)
+                rhs = conductor_p(comp.values, p)
                 report.add(CheckRecord(
                     "restriction-ti", f"chi{chi}", lhs, (mid, rhs),
                     witness=(emb.name, target),
@@ -362,8 +353,7 @@ def theorem1_suite(ds: GroupDataset, p: int, samples: int = 0,
 def cor05_suite(ds: GroupDataset, p: int) -> VerificationReport:
     report = VerificationReport("conductor-maximum", ds.name, p)
     for chi in range(ds.table.num_classes):
-        report.add(check_cor05(ds, p, ds.table.irreducible(chi),
-                               label=f"chi{chi}"))
+        report.add(check_cor05(ds, p, chi))
     return report
 
 

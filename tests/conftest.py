@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from charcond import gendec, linalg
-from charcond.cyclo import _mul, lincomb
+from charcond.cyclo import _mul, conductor_tests, lincomb
 from charcond.tables import load_corpus, load_manifest, virtual_character
 
 
@@ -65,6 +65,13 @@ def residue_mul(m, a, b):
     """a * b for residues a, b of the map m, in F_p[x]/(Phi_n'): one
     product on the power basis of Z[zeta_n'], then mod p."""
     return tuple(c % m.p for c in _mul(m.nprime, a, 1, b, 1))
+
+
+def conductor_p_int(n, vec, p):
+    """The p-part of the conductor of x = sum vec[j] * z^j in Z[zeta_n], on
+    `reduce_int`'s basis: the first level of `conductor_tests` whose test
+    is nonzero, or 1."""
+    return next((t for t, y in conductor_tests(n, vec, p) if any(y)), 1)
 
 
 def section_row(gm, chi, u_class):

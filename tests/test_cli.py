@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from charcond import blocks, cyclo, gendec
 from charcond.cli import (EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE,
                           EXIT_USAGE, run)
-from charcond.tables import default_corpus_dir
+from charcond.tables import AMBIENT_MAX, default_corpus_dir
 
 
 def invoke(*argv):
@@ -87,6 +88,45 @@ class TestValidate:
         assert f"{where}: {message}" in capsys.readouterr().err
         assert 1009 not in built
 
+    def test_huge_ambient_is_rejected_before_parsing(self, tmp_path,
+                                                     capsys):
+        # 400 bytes: a group of order 10^12 with two classes and E(10^12)
+        # in one cell, whose parse would ask for 10^12 coefficients
+        n = 10 ** 12
+        corpus = tmp_path / "data"
+        corpus.mkdir()
+        (corpus / "manifest.json").write_text(json.dumps(
+            {"format": 1, "groups": [{"file": "H.json"}]}))
+        (corpus / "H.json").write_text(json.dumps({
+            "format": 1, "ambient": n, "name": "H", "order": n,
+            "exponent": n, "irreducibles": [["1", "1"], ["1", f"E({n})"]],
+            "classes": [
+                {"name": "1a", "size": 1, "order": 1,
+                 "powermaps": {"2": 0, "5": 0}},
+                {"name": "xa", "size": n - 1, "order": n,
+                 "powermaps": {"2": 1, "5": 1}}]}))
+        start = time.perf_counter()
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DATA
+        assert (f"H.json.ambient: {n} exceeds the largest supported order "
+                f"{AMBIENT_MAX}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ambient,where", [
+        (AMBIENT_MAX, "exponent"), (AMBIENT_MAX + 1, "ambient")])
+    def test_ambient_bound_is_inclusive(self, tmp_path, capsys, ambient,
+                                        where):
+        # C4 at the bound gets past the ambient check to the exponent's
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        data["ambient"] = ambient
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert f"C4.json.{where}: " in capsys.readouterr().err
+
     def test_non_decimal_digit_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "data"
         shutil.copytree(default_corpus_dir(), corpus)
@@ -97,6 +137,18 @@ class TestValidate:
         code, _ = invoke("validate", "--corpus", str(corpus))
         assert code == EXIT_DATA
         assert "C4.json.irreducibles[1][1]: " in capsys.readouterr().err
+
+    def test_non_integral_brauer_value_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        path = corpus / "C4.json"
+        data = json.loads(path.read_text())
+        data["primes"]["2"]["ibr"][0][0] = "1/2"
+        path.write_text(json.dumps(data))
+        code, _ = invoke("validate", "--corpus", str(corpus))
+        assert code == EXIT_DATA
+        assert ("C4.json.primes.2.ibr[0][0]: value 1/2 is not an algebraic "
+                "integer") in capsys.readouterr().err
 
     def test_bad_value_at_two_paths_reports_the_first(self, tmp_path,
                                                        capsys):

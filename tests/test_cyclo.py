@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import conductor_p_int
 
 from charcond import cyclo, linalg
 from charcond.cyclo import (ONE, ZERO, CycloError, CycloNum, CycloParseError,
@@ -585,8 +586,9 @@ class TestIntegerReduction:
 
 
 class TestConductorPInt:
-    """conductor_p_int, descent at p alone on integer coordinates, against
-    conductor_p([x], p), which reads the order a full normalisation stores."""
+    """conductor_p_int, descent at p alone by `cyclo.conductor_tests` on
+    integer coordinates, against conductor_p([x], p), which reads the order
+    a full normalisation stores."""
 
     @staticmethod
     def coords(x, n):
@@ -610,7 +612,7 @@ class TestConductorPInt:
                 vec = self.coords(x, n)
                 for p in cyclo.prime_factors(n):
                     want = conductor_p([x], p)
-                    assert cyclo.conductor_p_int(n, vec, p) == want, (x, n, p)
+                    assert conductor_p_int(n, vec, p) == want, (x, n, p)
                     v = cyclo.nu_p(n, p)
                     case = ("p^2 | n" if p > 2 and v > 1 else
                             "8 | n" if v > 2 else "4 || n" if v == 2 else
@@ -627,14 +629,14 @@ class TestConductorPInt:
         (20, 5, 5), (6, 2, 1), (10, 2, 1), (45, 3, 9), (45, 5, 5)])
     def test_primitive_roots(self, n, p, want):
         # zeta_n has conductor n (n != 2 mod 4)
-        assert cyclo.conductor_p_int(n, self.coords(CycloNum.zeta(n), n),
-                                     p) == want
+        assert conductor_p_int(n, self.coords(CycloNum.zeta(n), n),
+                               p) == want
 
     def test_zero_and_rationals(self):
         for n in (1, 2, 4, 9, 12, 25, 60):
             for x in (ZERO, ONE, CycloNum.from_rational(-7)):
                 for p in cyclo.prime_factors(n):
-                    assert cyclo.conductor_p_int(n, self.coords(x, n), p) == 1
+                    assert conductor_p_int(n, self.coords(x, n), p) == 1
 
 
 class TestLincomb:

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -427,6 +428,17 @@ class TestIntegerValidation:
         following = re.match(r"[-+][^-+]+", full[len(head):]).group()
         assert full.startswith(head)
         assert len(head) <= tables.MESSAGE_CHARS < len(head + following)
+
+    def test_skewed_table_at_the_ambient_bound_fails_fast(self):
+        # the bound is 2N for an odd squarefree N, so this is the largest
+        # skewed table a dataset can declare; the bound was chosen for it
+        N = tables.AMBIENT_MAX // 2
+        assert 2 * N == tables.AMBIENT_MAX
+        table = skewed_table(N)
+        start = time.perf_counter()
+        got = self.verdict(tables._validate_table, table)
+        assert time.perf_counter() - start < 2
+        assert got.startswith("T: row orthogonality fails for rows 0,1 ")
 
     def test_rank_verdict_equals_count(self, corpus):
         pairs = 0

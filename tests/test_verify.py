@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import conductor_p_int
 
 from charcond import linalg, verify
 from charcond.blocks import block_of
-from charcond.cyclo import (CycloNum, conductor_p, conductor_p_int, lincomb,
-                            lincomb_int)
+from charcond.cyclo import CycloNum, conductor_p, lincomb, lincomb_int
 from charcond.tables import char_conductor, load_corpus, virtual_character
 from charcond.verify import (check_cor05, check_projective_invariance,
                              check_restriction_props, check_theorem1,
@@ -70,6 +70,26 @@ def reference_max_conductor_p(columns, coords, p):
         x = lincomb_int(n, ((a, col[i]) for a, i in terms))
         best = max(best, conductor_p_int(n, x, p))
     return best
+
+
+def reference_cor05(ds, p, chi):
+    """The per-column path the held orders replaced: chi's d^u row by one
+    lincomb_int per column (`virtual_gendec_row`), then one conductor_p_int
+    per column; as (lhs, rhs, witness, passed)."""
+    psi = ds.table.irreducible(chi)
+    lhs = char_conductor(psi, p)
+    best, witness = 1, None
+    for col, (n, vec) in verify.virtual_gendec_row(
+            ds, p, psi.integer_coords()).items():
+        c = conductor_p_int(n, vec, p)
+        if c > best or witness is None:
+            best, witness = c, col
+    return lhs, best, witness, lhs == best
+
+
+def cor05_record(ds, p, chi):
+    rec = check_cor05(ds, p, chi)
+    return rec.lhs, rec.rhs, rec.witness, rec.passed
 
 
 def level_sides(ds, p, coords):
@@ -358,10 +378,32 @@ class TestConductorMaximum:
 
     def test_witness_is_recorded(self, corpus):
         ds = corpus["A5"]
-        rec = check_cor05(ds, 5, ds.table.irreducible(1))
+        rec = check_cor05(ds, 5, 1)
         assert rec.passed and rec.witness is not None
         u_class, phi = rec.witness
         assert ds.table.classes[u_class].element_order == 5
+
+    def test_held_orders_match_the_per_column_reference(self, corpus,
+                                                         group_primes):
+        for name, p in group_primes:
+            ds = corpus[name]
+            for chi in range(ds.table.num_classes):
+                assert cor05_record(ds, p, chi) == \
+                    reference_cor05(ds, p, chi), (name, p, chi)
+
+    @pytest.mark.parametrize("name,p", [("A5", 2), ("S4", 3), ("D8", 2)])
+    def test_tampered_gendec_entry_fails_like_reference(self, name, p):
+        # a non-ordinary d^u entry plus zeta_(p^3), as in TestIntegerRecords,
+        # before the reference's integer columns are held
+        ds = load_corpus()[name]
+        gm = ds.gendec(p)
+        col = next(c for c in gm.columns if c[0] != ds.table.identity_class)
+        chi = len(gm.entries[col]) - 1
+        gm.entries[col][chi] += CycloNum.zeta(p ** 3)
+        assert "int columns" not in ds._prime(p).derived
+        got, want = cor05_record(ds, p, chi), reference_cor05(ds, p, chi)
+        assert got == want
+        assert got[1:] == (p ** 3, col, False)
 
 
 class TestProjectiveInvariance:
@@ -441,7 +483,6 @@ class TestRestriction:
         # lincomb over CycloNum per pair, on every embedding of the corpus
         embs = [(ds, emb) for ds in corpus.values() for emb in ds.subgroups]
         assert embs
-        rng = random.Random(3)
         for ds, emb in embs:
             table, sub = ds.table, emb.subgroup.table
             weights = [Fraction(c.size, sub.group_order) for c in sub.classes]
@@ -451,12 +492,6 @@ class TestRestriction:
                                 for w, x, y in zip(weights, values, psi))
                         for psi in sub.irreducibles]
                 assert list(emb.restriction[chi]) == want, (emb.name, chi)
-            # restrict extends the held rows linearly
-            for _ in range(5):
-                coords = [rng.randint(-3, 3) for _ in range(table.num_classes)]
-                res = verify.restrict(virtual_character(table, coords), emb)
-                assert res.values == virtual_character(
-                    sub, res.integer_coords()).values, (emb.name, coords)
 
     def test_not_applicable_without_subgroup(self, corpus):
         rep = check_restriction_props(corpus["S4"], 2)
