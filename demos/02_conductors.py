@@ -13,8 +13,8 @@ for name in ("C4", "S3", "A5", "SL(2,3)"):
     table = ds.table
     print(f"\n{name} (order {table.group_order}):")
     for chi in range(table.num_classes):
-        fn = table.irreducible(chi)
-        deg = table.irreducibles[chi][table.identity_class]
-        parts = {p: char_conductor(fn, p) for p in sorted(ds.primes)}
-        print(f"  chi{chi} (degree {deg}): c = {char_conductor(fn)}, "
+        values = table.irreducibles[chi]
+        deg = values[table.identity_class]
+        parts = {p: char_conductor(values, p) for p in sorted(ds.primes)}
+        print(f"  chi{chi} (degree {deg}): c = {char_conductor(values)}, "
               f"p-parts {parts}")

@@ -20,8 +20,8 @@ _HOME = {name: module for module, names in (
     ("gendec", "GendecMatrix check_second_main gendec_all"),
     ("isometry", "BlockRef IsometryCandidate block_ref check_perfection "
                  "search_perfect_isometries"),
-    ("tables", "CharTable ClassFunction GroupDataset char_conductor "
-               "default_corpus_dir load_corpus load_dataset virtual_character"),
+    ("tables", "CharTable GroupDataset char_conductor default_corpus_dir "
+               "load_corpus load_dataset virtual_character"),
 ) for name in names.split()}
 _SUBMODULES = ("blocks", "cli", "cyclo", "gendec", "isometry", "linalg",
                "residue", "tables", "verify")

@@ -140,10 +140,9 @@ def _cmd_conductors(opts, out) -> int:
     for ds, p in pairs:
         table = ds.table
         for chi in range(table.num_classes):
-            fn = table.irreducible(chi)
-            rows.append([ds.name, p, chi,
-                         str(table.irreducibles[chi][table.identity_class]),
-                         char_conductor(fn), char_conductor(fn, p)])
+            values = table.irreducibles[chi]
+            rows.append([ds.name, p, chi, str(values[table.identity_class]),
+                         char_conductor(values), char_conductor(values, p)])
     _emit(opts, ["group", "p", "chi", "degree", "conductor", "p_part"],
           rows, out)
     return EXIT_OK

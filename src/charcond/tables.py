@@ -11,19 +11,19 @@ inverse class is the conjugate.  A subgroup's fusion must make each Res chi
 a virtual character; the load holds those Irr coordinates
 (`SubgroupEmbedding.restriction`).  Restrictions and p-regular Gram forms
 are weighted Hermitian sums on integers (`cyclo.hermitian_int`).  A
-`ClassFunction` is a virtual character and always holds its integer Irr
-coordinates.
+virtual character is held as its integer Irr coordinates and a class
+function as its values, one per class; `virtual_character` turns the first
+into the second.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from . import blocks as _blocks
@@ -94,8 +94,10 @@ def _parse_values(rows, path, ambient: int,
 
 class ClassData(namedtuple("ClassData",
                            "name size element_order power_maps")):
-    """One conjugacy class; `power_maps` sends a prime q to the class index
-    of g^q."""
+    """One conjugacy class; `power_maps` sends a key q to the class index
+    of g^q.  The load checks that the class g^q names has the order of
+    g^q, |g| / gcd(|g|, q), and that every prime of the exponent is a key;
+    it does not check that other keys are prime."""
 
     __slots__ = ()
 
@@ -125,87 +127,32 @@ class CharTable:
     def centralizer_order(self, c: int) -> int:
         return self.group_order // self.classes[c].size
 
-    def irreducible(self, i: int) -> "ClassFunction":
-        unit = [1 if j == i else 0 for j in range(self.num_classes)]
-        return ClassFunction(self, self.irreducibles[i], unit)
-
     def __repr__(self):
         return (f"CharTable({self.group_name}, order={self.group_order}, "
                 f"classes={self.num_classes})")
 
 
-class ClassFunction:
-    """A virtual character: its exact cyclotomic values and `coords`, its
-    integer coordinates over Irr(G).  Its maker gives both, computed from
-    the same data, so neither is recovered from the other."""
-
-    def __init__(self, table: CharTable, values, coords):
-        self.table = table
-        self.values = tuple(values)
-        k = table.num_classes
-        if len(self.values) != k:
-            raise DatasetError(f"class function on {table.group_name}: "
-                               f"{len(self.values)} values for {k} classes")
-        ints = tuple(int(c) for c in coords)
-        if len(ints) != k or ints != tuple(coords):
-            raise DatasetError(f"class function on {table.group_name}: Irr "
-                               f"coordinates {coords} are not {k} integers")
-        self._coords = ints
-
-    def _combine(self, other, op) -> "ClassFunction":
-        if self.table is not other.table:
-            raise DatasetError(f"cannot combine class functions on "
-                               f"{self.table.group_name} and "
-                               f"{other.table.group_name}")
-        return ClassFunction(
-            self.table, [op(a, b) for a, b in zip(self.values, other.values)],
-            [op(a, b) for a, b in zip(self._coords, other._coords)])
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._combine(other, operator.sub)
-
-    def __rmul__(self, k: int) -> "ClassFunction":
-        return ClassFunction(self.table, [k * v for v in self.values],
-                             [k * c for c in self._coords])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClassFunction)
-                and self.table is other.table and self.values == other.values)
-
-    def __hash__(self):
-        return hash((id(self.table), self.values))
-
-    def integer_coords(self) -> tuple[int, ...]:
-        return self._coords
+def virtual_character(table: CharTable, coords) -> list[CycloNum]:
+    """The values of sum coords_i chi_i, one per class.  The coordinates
+    must be k integers: `zip` would cut a list of any other length."""
+    coords, k = tuple(coords), table.num_classes
+    if len(coords) != k or tuple(map(int, coords)) != coords:
+        raise DatasetError(f"class function on {table.group_name}: Irr "
+                           f"coordinates {coords} are not {k} integers")
+    return [lincomb(zip(coords, column)) for column in zip(*table.irreducibles)]
 
 
-def virtual_character(table: CharTable, coords) -> ClassFunction:
-    """Integer combination of the irreducible characters."""
-    coords = tuple(coords)
-    values = [lincomb(zip(coords, column)) for column in zip(*table.irreducibles)]
-    return ClassFunction(table, values, coords)
-
-
-# ---------------------------------------------------------------------------
-# class-function operations
-
-
-def inner_product(alpha: ClassFunction, beta: ClassFunction) -> CycloNum:
-    """Standard scalar product (1/|G|) sum size(c) alpha(c) conj(beta(c))."""
-    if alpha.table is not beta.table:
-        raise DatasetError("inner product of class functions on different tables")
-    table = alpha.table
+def inner_product(table: CharTable, alpha, beta) -> CycloNum:
+    """Standard scalar product (1/|G|) sum size(c) alpha(c) conj(beta(c)) of
+    two class functions given by their values."""
     return lincomb((Fraction(cls.size, table.group_order), a * b.conjugate())
-                   for cls, a, b in zip(table.classes, alpha.values, beta.values)
-                   if a and b)
+                   for cls, a, b in zip(table.classes, alpha, beta,
+                                        strict=True) if a and b)
 
 
-def char_conductor(chi: ClassFunction, p: int | None = None) -> int:
-    """Conductor of the value set of chi, or its p-part."""
-    return conductor(chi.values) if p is None else conductor_p(chi.values, p)
+def char_conductor(values, p: int | None = None) -> int:
+    """Conductor of a class function's values, or its p-part."""
+    return conductor(values) if p is None else conductor_p(values, p)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +282,9 @@ def _parse_classes(raw, path, group_order) -> list[ClassData]:
 
 
 def _prime_key(key: str, path: str) -> int:
-    """A JSON object key naming a prime in plain decimal ("02" is not 2)."""
+    """A JSON object key naming a prime: an integer >= 2 in plain decimal
+    ("02" is not 2).  It is not tested for primality: trial division is
+    unbounded on a key of thousands of digits."""
     try:
         q = int(key)
     except ValueError:
@@ -380,7 +329,7 @@ def _validate_table(table: CharTable, path: str):
                     f"{path}.classes[{i}] ({c.name}): missing power map for prime {q}")
         # also keeps identity power maps on the identity, the one order-1 class
         for q, j in c.power_maps.items():
-            target_order = c.element_order // (q if c.element_order % q == 0 else 1)
+            target_order = c.element_order // gcd(c.element_order, q)
             if classes[j].element_order != target_order:
                 raise DatasetError(
                     f"{path}.classes[{i}] ({c.name}): g^{q} lands in class of order "
@@ -579,11 +528,13 @@ def _restriction(sub: CharTable, amb: CharTable, fusion,
 
 def _read_json(path):
     """The JSON document in the file; a file that cannot be read, is not
-    UTF-8 or is not JSON is a `DatasetError` naming it."""
+    UTF-8, is not JSON or nests too deeply to parse is a `DatasetError`
+    naming it."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, ValueError) as ex:  # JSONDecodeError, UnicodeDecodeError
+    # JSONDecodeError, UnicodeDecodeError; RecursionError on deep nesting
+    except (OSError, ValueError, RecursionError) as ex:
         raise DatasetError(f"{path}: cannot read JSON ({ex})") from ex
 
 

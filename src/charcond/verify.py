@@ -3,8 +3,9 @@
 A failing record here is evidence of corrupted dataset ingredients, not a
 soft condition: the identities are theorems.  Checks read the blocks,
 projectives and d^u a dataset holds per prime (`GroupDataset.blocks` etc.);
-a projective is its Irr coordinates, and a restriction's coordinates come
-from the matrix its `SubgroupEmbedding` holds.  Every held value is stored
+every virtual character a check takes (an irreducible, a projective or a
+sample) is its Irr coordinates, and a restriction's coordinates come from
+the matrix its `SubgroupEmbedding` holds.  Every held value is stored
 at its conductor, so Corollary 0.5 reads each d^u entry's p-part off its
 order, and a restriction's conductor is that of the fused values.
 
@@ -34,7 +35,7 @@ from . import linalg
 from .blocks import block_of
 from .cyclo import (CycloNum, conductor_p, conductor_tests, int_rows,
                     lincomb_int, p_part)
-from .tables import ClassFunction, GroupDataset, virtual_character
+from .tables import GroupDataset, virtual_character
 
 
 class CheckRecord:
@@ -154,11 +155,12 @@ def _conductor_p_parts(ds: GroupDataset, p: int, coords) -> list[int]:
     return [s[0] for s in _p_parts(ds, p, irrs, [row], sum(map(abs, row)))]
 
 
-def check_theorem1(ds: GroupDataset, p: int, psi: ClassFunction,
+def check_theorem1(ds: GroupDataset, p: int, coords,
                    label: str = "psi") -> CheckRecord:
-    """c(psi)_p equals the conductor p-part of all its d^u values: that of
-    psi's Irr columns (lhs) against that of its d^u columns (rhs)."""
-    lhs, rhs = _conductor_p_parts(ds, p, psi.integer_coords())
+    """c(psi)_p equals the conductor p-part of all its d^u values, for psi
+    = sum coords_i chi_i: that of psi's Irr columns (lhs) against that of
+    its d^u columns (rhs)."""
+    lhs, rhs = _conductor_p_parts(ds, p, coords)
     return CheckRecord("conductor-identity", label, lhs, rhs,
                        passed=(lhs == rhs))
 
@@ -202,7 +204,7 @@ def check_projective_invariance(ds: GroupDataset, p: int,
     """Adding a projective character of chi's block changes neither the
     non-ordinary d^u rows nor the conductor p-part.  d^u is linear, so
     chi + Phi_j keeps a column exactly when Phi_j's row is 0 there."""
-    base = ds.table.irreducible(chi).integer_coords()
+    base = [int(i == chi) for i in range(ds.table.num_classes)]
     base_cond = _conductor_p_parts(ds, p, base)[0]
     moved = ds._held(p, "moved columns", _moved_columns, ds, p)
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
@@ -305,7 +307,7 @@ def check_restriction_props(ds: GroupDataset, p: int) -> VerificationReport:
             if info.ti and target is not None:
                 comp = virtual_character(emb.subgroup.table, _block_mask(
                     emb.restriction[chi], h_by_id[target]))
-                rhs = conductor_p(comp.values, p)
+                rhs = conductor_p(comp, p)
                 report.add(CheckRecord(
                     "restriction-ti", f"chi{chi}", lhs, (mid, rhs),
                     witness=(emb.name, target),
@@ -342,8 +344,9 @@ def random_virtual_characters(ds: GroupDataset, p: int, count: int,
 def theorem1_suite(ds: GroupDataset, p: int, samples: int = 0,
                    seed: int = 0) -> VerificationReport:
     report = VerificationReport("conductor-identity", ds.name, p)
-    for chi in range(ds.table.num_classes):
-        report.add(check_theorem1(ds, p, ds.table.irreducible(chi),
+    k = ds.table.num_classes
+    for chi in range(k):
+        report.add(check_theorem1(ds, p, [int(i == chi) for i in range(k)],
                                   label=f"chi{chi}"))
     for irrs, draws in random_virtual_characters(ds, p, samples, seed):
         report.records.extend(_block_records(ds, p, irrs, draws))

@@ -133,7 +133,7 @@ def reciprocity_reference(table, chi, sec, p):
     chi_us = gendec.section_values(table, chi, sec, p)
     psis = [virtual_character(cent, phi)
             for phi in sec.centralizer.projectives(p)]
-    return [lincomb((w, val * psi.values[sinv])
+    return [lincomb((w, val * psi[sinv])
                     for w, val, sinv in zip(weights, chi_us, inverses))
             for psi in psis]
 

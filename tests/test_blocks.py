@@ -79,7 +79,7 @@ class TestProjectives:
                 psi = virtual_character(table, phi)
                 for c, cls in enumerate(table.classes):
                     if cls.element_order % p == 0:
-                        assert not psi.values[c], (ds.name, p, phi, c)
+                        assert not psi[c], (ds.name, p, phi, c)
 
     def test_degree_divisible_by_p_part(self, corpus, group_primes):
         for name, p in group_primes:
@@ -90,7 +90,7 @@ class TestProjectives:
                 pa *= p
             for phi in projective_characters(ds.brauer(p)):
                 psi = virtual_character(table, phi)
-                deg = psi.values[table.identity_class].rational_value()
+                deg = psi[table.identity_class].rational_value()
                 assert deg % pa == 0
 
     def test_columns_of_the_decomposition_matrix(self, corpus, group_primes):

@@ -407,6 +407,42 @@ class TestLoadErrors:
         assert code == EXIT_DATA
         assert str(cert_file) in capsys.readouterr().err
 
+    # 3,000 nested lists, 6 KB, are more than Python's JSON parser nests
+    DEEP = "[" * 3000 + "]" * 3000
+
+    @pytest.mark.parametrize("file", ["C4.json", "manifest.json"])
+    def test_deeply_nested_corpus_file_is_data_error(self, tmp_path, capsys,
+                                                     file):
+        corpus = tmp_path / "data"
+        shutil.copytree(default_corpus_dir(), corpus)
+        (corpus / file).write_text(self.DEEP)
+        assert invoke("validate", "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert f"{corpus / file}: cannot read JSON (" in \
+            capsys.readouterr().err
+
+    def test_deeply_nested_certificate_is_data_error(self, tmp_path, capsys):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(self.DEEP)
+        assert invoke("isometry-check", str(cert_file)) == (EXIT_DATA, "")
+        assert f"{cert_file}: cannot read JSON (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,code", [(0, EXIT_OK), (2, EXIT_DATA)])
+    def test_power_map_under_a_composite_key(self, tmp_path, capsys, target,
+                                             code):
+        # 3a^9 = 1a: a map under key 9 must name a class of order
+        # 3 / gcd(3, 9) = 1, though 9 is no prime
+        corpus = tmp_path / "data"
+        corpus.mkdir()
+        data = json.loads((default_corpus_dir() / "S3.json").read_text())
+        data["classes"][2]["powermaps"]["9"] = target
+        (corpus / "S3.json").write_text(json.dumps(data))
+        (corpus / "manifest.json").write_text(json.dumps(
+            {"format": 1, "groups": [{"file": "S3.json"}]}))
+        assert invoke("validate", "--corpus", str(corpus))[0] == code
+        err = capsys.readouterr().err
+        assert ("S3.json.classes[2] (3a): g^9 lands in class of order 3, "
+                "expected 1" in err) == (code == EXIT_DATA)
+
 
 class TestManifest:
     """The manifest lists the dataset files; each dataset owns its name and

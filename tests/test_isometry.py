@@ -175,7 +175,7 @@ def reference_l0(cand):
         for k, a in enumerate(vec):
             coords[tgt.irrs[cand.permutation[k]]] = cand.signs[k] * a
         image = virtual_character(t_tab, coords)
-        if any(image.values[c] for c, cls in enumerate(t_tab.classes)
+        if any(image[c] for c, cls in enumerate(t_tab.classes)
                if cls.element_order % tgt.prime):
             return False
     return True

@@ -1,4 +1,4 @@
-"""Dataset ingestion, validation, and class-function arithmetic."""
+"""Dataset ingestion, validation, and class functions as lists of values."""
 
 import copy
 import json
@@ -16,9 +16,9 @@ from charcond.blocks import (BlockError, BrauerData, partition_blocks,
                              projective_characters, validate_brauer)
 from charcond.cyclo import CycloNum, hermitian_int, lincomb
 from charcond.gendec import gendec_all
-from charcond.tables import (CharTable, ClassFunction, DatasetError,
-                             char_conductor, default_corpus_dir, inner_product,
-                             load_corpus, load_dataset, virtual_character)
+from charcond.tables import (CharTable, DatasetError, char_conductor,
+                             default_corpus_dir, inner_product, load_corpus,
+                             load_dataset, virtual_character)
 
 ONE = CycloNum.from_rational(1)
 
@@ -71,27 +71,28 @@ class TestClassFunctions:
         table = corpus["S4"].table
         for i in range(table.num_classes):
             for j in range(table.num_classes):
-                ip = inner_product(table.irreducible(i),
-                                   table.irreducible(j))
+                ip = inner_product(table, table.irreducibles[i],
+                                   table.irreducibles[j])
                 want = ONE if i == j else CycloNum.from_rational(0)
                 assert ip == want
 
     def test_integer_coords_round_trip(self, corpus):
         table = corpus["A5"].table
         coords = [2, -1, 0, 3, -2]
-        psi = virtual_character(table, coords)
-        assert list(psi.integer_coords()) == coords
+        values = virtual_character(table, coords)
+        assert [inner_product(table, values, row) for row in
+                table.irreducibles] == list(map(CycloNum.from_rational, coords))
 
     def test_char_conductor_examples(self, corpus):
         table = corpus["A5"].table
-        assert [char_conductor(table.irreducible(i)) for i in range(5)] == \
+        assert [char_conductor(row) for row in table.irreducibles] == \
             [1, 5, 5, 1, 1]
-        assert [char_conductor(table.irreducible(i), 5) for i in range(5)] == \
+        assert [char_conductor(row, 5) for row in table.irreducibles] == \
             [1, 5, 5, 1, 1]
-        assert [char_conductor(table.irreducible(i), 2) for i in range(5)] == \
+        assert [char_conductor(row, 2) for row in table.irreducibles] == \
             [1, 1, 1, 1, 1]
         table = corpus["C4"].table
-        conds = sorted(char_conductor(table.irreducible(i)) for i in range(4))
+        conds = sorted(char_conductor(row) for row in table.irreducibles)
         assert conds == [1, 1, 4, 4]
 
 
@@ -111,7 +112,7 @@ class TestHermitianKernel:
             for i, row in enumerate(sums):
                 for j, vec in enumerate(row):
                     want = table.group_order * inner_product(
-                        table.irreducible(i), table.irreducible(j))
+                        table, table.irreducibles[i], table.irreducibles[j])
                     assert CycloNum(n, vec) == want, (table.group_name, i, j)
 
 
@@ -129,52 +130,42 @@ class TestPowerMaps:
 
 
 class TestHeldCoords:
-    """Coordinates a class function holds from its construction equal the
-    ones inner products against Irr(G) recover from its values."""
-
-    @staticmethod
-    def recomputed(fn):
-        table = fn.table
-        return tuple(inner_product(fn, table.irreducible(i)).rational_value()
-                     for i in range(table.num_classes))
+    """The Irr coordinates a caller holds equal the ones inner products
+    against Irr(G) recover from the values `virtual_character` returns:
+    for irreducible, projective and random coordinates, and their sums,
+    differences and integer multiples."""
 
     def test_held_equals_recomputed(self, corpus, group_primes):
         rng = random.Random(11)
         for name, p in group_primes:
             table = corpus[name].table
             k = table.num_classes
-            irr = [table.irreducible(i) for i in range(k)]
-            proj = [virtual_character(table, phi)
-                    for phi in projective_characters(corpus[name].brauer(p))]
-            rand = [virtual_character(table,
-                                      [rng.randint(-3, 3) for _ in range(k)])
-                    for _ in range(3)]
-            fns = irr + proj + rand
-            fns += [rng.choice(fns) + rng.choice(fns) for _ in range(3)]
-            fns += [rng.choice(fns) - rng.choice(fns) for _ in range(3)]
-            fns += [rng.randint(-3, 3) * rng.choice(fns) for _ in range(3)]
-            for fn in fns:
-                assert fn.integer_coords() == self.recomputed(fn)
+            coords = [[int(i == j) for j in range(k)] for i in range(k)]
+            coords += projective_characters(corpus[name].brauer(p))
+            coords += [[rng.randint(-3, 3) for _ in range(k)]
+                       for _ in range(3)]
+            pick = [rng.sample(coords, 2) for _ in range(6)]
+            coords += [[a + b for a, b in zip(x, y)] for x, y in pick[:3]]
+            coords += [[a - b for a, b in zip(x, y)] for x, y in pick[3:]]
+            coords += [[m * a for a in rng.choice(coords)]
+                       for m in (rng.randint(-3, 3) for _ in range(3))]
+            for want in coords:
+                values = virtual_character(table, want)
+                assert [inner_product(table, values, row).rational_value()
+                        for row in table.irreducibles] == list(want)
 
     def test_wrong_coords_length(self, corpus):
         table = corpus["S3"].table
-        with pytest.raises(DatasetError):
-            ClassFunction(table, table.irreducibles[0], [1, 0])
-        with pytest.raises(DatasetError):
-            virtual_character(table, [1, 0, 0, 0])
+        for coords in ([1, 0], [1, 0, 0, 0]):
+            with pytest.raises(DatasetError, match=re.escape(
+                    f"class function on S3: Irr coordinates "
+                    f"{tuple(coords)} are not 3 integers")):
+                virtual_character(table, coords)
 
     def test_non_integer_coords(self, corpus):
         table = corpus["S3"].table
-        with pytest.raises(DatasetError):
-            ClassFunction(table, table.irreducibles[0], [Fraction(1, 2), 0, 0])
-
-    @pytest.mark.parametrize("op", ["add", "sub"])
-    def test_mixed_tables_raise(self, corpus, op):
-        # a check that raises, not an assert, so it holds under python -O
-        a5 = corpus["A5"].table.irreducible(0)
-        d10 = corpus["D10"].table.irreducible(0)
-        with pytest.raises(DatasetError, match="A5 and D10"):
-            getattr(a5, f"__{op}__")(d10)
+        with pytest.raises(DatasetError, match="are not 3 integers"):
+            virtual_character(table, [Fraction(1, 2), 0, 0])
 
 
 class TestHeldStructure:
@@ -311,9 +302,9 @@ def reference_orthogonality(table, path):
     CycloNum products."""
     k = table.num_classes
     for i in range(k):
-        chi_i = table.irreducible(i)
         for j in range(i, k):
-            ip = inner_product(chi_i, table.irreducible(j))
+            ip = inner_product(table, table.irreducibles[i],
+                               table.irreducibles[j])
             want = ONE if i == j else CycloNum.from_rational(0)
             if ip != want:
                 raise DatasetError(

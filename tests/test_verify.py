@@ -17,11 +17,16 @@ from charcond.verify import (check_cor05, check_projective_invariance,
                              random_virtual_characters, theorem1_suite)
 
 
-def reference_theorem1(ds, p, psi, label):
-    """The CycloNum path the integer records replace: psi's values, its d^u
-    row by one lincomb per column, conductors read off the stored orders."""
-    lhs = char_conductor(psi, p)
-    coords = psi.integer_coords()
+def unit(table, chi):
+    """The Irr coordinates of chi_chi."""
+    return [int(i == chi) for i in range(table.num_classes)]
+
+
+def reference_theorem1(ds, p, coords, label):
+    """The CycloNum path the integer records replace: the values of psi =
+    sum coords_i chi_i by `virtual_character`, its d^u row by one lincomb
+    per column, conductors read off the stored orders."""
+    lhs = char_conductor(virtual_character(ds.table, coords), p)
     rhs = conductor_p([lincomb(zip(coords, col))
                        for col in ds.gendec(p).entries.values()], p)
     return label, lhs, rhs, lhs == rhs
@@ -51,11 +56,10 @@ def sampled(ds, p, count, seed):
 
 def reference_suite(ds, p, samples, seed):
     table = ds.table
-    out = [reference_theorem1(ds, p, table.irreducible(chi), f"chi{chi}")
+    out = [reference_theorem1(ds, p, unit(table, chi), f"chi{chi}")
            for chi in range(table.num_classes)]
     for label, coords in reference_samples(ds, p, samples, seed):
-        out.append(reference_theorem1(ds, p, virtual_character(table, coords),
-                                      label))
+        out.append(reference_theorem1(ds, p, coords, label))
     return out
 
 
@@ -76,11 +80,10 @@ def reference_cor05(ds, p, chi):
     """The per-column path the held orders replaced: chi's d^u row by one
     lincomb_int per column (`virtual_gendec_row`), then one conductor_p_int
     per column; as (lhs, rhs, witness, passed)."""
-    psi = ds.table.irreducible(chi)
-    lhs = char_conductor(psi, p)
+    lhs = char_conductor(ds.table.irreducibles[chi], p)
     best, witness = 1, None
     for col, (n, vec) in verify.virtual_gendec_row(
-            ds, p, psi.integer_coords()).items():
+            ds, p, unit(ds.table, chi)).items():
         c = conductor_p_int(n, vec, p)
         if c > best or witness is None:
             best, witness = c, col
@@ -108,7 +111,7 @@ def reference_projective_invariance(ds, p, chi):
     """The per-chi path the held moved columns replaced: psi's whole d^u row
     against chi's for every projective Phi_j of chi's block."""
     ident = ds.table.identity_class
-    base = ds.table.irreducible(chi).integer_coords()
+    base = unit(ds.table, chi)
     base_row = verify.virtual_gendec_row(ds, p, base)
     base_cond = verify._conductor_p_parts(ds, p, base)[0]
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
@@ -148,7 +151,7 @@ class TestConductorIdentity:
         ds = corpus["A5"]
 
         def values(seed):
-            return [virtual_character(ds.table, coords).values for _, coords
+            return [virtual_character(ds.table, coords) for _, coords
                     in sampled(ds, 5, 5, seed=seed)]
         a = values(42)
         assert a == values(42)
@@ -156,7 +159,7 @@ class TestConductorIdentity:
 
     def test_single_character(self, corpus):
         ds = corpus["A5"]
-        rec = check_theorem1(ds, 5, ds.table.irreducible(1))
+        rec = check_theorem1(ds, 5, unit(ds.table, 1))
         assert rec.passed and rec.lhs == rec.rhs == 5
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 7, 42, 43, 123,
@@ -188,7 +191,7 @@ class TestIntegerRecords:
         ds = load_corpus()["A5"]
         for p in (2, 3, 5, 2, 3, 5):
             theorem1_suite(ds, p, samples=2)
-            check_theorem1(ds, p, ds.table.irreducible(1))
+            check_theorem1(ds, p, unit(ds.table, 1))
         assert calls == [(id(ds), 2), (id(ds), 3), (id(ds), 5)]
 
     @pytest.mark.parametrize("name,p", [("A5", 2), ("S4", 3), ("D8", 2)])
@@ -233,8 +236,7 @@ class TestIntegerRecords:
                     coords = [0] * k
                     for i, a in zip(irrs, row):
                         coords[i] = a
-                    want.append(reference_theorem1(
-                        ds, p, virtual_character(ds.table, coords), label))
+                    want.append(reference_theorem1(ds, p, coords, label))
                 assert got == want, (name, p, b.id)
 
 
@@ -436,12 +438,10 @@ class TestProjectiveInvariance:
                  if row[j])
         gm.entries[col][i] += 1
         rec = check_projective_invariance(ds, p, chi)
-        chi_fn = ds.table.irreducible(chi)
-        psi = virtual_character(ds.table, [
-            a + b for a, b in zip(chi_fn.integer_coords(),
-                                  ds.projectives(p)[j])])
-        want = [str(lincomb(zip(fn.integer_coords(), gm.entries[col])))
-                for fn in (chi_fn, psi)]
+        base = unit(ds.table, chi)
+        psi = [a + b for a, b in zip(base, ds.projectives(p)[j])]
+        want = [str(lincomb(zip(coords, gm.entries[col])))
+                for coords in (base, psi)]
         assert not rec.passed and rec.witness == (j, col)
         assert [rec.lhs, rec.rhs] == want and want[0] != want[1]
         for k in range(ds.table.num_classes):
