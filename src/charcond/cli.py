@@ -223,10 +223,21 @@ def _parse_block_spec(spec: str, corpus):
     return isometry.block_ref(corpus[name], p, block_id)
 
 
+def _one_prime(src, tgt):
+    """The pair of blocks of both isometry commands, which must lie at one
+    prime; `isometry.search_perfect_isometries` itself does not refuse
+    blocks at two primes."""
+    if src.prime != tgt.prime:
+        raise isometry.IsometryError(
+            f"source block at p={src.prime} and target block at "
+            f"p={tgt.prime}: a perfect isometry relates blocks at one prime")
+    return src, tgt
+
+
 def _cmd_isometry_search(opts, out) -> int:
     corpus = load_corpus(opts.corpus)
-    src = _parse_block_spec(opts.source, corpus)
-    tgt = _parse_block_spec(opts.target, corpus)
+    src, tgt = _one_prime(_parse_block_spec(opts.source, corpus),
+                          _parse_block_spec(opts.target, corpus))
     found = isometry.search_perfect_isometries(src, tgt, bound=opts.bound)
     if opts.json:
         json.dump([c.to_json() for c in found], out, indent=2)
@@ -242,6 +253,7 @@ def _cmd_isometry_search(opts, out) -> int:
 def _cmd_isometry_check(opts, out) -> int:
     corpus = load_corpus(opts.corpus)
     cand = isometry.candidate_from_json(_read_json(opts.certificate), corpus)
+    _one_prime(cand.source, cand.target)
     rep = isometry.check_perfection(cand)
     rows = [["is_isometry", rep.is_isometry],
             ["integrality_ok", rep.integrality_ok],

@@ -10,6 +10,18 @@ when exactly one argument is p-regular).
 Both blocks' values lie in Z[zeta_N], N the lcm of their orders, with an
 integral power basis: mu(g, g') is a signed sum of integer vectors, tested
 for zero (separation) or divisibility by centralizer p-parts (integrality).
+What a block contributes is held once per (dataset, p, block), as
+`_BlockView`: its values as integer terms at its own order, each class's
+p-regularity and centralizer p-part, and its Gram form below as integers.
+A pair's `_PairKernel` only rescales exponents to N and keeps the cells
+that can fail: a cell that does not separate and whose modulus is 1 passes
+for every mu.  It packs each product chi_k(g) * psi_j(g') over those cells
+into one integer, a field per coordinate, at a width taken from the largest
+coordinate, so that a candidate's mu on every cell is one signed sum of n
+integers: the separating cells come first, and separation is a zero test
+of the sum's low bits, and only the integrality fields are read back.  A
+candidate that fails has all its fields read, to name its failing cells
+in order.
 
 The search backtracks over partial assignments and prunes on the p-regular
 Gram form G = (<chi^0, psi^0>), held per block on the dataset: separation
@@ -34,11 +46,12 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from functools import cache
 from math import factorial, lcm
 
 from .blocks import Block
-from .cyclo import (CycloError, CycloNum, conductor_p, int_rows, p_part,
-                    sum_products_int)
+from .cyclo import (CycloError, CycloNum, conductor_p, euler_phi, int_rows,
+                    p_part, sum_products_int)
 from .tables import DatasetError, GroupDataset, _require, _shape_fault
 
 
@@ -104,48 +117,115 @@ def check_isometry(cand: IsometryCandidate) -> bool:
             and all(s in (1, -1) for s in cand.signs))
 
 
-class _PairKernel:
-    """mu on two blocks over Z[zeta_N].  `cells` are the class pairs (g, g'),
-    each with whether mu must vanish there and the modulus that must divide
-    it; `slice(k, j)` is chi_k(g) * psi_j(g') on every cell, on first use."""
+class _BlockView:
+    """What the search and the perfection check read of one block, held per
+    (dataset, p, block): its characters' values as `int_terms` at their own
+    lcm `order`, each class's p-regularity and centralizer p-part, and its
+    p-regular Gram form as (d, integer numerators over d), d the lcm of the
+    entries' denominators."""
 
-    def __init__(self, src: BlockRef, tgt: BlockRef):
-        s_tab, t_tab = src.dataset.table, tgt.dataset.table
-        s_rows = [s_tab.irreducibles[i] for i in src.irrs]
-        t_rows = [t_tab.irreducibles[j] for j in tgt.irrs]
-        bad = [v for row in s_rows + t_rows for v in row
-               if not v.is_algebraic_integer()]
+    def __init__(self, ref: BlockRef):
+        table, p = ref.dataset.table, ref.prime
+        rows = [table.irreducibles[i] for i in ref.irrs]
+        bad = [v for row in rows for v in row if not v.is_algebraic_integer()]
         if bad:
             raise IsometryError(f"value {bad[0]} is not an algebraic integer")
-        self.order, self._src, self._tgt = int_rows(s_rows, t_rows)
-        s_reg = [c.element_order % src.prime != 0 for c in s_tab.classes]
-        t_reg = [c.element_order % tgt.prime != 0 for c in t_tab.classes]
-        self.cells = [
-            (g, h, s_reg[g] != t_reg[h],
-             lcm(p_part(s_tab.centralizer_order(g), src.prime),
-                 p_part(t_tab.centralizer_order(h), tgt.prime)))
-            for g in range(s_tab.num_classes) for h in range(t_tab.num_classes)]
-        self._slices = {}
+        self.order, self.rows = int_rows(rows)
+        self.regular = [c.element_order % p != 0 for c in table.classes]
+        self.cent = [p_part(table.centralizer_order(c), p)
+                     for c in range(table.num_classes)]
+        try:
+            form = ref.dataset.regular_gram(p, ref.block)
+        except CycloError as exc:
+            raise IsometryError(f"p-regular Gram form: {exc}") from None
+        d = lcm(*[f.denominator for row in form for f in row])
+        self.gram = d, [[f.numerator * (d // f.denominator) for f in row]
+                        for row in form]
 
-    def slice(self, k: int, j: int) -> list[list[int]]:
-        if (k, j) not in self._slices:
-            self._slices[k, j] = [sum_products_int(self.order, ((1, x, y),))
-                                  for x in self._src[k] for y in self._tgt[j]]
-        return self._slices[k, j]
+
+def _view(ref: BlockRef) -> _BlockView:
+    return ref.dataset._held(ref.prime, ("view", ref.block.id), _BlockView,
+                             ref)
+
+
+def _pack(fields, width: int) -> int:
+    """sum fields[i] * 2^(width * i)."""
+    return sum(f << width * i for i, f in enumerate(fields))
+
+
+def _unpack(x: int, width: int, count: int) -> list[int]:
+    """The fields of x = sum v_i * 2^(width * i), each |v_i| < 2^(width-1):
+    adding 2^(width-1) to every field makes each a base-2^width digit."""
+    half = 1 << width - 1
+    z = x + _pack([half] * count, width)
+    return [(z >> width * i & 2 * half - 1) - half for i in range(count)]
+
+
+class _PairKernel:
+    """mu on two blocks over Z[zeta_N], N the lcm of their orders.  `cells`
+    are the class pairs (g, g') where mu can fail, the separating ones
+    first, each with whether mu must vanish there and the modulus that must
+    divide it: a cell that does not separate, of modulus 1, passes for
+    every mu.  `packed[k, j]` is chi_k(g) * psi_j(g') on every cell, its
+    phi(N) coordinates per cell packed as fields of `width` bits in `cells`
+    order, for each (k, j) in `pairs`."""
+
+    def __init__(self, src: BlockRef, tgt: BlockRef, pairs):
+        s, t = _view(src), _view(tgt)
+        self.order = n = lcm(s.order, t.order)
+        xs, ys = ([[tuple((e * (n // v.order), c) for e, c in x)
+                    for x in row] for row in v.rows] for v in (s, t))
+        # a block pair's values repeat: it has few distinct products
+        product = cache(lambda x, y: sum_products_int(n, ((1, x, y),)))
+        self.cells = sorted(((g, h, s_reg != t_reg, lcm(s.cent[g], t.cent[h]))
+                             for g, s_reg in enumerate(s.regular)
+                             for h, t_reg in enumerate(t.regular)
+                             if s_reg != t_reg or s.cent[g] * t.cent[h] > 1),
+                            key=lambda cell: not cell[2])
+        vectors = {(k, j): [f for g, h, _, _ in self.cells
+                            for f in product(xs[k][g], ys[j][h])]
+                   for k, j in pairs}
+        # each field of a candidate's mu is a signed sum of len(xs) fields
+        # of these vectors, so it lies within +-bound, bound = len(xs) *
+        # (largest |field|), and `_unpack` reads it at the least width w
+        # with 2^(w-1) > bound
+        self.width = w = (len(xs) * max(
+            (max(map(abs, v)) for v in vectors.values() if v),
+            default=0)).bit_length() + 1
+        self.packed = {key: _pack(v, w) for key, v in vectors.items()}
+        self.phi = euler_phi(n)
+        self._moduli = [c[3] for c in self.cells if not c[2]
+                        for _ in range(self.phi)]
+        self._low = w * (len(self.cells) * self.phi - len(self._moduli))
+
+    def failures(self, x: int) -> list:
+        """Nothing if x, a candidate's signed sum of `packed` vectors,
+        vanishes on every separating cell (its low bits are 0: each field
+        is less than 2^(width-1) in absolute value) and is divisible by
+        every other cell's modulus.  Otherwise every cell with its mu, in
+        (g, g') order."""
+        if not x & (1 << self._low) - 1 and not any(map(
+                operator.mod, _unpack(x >> self._low, self.width,
+                                      len(self._moduli)), self._moduli)):
+            return []
+        phi, fields = self.phi, _unpack(x, self.width,
+                                        len(self.cells) * self.phi)
+        return sorted((*c, fields[i * phi:(i + 1) * phi])
+                      for i, c in enumerate(self.cells))
 
 
 def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
                      kernel: _PairKernel | None = None) -> PerfectionReport:
-    """`kernel`, the pair's `_PairKernel`, may be shared by many candidates."""
+    """`kernel`, the pair's `_PairKernel`, may be shared by many candidates
+    whose (k, permutation[k]) pairs it holds."""
     src, tgt = cand.source, cand.target
     report = PerfectionReport(check_isometry(cand), True, True)
     if not report.is_isometry:
         return report
-    kernel = kernel or _PairKernel(src, tgt)
-    slices = [kernel.slice(k, j) for k, j in enumerate(cand.permutation)]
-    for cell, (g, h, separating, modulus) in enumerate(kernel.cells):
-        mu = [sum(map(operator.mul, cand.signs, col))
-              for col in zip(*[sl[cell] for sl in slices])]
+    kernel = kernel or _PairKernel(src, tgt, enumerate(cand.permutation))
+    x = sum(map(operator.mul, cand.signs,
+                map(kernel.packed.__getitem__, enumerate(cand.permutation))))
+    for g, h, separating, modulus, mu in kernel.failures(x):
         if separating:
             if not any(mu):
                 continue
@@ -156,8 +236,7 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
             continue
         if not collect_witnesses:
             return report
-        value = CycloNum(kernel.order, mu)
-        report.witnesses.append((kind, g, h, str(value)))
+        report.witnesses.append((kind, g, h, str(CycloNum(kernel.order, mu))))
     if collect_witnesses:
         ok, wits = check_conductor_preservation(cand)
         report.conductor_preserved = ok
@@ -166,18 +245,6 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
         if not report.l0_preserved:
             report.witnesses.append(("l0",))
     return report
-
-
-def _integer_grams(src: BlockRef, tgt: BlockRef) -> tuple[int, list, list]:
-    """(d, g_src, g_tgt): both blocks' p-regular Gram forms as integers over
-    one common denominator d.  Every entry is rational, as G = D C^-1 D^T."""
-    try:
-        forms = [r.dataset.regular_gram(r.prime, r.block) for r in (src, tgt)]
-    except CycloError as exc:
-        raise IsometryError(f"p-regular Gram form: {exc}") from None
-    den = lcm(*[f.denominator for form in forms for row in form for f in row])
-    return (den, *[[[f.numerator * (den // f.denominator) for f in row]
-                    for row in form] for form in forms])
 
 
 def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
@@ -213,9 +280,14 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
         raise IsometryError(
             f"search size 2^{n} * {n}! = {2 ** n * factorial(n)} exceeds the "
             f"bound for {n} characters (bound {bound})")
-    kernel = _PairKernel(src, tgt)
+    (d_src, g_src), (d_tgt, g_tgt) = _view(src).gram, _view(tgt).gram
+    # a signed bijection carrying one form onto the other keeps the set of
+    # its entries' absolute values, and so their common denominator
+    leaves = list(_gram_matchings(g_src, g_tgt)) if d_src == d_tgt else []
+    kernel = _PairKernel(src, tgt, {kj for perm, _ in leaves
+                                    for kj in enumerate(perm)})
     found = []
-    for perm, signs in _gram_matchings(*_integer_grams(src, tgt)[1:]):
+    for perm, signs in leaves:
         cand = IsometryCandidate(src, tgt, perm, signs)
         if check_perfection(cand, collect_witnesses=False,
                             kernel=kernel).perfect:
@@ -241,9 +313,9 @@ def check_conductor_preservation(cand: IsometryCandidate):
 
 def check_l0_preservation(cand: IsometryCandidate) -> bool:
     """The image of every element of L0(B) vanishes on the p-regular
-    classes of the target group: G_T M (I - G_S) = 0, tested on
-    `_integer_grams`' integers as g_T M (d I - g_S) = 0."""
-    d, g_src, g_tgt = _integer_grams(cand.source, cand.target)
+    classes of the target group: G_T M (I - G_S) = 0, tested on the held
+    numerators g = d G of each form as g_T M (d_S I - g_S) = 0."""
+    (d, g_src), (_, g_tgt) = _view(cand.source).gram, _view(cand.target).gram
     # g_T M: its column k is signs[k] times column permutation[k] of g_T
     gm = [[s * row[j] for j, s in zip(cand.permutation, cand.signs)]
           for row in g_tgt]

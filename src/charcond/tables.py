@@ -5,7 +5,9 @@ ingested from JSON files and validated eagerly; the toolkit never multiplies
 group elements.  README's "Dataset format" section describes the files
 ("format": 1); `_require` checks every field's JSON type exactly.
 A table's exponent rules are checked before its values are parsed, and its
-orthogonality on integers, in Z[zeta_N] (`_validate_table`).  Power maps
+orthogonality on integers, in Z[zeta_N] (`_validate_table`).  A load
+checks each distinct table and Brauer block of its file once (`_once`):
+section centralizers repeat the group and each other.  Power maps
 are checked on load and read by nothing after: a character's value at the
 inverse class is the conjugate.  A subgroup's fusion must make each Res chi
 a virtual character; the load holds those Irr coordinates
@@ -74,7 +76,8 @@ def _parse_values(rows, path, ambient: int,
                   parsed: dict) -> list[list[CycloNum]]:
     """Parse a matrix of values; every E(n) must lie in Q(zeta_ambient),
     which is checked before any arithmetic in Q(zeta_n) is set up.  `parsed`
-    holds this load's parsed strings (one ambient), each checked once."""
+    holds this load's parsed strings (one ambient), each checked once, and
+    the keys of the checks `_once` ran."""
     for i, row in enumerate(rows):
         for j, expr in enumerate(row):
             if expr in parsed:
@@ -372,7 +375,17 @@ def _validate_table(table: CharTable, path: str):
         raise DatasetError(f"{path}.irreducibles: no trivial character")
 
 
-def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
+def _once(parsed: dict, key: tuple, check, *args):
+    """check(*args), unless this load has passed it on an equal key: a
+    key holds everything the check reads but the path in its messages,
+    and, being a tuple, is never a value string."""
+    if key not in parsed:
+        check(*args)
+        parsed[key] = True
+
+
+def _parse_table(obj, path: str, ambient: int, parsed: dict) -> tuple:
+    """(table, key): the key of its `_validate_table`, as `_once` reads it."""
     name = _require(obj, "name", str, path)
     order = _require(obj, "order", int, path)
     exponent = _require(obj, "exponent", int, path)
@@ -388,23 +401,24 @@ def _parse_table(obj, path: str, ambient: int, parsed: dict) -> CharTable:
     if order % exponent != 0:
         raise DatasetError(f"{path}.exponent: {exponent} does not divide the "
                            f"group order {order}")
-    irreducibles = _parse_values(_require(obj, "irreducibles", [[str]], path),
-                                 f"{path}.irreducibles", ambient, parsed)
-    table = CharTable(name, order, exponent, classes, irreducibles)
-    _validate_table(table, path)
-    return table
+    raw = _require(obj, "irreducibles", [[str]], path)
+    table = CharTable(name, order, exponent, classes, _parse_values(
+        raw, f"{path}.irreducibles", ambient, parsed))
+    key = ("table", repr((order, exponent, [c[1:] for c in classes], raw)))
+    _once(parsed, key, _validate_table, table, path)
+    return table, key
 
 
-def _parse_prime_block(table: CharTable, obj, p: int, path: str,
-                       ambient: int, parsed: dict):
+def _parse_prime_block(table: CharTable, table_key: tuple, obj, p: int,
+                       path: str, ambient: int, parsed: dict):
     regular = _require(obj, "regular_classes", [int], path)
     want_regular = [i for i, c in enumerate(table.classes)
                     if c.element_order % p != 0]
     if sorted(regular) != want_regular:
         raise DatasetError(f"{path}.regular_classes: got {regular}, the p-regular "
                            f"classes are {want_regular}")
-    ibr = _parse_values(_require(obj, "ibr", [[str]], path), f"{path}.ibr",
-                        ambient, parsed)
+    raw = _require(obj, "ibr", [[str]], path)
+    ibr = _parse_values(raw, f"{path}.ibr", ambient, parsed)
     dec = _require(obj, "decomposition", [[int]], path)
     for i, row in enumerate(dec):
         if len(row) != len(ibr):
@@ -421,7 +435,9 @@ def _parse_prime_block(table: CharTable, obj, p: int, path: str,
     bd = _blocks.BrauerData(p=p, regular_classes=regular, ibr=ibr,
                             decomposition=dec, block_of_irr=block_of_irr,
                             block_of_ibr=block_of_ibr)
-    _blocks.validate_brauer(table, bd, path)
+    _once(parsed, (table_key, p, repr((regular, raw, dec, block_of_irr,
+                                       block_of_ibr))),
+          _blocks.validate_brauer, table, bd, path)
     return bd
 
 
@@ -429,11 +445,12 @@ def _parse_group(obj, path: str, ambient: int, parsed: dict,
                  sections=False) -> GroupDataset:
     """A table plus its Brauer data at each prime, and with `sections` the
     p-sections listed there (only a file's top-level group has them)."""
-    table = _parse_table(obj, path, ambient, parsed)
+    table, table_key = _parse_table(obj, path, ambient, parsed)
     ds = GroupDataset(table.group_name, table, ambient)
     for key, pobj in _require(obj, "primes", dict, path, {}).items():
         q, ppath = _prime_key(key, f"{path}.primes"), f"{path}.primes.{key}"
-        bd = _parse_prime_block(table, pobj, q, ppath, ambient, parsed)
+        bd = _parse_prime_block(table, table_key, pobj, q, ppath, ambient,
+                                parsed)
         ds.primes[q] = PrimeData(bd, [])
         if sections:
             ds.primes[q].sections = _parse_sections(ds, pobj, q, ppath,

@@ -672,6 +672,23 @@ class TestIsometry:
         assert f"argument --bound: {bound} is negative" in \
             capsys.readouterr().err
 
+    def test_search_across_primes_is_data_error(self, capsys):
+        # the parent printed an empty table and exited 1
+        code, text = invoke("isometry-search", "A5:5:B0", "C4:2:B0")
+        assert (code, text) == (EXIT_DATA, "")
+        assert "source block at p=5 and target block at p=2" in \
+            capsys.readouterr().err
+
+    def test_check_across_primes_is_data_error(self, tmp_path, capsys):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps({
+            "source": {"group": "C4", "prime": 2, "block": "B0"},
+            "target": {"group": "A5", "prime": 5, "block": "B0"},
+            "permutation": [0, 1, 2, 3], "signs": [1, 1, 1, 1]}))
+        assert invoke("isometry-check", str(cert_file)) == (EXIT_DATA, "")
+        assert "source block at p=2 and target block at p=5" in \
+            capsys.readouterr().err
+
     def test_bad_spec(self):
         code, _ = invoke("isometry-search", "A5", "D10:5:B0")
         assert code == EXIT_DATA

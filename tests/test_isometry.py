@@ -13,9 +13,10 @@ from conftest import nullspace
 
 from charcond import isometry as iso
 from charcond.blocks import Block, partition_blocks
-from charcond.cyclo import ZERO, CycloNum, lincomb
+from charcond.cyclo import (ZERO, CycloNum, int_rows, lincomb, p_part,
+                            sum_products_int)
 from charcond.residue import build_residue_map, reduce_cyclo
-from charcond.tables import (default_corpus_dir, load_dataset,
+from charcond.tables import (default_corpus_dir, load_corpus, load_dataset,
                              virtual_character)
 
 
@@ -95,6 +96,12 @@ def reference_perfection(cand, products, collect_witnesses=True):
             if not collect_witnesses:
                 return report
             report.witnesses.append((kind, g, h, str(mu)))
+    return preservation(report, cand, collect_witnesses)
+
+
+def preservation(report, cand, collect_witnesses):
+    """The report, with the conductor and L0 verdicts and their witnesses
+    added when witnesses are collected."""
     if collect_witnesses:
         ok, wits = iso.check_conductor_preservation(cand)
         report.conductor_preserved = ok
@@ -103,6 +110,42 @@ def reference_perfection(cand, products, collect_witnesses=True):
         if not report.l0_preserved:
             report.witnesses.append(("l0",))
     return report
+
+
+def reference_cell_perfection(cand, collect_witnesses=True):
+    """check_perfection one cell at a time on integers, as it was before the
+    held views: both blocks' values at their common order N, each product
+    chi_k(g) * psi_j(g') reduced on its own, mu(g, g') their signed sum on
+    every cell, including those of modulus 1 that do not separate."""
+    src, tgt = cand.source, cand.target
+    report = iso.PerfectionReport(iso.check_isometry(cand), True, True)
+    if not report.is_isometry:
+        return report
+    s_tab, t_tab = src.dataset.table, tgt.dataset.table
+    n, s_rows, t_rows = int_rows([s_tab.irreducibles[i] for i in src.irrs],
+                                 [t_tab.irreducibles[j] for j in tgt.irrs])
+    for g in range(s_tab.num_classes):
+        for h in range(t_tab.num_classes):
+            products = [sum_products_int(n, ((1, s_rows[k][g], t_rows[j][h]),))
+                        for k, j in enumerate(cand.permutation)]
+            mu = [sum(map(operator.mul, cand.signs, col))
+                  for col in zip(*products)]
+            s_reg = s_tab.classes[g].element_order % src.prime != 0
+            t_reg = t_tab.classes[h].element_order % tgt.prime != 0
+            modulus = lcm(p_part(s_tab.centralizer_order(g), src.prime),
+                          p_part(t_tab.centralizer_order(h), tgt.prime))
+            if s_reg != t_reg:
+                if not any(mu):
+                    continue
+                report.separation_ok, kind = False, "separation"
+            elif any(c % modulus for c in mu):
+                report.integrality_ok, kind = False, "integrality"
+            else:
+                continue
+            if not collect_witnesses:
+                return report
+            report.witnesses.append((kind, g, h, str(CycloNum(n, mu))))
+    return preservation(report, cand, collect_witnesses)
 
 
 def brute_force(src, tgt):
@@ -209,16 +252,35 @@ def found(a5_d10):
     return iso.search_perfect_isometries(*a5_d10)
 
 
-@pytest.fixture(scope="module")
-def sweep(corpus, manifest):
+def sweep_pairs(corpus, manifest):
     """Every ordered pair of equal-size blocks with nonzero defect within
-    the default bound, with its brute-force certificates."""
+    the default bound: the 92 pairs of the isometry-sweep benchmark."""
     refs = [iso.BlockRef(corpus[entry["name"]], p, b)
             for entry in manifest["groups"] for p in entry["primes"]
             for b in partition_blocks(corpus[entry["name"]], p)
             if b.defect > 0 and len(b.irr_indices) <= 6]
-    return [(s, t, brute_force(s, t)) for s in refs for t in refs
-            if len(s.irrs) == len(t.irrs)]
+    return [(s, t) for s in refs for t in refs if len(s.irrs) == len(t.irrs)]
+
+
+def searched_leaves(src, tgt, monkeypatch):
+    """(candidate, kernel) of every check the search of the pair makes."""
+    seen, check = [], iso.check_perfection
+
+    def spy(cand, collect_witnesses=True, kernel=None):
+        seen.append((cand, kernel))
+        return check(cand, collect_witnesses, kernel)
+
+    monkeypatch.setattr(iso, "check_perfection", spy)
+    iso.search_perfect_isometries(src, tgt)
+    monkeypatch.setattr(iso, "check_perfection", check)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def sweep(corpus, manifest):
+    """The sweep's pairs, each with its brute-force certificates."""
+    return [(s, t, brute_force(s, t))
+            for s, t in sweep_pairs(corpus, manifest)]
 
 
 @pytest.fixture(scope="module")
@@ -315,21 +377,39 @@ class TestPrunedSearch:
             assert ref.dataset.regular_gram(ref.prime, ref.block) == \
                 regular_gram(ref)
 
-    def test_kernel_matches_reference_on_every_leaf(self, sweep):
-        # every candidate the pruned sweep checks, in both modes
+    def test_kernel_matches_reference_on_every_leaf(self, sweep,
+                                                    monkeypatch):
+        # every candidate the pruned sweep checks, on the kernel the search
+        # built, in both modes, against both references
         leaves = 0
         for src, tgt, _ in sweep:
-            kernel = iso._PairKernel(src, tgt)
             products = value_products(src, tgt)
-            for perm, signs in iso._gram_matchings(
-                    *iso._integer_grams(src, tgt)[1:]):
-                cand = iso.IsometryCandidate(src, tgt, perm, signs)
+            for cand, kernel in searched_leaves(src, tgt, monkeypatch):
                 leaves += 1
                 for collect in (False, True):
-                    got = iso.check_perfection(cand, collect, kernel)
-                    want = reference_perfection(cand, products, collect)
-                    assert outcome(got) == outcome(want)
+                    got = outcome(iso.check_perfection(cand, collect, kernel))
+                    assert got == outcome(
+                        reference_perfection(cand, products, collect))
+                    assert got == outcome(
+                        reference_cell_perfection(cand, collect))
         assert leaves == 548
+
+    def test_one_view_per_block(self, manifest, monkeypatch):
+        # a fresh load, so that no view is held yet: the sweep's 92 pairs
+        # build one view for each of their 18 distinct blocks
+        built = []
+
+        class Counted(iso._BlockView):
+            def __init__(self, ref):
+                built.append((ref.dataset.name, ref.prime, ref.block.id))
+                super().__init__(ref)
+
+        monkeypatch.setattr(iso, "_BlockView", Counted)
+        pairs = sweep_pairs(load_corpus(), manifest)
+        for src, tgt in pairs:
+            iso.search_perfect_isometries(src, tgt)
+        assert len(pairs) == 92
+        assert len(built) == len(set(built)) == 18
 
     def test_brute_force_certificates_preserve_gram_form(self, sweep):
         # the pruning rule, checked on every certificate it could have lost
@@ -377,26 +457,37 @@ class TestPerfection:
 
     def test_kernel_matches_reference_on_every_bijection(self, a5_d10):
         products = value_products(*a5_d10)
-        kernel = iso._PairKernel(*a5_d10)
-        kinds = set()
+        kernel = iso._PairKernel(*a5_d10, itertools.product(range(4),
+                                                            repeat=2))
+        kinds, bijections = set(), 0
         for perm in itertools.permutations(range(4)):
             for signs in itertools.product((1, -1), repeat=4):
                 cand = iso.IsometryCandidate(*a5_d10, perm, signs)
                 for collect in (False, True):
                     got = iso.check_perfection(cand, collect, kernel)
-                    want = reference_perfection(cand, products, collect)
-                    assert outcome(got) == outcome(want)
+                    assert outcome(got) == outcome(
+                        reference_perfection(cand, products, collect))
+                    assert outcome(got) == outcome(
+                        reference_cell_perfection(cand, collect))
                 kinds |= {w[0] for w in got.witnesses}
+                bijections += 1
+        assert bijections == 384
         assert kinds == {"separation", "integrality", "conductor", "l0"}
 
     def test_non_integral_value_raises(self):
+        # the values are read when the block's view is first built and then
+        # held, so the mutation goes into a fresh load before any check
+        def identity(ds):
+            ref = iso.block_ref(ds, 5, "B0")
+            n = len(ref.irrs)
+            return iso.IsometryCandidate(ref, ref, tuple(range(n)), (1,) * n)
+
+        assert iso.check_perfection(identity(load_dataset(
+            default_corpus_dir() / "D10.json"))).perfect
         ds = load_dataset(default_corpus_dir() / "D10.json")
-        ref = iso.block_ref(ds, 5, "B0")
-        n = len(ref.irrs)
-        cand = iso.IsometryCandidate(ref, ref, tuple(range(n)), (1,) * n)
-        assert iso.check_perfection(cand).perfect
-        ds.table.irreducibles[ref.irrs[-1]][0] = CycloNum.from_rational(
-            Fraction(1, 2))
+        cand = identity(ds)
+        ds.table.irreducibles[cand.source.irrs[-1]][0] = \
+            CycloNum.from_rational(Fraction(1, 2))
         with pytest.raises(iso.IsometryError, match="1/2 is not an algebraic"):
             iso.check_perfection(cand)
 
@@ -465,6 +556,50 @@ class TestPerfection:
         cand = iso.IsometryCandidate(src, tgt, (2, 0, 1, 3), (1, 1, 1, 1))
         ok, witnesses = iso.check_conductor_preservation(cand)
         assert not ok and witnesses
+
+
+class TestPacking:
+    @staticmethod
+    def seeded(rng):
+        """(signs, vectors, bound): up to 7 signed vectors of one length,
+        fields within +-bound, and field 0 at +bound after its sign in every
+        vector, so that its sum reaches the bound n * bound."""
+        n, length = rng.randint(1, 7), rng.randint(1, 40)
+        bound = rng.randint(1, 10 ** rng.randint(0, 6))
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        vectors = [[s * bound] + [rng.randint(-bound, bound)
+                                  for _ in range(length - 1)] for s in signs]
+        return signs, vectors, bound
+
+    @staticmethod
+    def packed_sum(signs, vectors, width):
+        fields = [sum(map(operator.mul, signs, col)) for col in zip(*vectors)]
+        x = sum(s * iso._pack(v, width) for s, v in zip(signs, vectors))
+        return fields, iso._unpack(x, width, len(fields))
+
+    def test_sums_at_the_bound_round_trip(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            signs, vectors, bound = self.seeded(rng)
+            width = (len(signs) * bound).bit_length() + 1
+            want, got = self.packed_sum(signs, vectors, width)
+            assert want[0] == len(signs) * bound and got == want
+
+    def test_one_bit_narrower_reads_a_wrong_sum(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            signs, vectors, bound = self.seeded(rng)
+            width = (len(signs) * bound).bit_length() + 1 - 1
+            want, got = self.packed_sum(signs, vectors, width)
+            assert got != want
+
+    def test_kernel_width_is_the_bound_of_its_vectors(self, a5_d10):
+        kernel = iso._PairKernel(*a5_d10, itertools.product(range(4),
+                                                            repeat=2))
+        count = len(kernel.cells) * kernel.phi
+        largest = max(max(map(abs, iso._unpack(x, kernel.width, count)))
+                      for x in kernel.packed.values())
+        assert kernel.width == (4 * largest).bit_length() + 1
 
 
 class TestL0:

@@ -229,6 +229,56 @@ class TestParseOnce:
             assert set(parsed) == set(values), path.name
 
 
+class TestValidateOnce:
+    @staticmethod
+    def counted(monkeypatch) -> dict:
+        """Calls of `_once` and of the two checks it runs, by name."""
+        counts = {}
+        for module, name in ((tables, "_once"), (tables, "_validate_table"),
+                             (tables._blocks, "validate_brauer")):
+            def spy(*args, _real=getattr(module, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, spy)
+        return counts
+
+    def test_each_distinct_table_and_block_checked_once_per_load(
+            self, monkeypatch):
+        counts = self.counted(monkeypatch)
+        load_corpus()
+        # 65 tables and 74 Brauer blocks, 32 and 41 of them distinct in
+        # their own file
+        assert counts == {"_once": 65 + 74, "_validate_table": 32,
+                          "validate_brauer": 41}
+
+    # C4.json holds its table and Brauer block five times: at the top and
+    # in each section's centralizer; one changed entry makes a fifth one new
+    @pytest.mark.parametrize("where,value,error,message,checks", [
+        (("irreducibles", 3, 2), "1", DatasetError,
+         r"^broken\.json\.primes\.2\.sections\[2\]\.centralizer: row "
+         r"orthogonality fails for rows 0,3 \(inner product 1/2\)$", (2, 1)),
+        (("primes", "2", "decomposition", 1, 0), 2, BlockError,
+         r"^broken\.json\.primes\.2\.sections\[2\]\.centralizer\.primes\.2: "
+         r"decomposition row 1 does not reproduce the character value on "
+         r"regular class 0$", (1, 2))])
+    def test_changed_duplicate_is_checked_at_its_own_path(
+            self, tmp_path, monkeypatch, where, value, error, message,
+            checks):
+        data = json.loads((default_corpus_dir() / "C4.json").read_text())
+        node = data["primes"]["2"]["sections"][2]["centralizer"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        counts = self.counted(monkeypatch)
+        with pytest.raises(error, match=message):
+            load_dataset(path)
+        # (tables, blocks) checked: the top level's, then the changed one
+        assert (counts["_validate_table"], counts["validate_brauer"]) == \
+            checks
+
+
 class TestValidation:
     def _raw(self, name="S3"):
         path = default_corpus_dir() / f"{name}.json"
