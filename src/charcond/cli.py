@@ -85,10 +85,7 @@ def _emit(opts, header: list[str], rows: list[list], out) -> None:
         out.write("\n")
     elif opts.csv:
         import csv
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(out).writerows([header] + rows)
     else:
         widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows])
                   for i, h in enumerate(header)]
@@ -126,8 +123,15 @@ def _cmd_validate(opts, out) -> int:
     rows = []
     for ds in _load(opts).values():
         if opts.group in (None, ds.name):
-            for p in ds.primes:  # block labels against central characters
+            # what the load leaves to first use: block labels against
+            # central characters, here and in each subgroup at its primes,
+            # and d^u against the ingested decomposition matrix
+            for p in ds.primes:
                 ds.blocks(p)
+                ds.gendec(p)
+            for emb in ds.subgroups:
+                for q in emb.primes:
+                    emb.subgroup.blocks(q)
             rows.append([ds.name, ds.table.group_order, len(ds.primes),
                          len(ds.subgroups), "ok"])
     _emit(opts, ["group", "order", "primes", "subgroups", "status"], rows, out)

@@ -18,7 +18,8 @@ restrictions, Gram forms), with conj read as the exponent map e -> -e.
 Two views read an element: `coeffs(n)`, rational coordinates on the power
 basis of Q(zeta_n), and `int_terms(n)`, the integer pairs (e, c) of an
 algebraic integer as a sum of c * zeta_n^e.  `int_rows` is the one place
-matrices of values become integer terms, at the lcm of their orders.
+matrices of values become integer terms, at the lcm of their orders, and
+`pack` the one place integer vectors become single integers.
 
 Conductors and inverses walk down the fields Q(zeta_n) > Q(zeta_(n/q)), one
 prime q | n at a time, with no linear solve.  If n = 2 mod 4 the fields are
@@ -189,6 +190,12 @@ def hermitian_int(n: int, weights, rows, cols) -> list[list[list[int]]]:
     conj = [[[(-e, a) for e, a in y] for y in col] for col in cols]
     return [[sum_products_int(n, zip(weights, x, y)) for y in conj]
             for x in rows]
+
+
+def pack(fields, width: int) -> int:
+    """sum fields[i] * 2^(width * i): integer vectors as one integer, so
+    that a linear combination of vectors is one of integers."""
+    return sum(f << width * i for i, f in enumerate(fields))
 
 
 def _mul(n: int, a, s: int, b, t: int) -> list[int]:

@@ -16,17 +16,19 @@ p-regularity and centralizer p-part, and its Gram form below as integers.
 A pair's `_PairKernel` only rescales exponents to N and keeps the cells
 that can fail: a cell that does not separate and whose modulus is 1 passes
 for every mu.  It packs each product chi_k(g) * psi_j(g') over those cells
-into one integer, a field per coordinate, at a width taken from the largest
-coordinate, so that a candidate's mu on every cell is one signed sum of n
-integers: the separating cells come first, and separation is a zero test
-of the sum's low bits, and only the integrality fields are read back.  A
-candidate that fails has all its fields read, to name its failing cells
-in order.
+into one integer (`cyclo.pack`), a field per coordinate, at a width taken
+from the largest coordinate, so that a candidate's mu on every cell is one
+signed sum of n integers: the separating cells come first, and
+separation is a zero test of the sum's low bits, and only the integrality
+fields are read back.  A candidate that fails has all its fields read, to
+name its failing cells in order.
 
 The search backtracks over partial assignments and prunes on the p-regular
-Gram form G = (<chi^0, psi^0>), held per block on the dataset: separation
-makes a perfect isometry commute with restriction to p-regular classes, so
-it carries one block's form onto the other's (Broue, Asterisque 181-182, 1990).
+Gram form G = (<chi^0, psi^0>), which each block's view computes from its
+own integer terms and holds as integer numerators over one denominator:
+separation makes a perfect isometry commute with restriction to p-regular
+classes, so it carries one block's form onto the other's (Broue,
+Asterisque 181-182, 1990).
 Every assignment that survives is still checked in full, so pruning decides
 only which candidates are checked, never which pass.
 
@@ -47,11 +49,10 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .blocks import Block
-from .cyclo import (CycloError, CycloNum, conductor_p, euler_phi, int_rows,
-                    p_part, sum_products_int)
+from .cyclo import (CycloNum, conductor_p, euler_phi, hermitian_int, int_rows,
+                    p_part, pack, sum_products_int)
 from .tables import DatasetError, GroupDataset, _require, _shape_fault
 
 
@@ -122,7 +123,11 @@ class _BlockView:
     (dataset, p, block): its characters' values as `int_terms` at their own
     lcm `order`, each class's p-regularity and centralizer p-part, and its
     p-regular Gram form as (d, integer numerators over d), d the lcm of the
-    entries' denominators."""
+    entries' denominators.  |G| <chi^0, psi^0> = sum_s |s^G| chi(s)
+    conj psi(s) over the p-regular classes s is one integer vector each;
+    the form must be rational, so only its constant coordinate c may be
+    nonzero, and with g = gcd(|G|, every c), d = |G| / g and c / g is the
+    numerator over d."""
 
     def __init__(self, ref: BlockRef):
         table, p = ref.dataset.table, ref.prime
@@ -130,17 +135,21 @@ class _BlockView:
         bad = [v for row in rows for v in row if not v.is_algebraic_integer()]
         if bad:
             raise IsometryError(f"value {bad[0]} is not an algebraic integer")
-        self.order, self.rows = int_rows(rows)
+        self.order, self.rows = n, rows = int_rows(rows)
         self.regular = [c.element_order % p != 0 for c in table.classes]
         self.cent = [p_part(table.centralizer_order(c), p)
                      for c in range(table.num_classes)]
-        try:
-            form = ref.dataset.regular_gram(p, ref.block)
-        except CycloError as exc:
-            raise IsometryError(f"p-regular Gram form: {exc}") from None
-        d = lcm(*[f.denominator for row in form for f in row])
-        self.gram = d, [[f.numerator * (d // f.denominator) for f in row]
-                        for row in form]
+        order = table.group_order
+        regular = [c for c, reg in enumerate(self.regular) if reg]
+        cut = [[row[c] for c in regular] for row in rows]
+        sums = hermitian_int(n, [table.classes[c].size for c in regular],
+                             cut, cut)
+        for vec in (x for row in sums for x in row):
+            if any(vec[1:]):
+                raise IsometryError("p-regular Gram form: not a rational "
+                                    f"number: {CycloNum(n, vec, order)}")
+        g = gcd(order, *[vec[0] for row in sums for vec in row])
+        self.gram = order // g, [[vec[0] // g for vec in row] for row in sums]
 
 
 def _view(ref: BlockRef) -> _BlockView:
@@ -148,16 +157,11 @@ def _view(ref: BlockRef) -> _BlockView:
                              ref)
 
 
-def _pack(fields, width: int) -> int:
-    """sum fields[i] * 2^(width * i)."""
-    return sum(f << width * i for i, f in enumerate(fields))
-
-
 def _unpack(x: int, width: int, count: int) -> list[int]:
     """The fields of x = sum v_i * 2^(width * i), each |v_i| < 2^(width-1):
     adding 2^(width-1) to every field makes each a base-2^width digit."""
     half = 1 << width - 1
-    z = x + _pack([half] * count, width)
+    z = x + pack([half] * count, width)
     return [(z >> width * i & 2 * half - 1) - half for i in range(count)]
 
 
@@ -192,7 +196,7 @@ class _PairKernel:
         self.width = w = (len(xs) * max(
             (max(map(abs, v)) for v in vectors.values() if v),
             default=0)).bit_length() + 1
-        self.packed = {key: _pack(v, w) for key, v in vectors.items()}
+        self.packed = {key: pack(v, w) for key, v in vectors.items()}
         self.phi = euler_phi(n)
         self._moduli = [c[3] for c in self.cells if not c[2]
                         for _ in range(self.phi)]

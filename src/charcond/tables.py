@@ -1,21 +1,22 @@
 """Group datasets: character tables, power maps, Brauer data, embeddings.
 
 All structural data (tables, power maps, fusions, decomposition matrices) is
-ingested from JSON files and validated eagerly; the toolkit never multiplies
-group elements.  README's "Dataset format" section describes the files
-("format": 1); `_require` checks every field's JSON type exactly.
+ingested from JSON files and validated on load, but block labels and d^u,
+checked where a prime's first use derives them (`GroupDataset.blocks`,
+`gendec`); the toolkit never multiplies group elements.  README's
+"Dataset format" section describes the files ("format": 1); `_require`
+checks every field's JSON type exactly.
 A table's exponent rules are checked before its values are parsed, and its
 orthogonality on integers, in Z[zeta_N] (`_validate_table`).  A load
 checks each distinct table and Brauer block of its file once (`_once`):
 section centralizers repeat the group and each other.  Power maps
 are checked on load and read by nothing after: a character's value at the
 inverse class is the conjugate.  A subgroup's fusion must make each Res chi
-a virtual character; the load holds those Irr coordinates
-(`SubgroupEmbedding.restriction`).  Restrictions and p-regular Gram forms
-are weighted Hermitian sums on integers (`cyclo.hermitian_int`).  A
-virtual character is held as its integer Irr coordinates and a class
-function as its values, one per class; `virtual_character` turns the first
-into the second.
+a character; the load holds its Irr coordinates
+(`SubgroupEmbedding.restriction`), weighted Hermitian sums on integers
+(`cyclo.hermitian_int`).  A virtual character is held as its integer Irr
+coordinates and a class function as its values, one per class;
+`virtual_character` turns the first into the second.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ class SubgroupEmbedding:
 
 class PrimeData:
     """A group's data at one prime: its `blocks.BrauerData`, its
-    `gendec.SectionData` in u_class order, and in `derived` the blocks,
-    projectives, gendec and Gram forms, each computed on first use."""
+    `gendec.SectionData` in u_class order, and in `derived` what is
+    computed from them on first use (`GroupDataset._held`)."""
 
     def __init__(self, brauer, sections: list):
         self.brauer, self.sections = brauer, sections
@@ -234,26 +235,6 @@ class GroupDataset:
     def gendec(self, p: int):
         """All d^u at p, by `gendec.gendec_all`."""
         return self._held(p, "gendec", _gendec.gendec_all, self, p)
-
-    def regular_gram(self, p: int, block) -> list[list[Fraction]]:
-        """<chi_k^0, chi_l^0> over the block's characters in index order: the
-        inner products of their restrictions to the p-regular classes, which
-        are rational (CycloError if one is not)."""
-        return self._held(p, ("gram", block.id), _regular_gram, self.table, p,
-                          sorted(block.irr_indices))
-
-
-def _regular_gram(table: CharTable, p: int, irrs) -> list[list[Fraction]]:
-    """|G| <chi^0, psi^0> = sum_s |s^G| chi(s) conj psi(s) over the
-    p-regular classes s, on integers, then divided by |G|."""
-    regular = [c for c, cls in enumerate(table.classes)
-               if cls.element_order % p != 0]
-    n, rows = int_rows([[table.irreducibles[i][c] for c in regular]
-                        for i in irrs])
-    sums = hermitian_int(n, [table.classes[c].size for c in regular],
-                         rows, rows)
-    return [[CycloNum(n, vec, table.group_order).rational_value()
-             for vec in row] for row in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +508,20 @@ def _validate_fusion(sub: CharTable, amb: CharTable, fusion, path: str):
 def _restriction(sub: CharTable, amb: CharTable, fusion,
                  path: str) -> list[tuple[int, ...]]:
     """Row i: the Irr(H) coordinates of Res chi_i, from |H| <Res chi, psi>
-    as one integer sum in Z[zeta_n] per (chi, psi); each must be an integer
-    multiple of |H|, or the fusion is not a restriction."""
+    as one integer sum in Z[zeta_n] per (chi, psi); each must be a
+    non-negative multiple of |H| (Res chi is a character), or the fusion
+    is not a restriction."""
     n, chis, psis = int_rows([[row[t] for t in fusion]
                               for row in amb.irreducibles], sub.irreducibles)
     order = sub.group_order
     sums = hermitian_int(n, [c.size for c in sub.classes], chis, psis)
     for i, row in enumerate(sums):
         for j, vec in enumerate(row):
-            if any(vec[1:]) or vec[0] % order:
+            kind = "virtual " if any(vec[1:]) or vec[0] % order else ""
+            if kind or vec[0] < 0:
                 raise DatasetError(
                     f"{path}: restriction of irreducible {i} is not a "
-                    f"virtual character of {sub.group_name} (coefficient "
+                    f"{kind}character of {sub.group_name} (coefficient "
                     f"{CycloNum(n, vec, order)} at irreducible {j})")
     return [tuple(vec[0] // order for vec in row) for row in sums]
 

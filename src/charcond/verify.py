@@ -34,7 +34,7 @@ from operator import mul
 from . import linalg
 from .blocks import block_of
 from .cyclo import (CycloNum, conductor_p, conductor_tests, int_rows,
-                    lincomb_int, p_part)
+                    lincomb_int, p_part, pack)
 from .tables import GroupDataset, virtual_character
 
 
@@ -106,14 +106,9 @@ def _level_tests(ds: GroupDataset, p: int) -> tuple[int, list, dict]:
 
 
 def _pack(sides, width: int) -> list:
-    """Each side's test values as one integer sum w_j * 2^(width*j) per
-    character, at each level."""
-    def pack(row):
-        out = 0
-        for w in reversed(row):
-            out = (out << width) + w
-        return out
-    return [[(t, [pack(row) for row in rows]) for t, rows in levels]
+    """Each side's test values as one integer per character, at each level,
+    by `cyclo.pack`."""
+    return [[(t, [pack(row, width) for row in rows]) for t, rows in levels]
             for levels in sides]
 
 

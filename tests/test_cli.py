@@ -389,6 +389,60 @@ class TestLoadErrors:
                 "1 is not a virtual character of D10" in \
                 capsys.readouterr().err, command
 
+    def test_fusion_with_negative_restriction_fails_at_load(self, tmp_path,
+                                                            capsys):
+        # C_D8(2b) = C2 x C2 with its three involutions all fused to the
+        # central 2a: orders and centralizer orders fit, and Res chi_4 =
+        # (2, -2, -2, -2) = -1 + lambda_1 + lambda_2 + lambda_3 is a
+        # virtual character but not a character
+        def fuse(data):
+            sec = data["primes"]["2"]["sections"][2]
+            table = {k: v for k, v in sec["centralizer"].items()
+                     if k != "primes"}
+            data["subgroups"] = [{"name": "C_D8(2b)", "fusion": [0, 1, 1, 1],
+                                  "table": table}]
+        corpus = tampered_corpus(tmp_path, "D8.json", fuse)
+        for command in ("validate", "restrict-check"):
+            assert invoke(command, "--corpus", str(corpus)) == \
+                (EXIT_DATA, ""), command
+            assert "D8.json.subgroups[0].fusion: restriction of irreducible " \
+                "4 is not a character of C_D8(2b) (coefficient -1 at " \
+                "irreducible 0)" in capsys.readouterr().err, command
+
+    @staticmethod
+    def swap_u_times(data):  # A4's d^u at u = 1 no longer reproduce D
+        u_times = data["primes"]["2"]["sections"][0]["u_times"]
+        u_times[2], u_times[3] = u_times[3], u_times[2]
+
+    @staticmethod
+    def mislabel_d10(data):
+        # D10's p = 2 Brauer block, with its two degree-2 characters, which
+        # lie in two blocks, labelled as one, on A5's D10 subgroup
+        d10 = json.loads((default_corpus_dir() / "D10.json").read_text())
+        block = {k: v for k, v in d10["primes"]["2"].items()
+                 if k != "sections"}
+        block["block_of_irr"] = ["B0", "B0", "B1", "B1"]
+        block["block_of_ibr"] = ["B0", "B1", "B1"]
+        data["subgroups"][0]["table"]["primes"]["2"] = block
+        data["subgroups"][0]["primes"] = {"2": {}}
+
+    @pytest.mark.parametrize("file,change,commands,message", [
+        ("A4.json", "swap_u_times", ["gendec"], "A4 p=2: ordinary "
+         "decomposition numbers of character 1 differ from the ingested "
+         "matrix"),
+        ("A5.json", "mislabel_d10", ["verify", "restrict-check"], "D10 p=2: "
+         "ingested label 'B1' covers different irreducibles than the "
+         "central-character partition"),
+    ], ids=["d-u", "subgroup-label"])
+    def test_validate_rejects_what_later_commands_reject(
+            self, tmp_path, capsys, file, change, commands, message):
+        corpus = tampered_corpus(tmp_path, file, getattr(self, change))
+        for command in commands + ["validate"]:
+            assert invoke(command, "--corpus", str(corpus)) == \
+                (EXIT_DATA, ""), command
+            assert capsys.readouterr().err == \
+                f"charcond: error: {message}\n", command
+
     # bytes that are not UTF-8: each input file names itself in the error
     @pytest.mark.parametrize("file", ["C4.json", "manifest.json"])
     def test_undecodable_corpus_file_is_data_error(self, tmp_path, capsys,

@@ -13,7 +13,7 @@ from conftest import nullspace
 
 from charcond import isometry as iso
 from charcond.blocks import Block, partition_blocks
-from charcond.cyclo import (ZERO, CycloNum, int_rows, lincomb, p_part,
+from charcond.cyclo import (ZERO, CycloNum, int_rows, lincomb, p_part, pack,
                             sum_products_int)
 from charcond.residue import build_residue_map, reduce_cyclo
 from charcond.tables import (default_corpus_dir, load_corpus, load_dataset,
@@ -373,9 +373,15 @@ class TestPrunedSearch:
             assert keys(iso.search_perfect_isometries(src, tgt)) == keys(brute)
 
     def test_gram_form_matches_inner_products(self, sweep):
+        # the view's (d, numerators): d the least common denominator of the
+        # reference's entries, and each entry numerator / d
         for ref in {id(s): s for s, _, _ in sweep}.values():
-            assert ref.dataset.regular_gram(ref.prime, ref.block) == \
-                regular_gram(ref)
+            want = [[x.rational_value() for x in row]
+                    for row in regular_gram(ref)]
+            d, numerators = iso._view(ref).gram
+            assert d == lcm(*[x.denominator for row in want for x in row])
+            assert [[Fraction(a, d) for a in row]
+                    for row in numerators] == want
 
     def test_kernel_matches_reference_on_every_leaf(self, sweep,
                                                     monkeypatch):
@@ -498,6 +504,20 @@ class TestPerfection:
         with pytest.raises(iso.IsometryError, match="not a rational number"):
             iso.search_perfect_isometries(ref, ref)
 
+    def test_irrational_gram_form_names_its_first_entry(self):
+        # the view computes the form when first built, so the mutation goes
+        # into a fresh load: chi_1(2a) = -1 times E(3) is still integral,
+        # and the first entry in (row, column) order, 10 <chi_0^0, chi_1^0>
+        # = 1 + 5 * conj(-E(3)) = 6 + 5 E(3), is not rational
+        ds = load_dataset(default_corpus_dir() / "D10.json")
+        ref = iso.block_ref(ds, 5, "B0")
+        row = ds.table.irreducibles[ref.irrs[1]]
+        row[1] = row[1] * CycloNum.zeta(3)
+        with pytest.raises(iso.IsometryError) as exc:
+            iso.search_perfect_isometries(ref, ref)
+        assert str(exc.value) == \
+            "p-regular Gram form: not a rational number: 3/5+1/2*E(3)"
+
     def test_mu_at_identity_pair(self, found):
         # mu(1,1) passes both integrality divisions for a perfect candidate
         cand = found[0]
@@ -574,7 +594,7 @@ class TestPacking:
     @staticmethod
     def packed_sum(signs, vectors, width):
         fields = [sum(map(operator.mul, signs, col)) for col in zip(*vectors)]
-        x = sum(s * iso._pack(v, width) for s, v in zip(signs, vectors))
+        x = sum(s * pack(v, width) for s, v in zip(signs, vectors))
         return fields, iso._unpack(x, width, len(fields))
 
     def test_sums_at_the_bound_round_trip(self):
@@ -630,7 +650,8 @@ class TestL0:
             dec = ds.brauer(p).decomposition
             for b in ds.blocks(p):
                 irrs = sorted(b.irr_indices)
-                g = ds.regular_gram(p, b)
+                d, numerators = iso._view(iso.BlockRef(ds, p, b)).gram
+                g = [[Fraction(a, d) for a in row] for row in numerators]
                 assert [[sum(map(operator.mul, row, col)) for col in zip(*g)]
                         for row in g] == g, (name, p, b.id)
                 for j in b.ibr_indices:

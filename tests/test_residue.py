@@ -18,7 +18,8 @@ from charcond import tables
 from charcond.blocks import central_character, partition_blocks
 from charcond.cli import EXIT_OK, run
 from charcond.cyclo import (ONE, CycloError, CycloNum, cyclotomic_poly,
-                            euler_phi, p_part, prime_factors)
+                            euler_phi, hermitian_int, int_rows, p_part,
+                            prime_factors)
 from charcond.residue import ResidueError, build_residue_map, reduce_cyclo
 
 
@@ -107,9 +108,14 @@ def fixed_ideal_partition(ds, p):
 def osima_partition(ds, p):
     """The linkage classes of the nonzero entries of sum_s |s^G| chi(s)
     conj(psi(s)) over the p-regular classes s (Osima), which name no prime
-    ideal."""
-    k = ds.table.num_classes
-    gram = tables._regular_gram(ds.table, p, range(k))
+    ideal: the p-regular form over all of Irr(G), as integer vectors."""
+    table, k = ds.table, ds.table.num_classes
+    regular = [c for c, cls in enumerate(table.classes)
+               if cls.element_order % p]
+    n, rows = int_rows([[row[c] for c in regular]
+                        for row in table.irreducibles])
+    gram = [[any(vec) for vec in row] for row in hermitian_int(
+        n, [table.classes[c].size for c in regular], rows, rows)]
     parts, seen = [], set()
     for start in range(k):
         if start in seen:
