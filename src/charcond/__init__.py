@@ -22,6 +22,7 @@ _HOME = {name: module for module, names in (
                  "search_perfect_isometries"),
     ("tables", "CharTable GroupDataset char_conductor default_corpus_dir "
                "load_corpus load_dataset virtual_character"),
+    ("verify", "check_theorem1"),
 ) for name in names.split()}
 _SUBMODULES = ("blocks", "cli", "cyclo", "gendec", "isometry", "linalg",
                "residue", "tables", "verify")

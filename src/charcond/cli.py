@@ -219,9 +219,13 @@ def _cmd_verify(opts, out) -> int:
 
 def _parse_block_spec(spec: str, corpus):
     parts = spec.split(":")
-    if len(parts) != 3 or not parts[1].isdecimal():
-        raise DatasetError(f"bad block spec {spec!r}; expected GROUP:P:BLOCK")
-    name, p, block_id = parts[0], int(parts[1]), parts[2]
+    try:  # int() also refuses a number past the interpreter's digit limit
+        if len(parts) != 3 or not parts[1].isdecimal():
+            raise ValueError
+        name, p, block_id = parts[0], int(parts[1]), parts[2]
+    except ValueError:
+        raise DatasetError(f"bad block spec {spec!r}; expected "
+                           f"GROUP:P:BLOCK") from None
     if name not in corpus:
         raise DatasetError(f"no group named {name!r} in the corpus")
     return isometry.block_ref(corpus[name], p, block_id)

@@ -552,38 +552,48 @@ def parse_cyclo(text: str) -> CycloNum:
                               else pos)
 
     pos, terms = 0, []
-    while True:
-        m = _TERM.match(text, pos)
-        op, c, sl, d, x, z, lp, n, rp, hat, e = m.groups()
-        if terms and not op:
-            break
-        if op == "+" and not terms:
-            fail("expected an integer", m.start("op"))
-        if c is None and not z:
-            fail("expected an integer", m.end())
-        if sl and d is None:
-            fail("expected an integer", m.end("sl"), True)
-        if d is not None and int(d) <= 0:
-            fail("denominator must be a positive integer", m.end("d"))
-        coeff = ((-1 if op == "-" else 1) * int(c or 1), int(d or 1))
-        if c is not None and not x:
-            terms.append(coeff + (1, 0))
-            pos = m.end("d" if sl else "c")
-            continue
-        if not z:
-            fail("expected 'E'", m.end("x"), True)
-        if not lp:
-            fail("expected '('", m.end("z"), True)
-        if n is None:
-            fail("expected an integer", m.end("lp"), True)
-        if int(n) <= 0:
-            fail(f"E({int(n)}) is not a valid root of unity", m.end("n"))
-        if not rp:
-            fail("expected ')'", m.end("n"), True)
-        if hat and e is None:
-            fail("expected an integer", m.end("hat"), True)
-        terms.append(coeff + (int(n), int(e) if hat else 1))
-        pos = m.end()
+    try:
+        while True:
+            m = _TERM.match(text, pos)
+            op, c, sl, d, x, z, lp, n, rp, hat, e = m.groups()
+            if terms and not op:
+                break
+            if op == "+" and not terms:
+                fail("expected an integer", m.start("op"))
+            if c is None and not z:
+                fail("expected an integer", m.end())
+            if sl and d is None:
+                fail("expected an integer", m.end("sl"), True)
+            if d is not None and int(d) <= 0:
+                fail("denominator must be a positive integer", m.end("d"))
+            coeff = ((-1 if op == "-" else 1) * int(c or 1), int(d or 1))
+            if c is not None and not x:
+                terms.append(coeff + (1, 0))
+                pos = m.end("d" if sl else "c")
+                continue
+            if not z:
+                fail("expected 'E'", m.end("x"), True)
+            if not lp:
+                fail("expected '('", m.end("z"), True)
+            if n is None:
+                fail("expected an integer", m.end("lp"), True)
+            if int(n) <= 0:
+                fail(f"E({int(n)}) is not a valid root of unity", m.end("n"))
+            if not rp:
+                fail("expected ')'", m.end("n"), True)
+            if hat and e is None:
+                fail("expected an integer", m.end("hat"), True)
+            terms.append(coeff + (int(n), int(e) if hat else 1))
+            pos = m.end()
+    except CycloParseError:
+        raise
+    except ValueError:  # int() refused a number past the interpreter's
+        # digit limit; the try costs nothing until then.  Name the first
+        for g in "cdne":
+            try:
+                int(m[g] or 0)
+            except ValueError:
+                fail("integer has too many digits", m.start(g))
     pos = m.start("op")
     if pos != len(text):
         fail(f"unexpected {text[pos]!r}", pos)

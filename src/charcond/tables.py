@@ -70,7 +70,7 @@ def _require(obj, key, shape, path, default=None):
     return val
 
 
-_ATOM = re.compile(r"E\s*\(\s*(\d+)")
+_ATOM = re.compile(r"E\s*\(\s*0*(\d+)")
 
 
 def _parse_values(rows, path, ambient: int,
@@ -84,9 +84,13 @@ def _parse_values(rows, path, ambient: int,
             if expr in parsed:
                 continue
             for atom in _ATOM.finditer(expr):
-                n = int(atom.group(1))
-                if n and ambient % n:
-                    raise DatasetError(f"{path}[{i}][{j}]: E({n}) does not "
+                n = atom.group(1)
+                # an n longer than AMBIENT_MAX does not divide the ambient
+                # order, and int() may refuse it: it is named by its length
+                big = len(n) > len(str(AMBIENT_MAX))
+                if big or int(n) and ambient % int(n):
+                    root = f"E(n) of {len(n)} digits" if big else f"E({int(n)})"
+                    raise DatasetError(f"{path}[{i}][{j}]: {root} does not "
                                        f"lie in the declared ambient "
                                        f"Q(zeta_{ambient})")
             try:
@@ -265,10 +269,11 @@ def _parse_classes(raw, path, group_order) -> list[ClassData]:
     return classes
 
 
-def _prime_key(key: str, path: str) -> int:
+def _prime_key(key: str, path: str, ambient: int = 1) -> int:
     """A JSON object key naming a prime: an integer >= 2 in plain decimal
-    ("02" is not 2).  It is not tested for primality: trial division is
-    unbounded on a key of thousands of digits."""
+    ("02" is not 2).  A key that shares a factor with `ambient` must be a
+    prime dividing it; a key coprime to it is not tested for primality:
+    trial division is unbounded on a key of thousands of digits."""
     try:
         q = int(key)
     except ValueError:
@@ -276,6 +281,10 @@ def _prime_key(key: str, path: str) -> int:
     if q < 2 or key != str(q):
         raise DatasetError(f"{path}: key {key!r} is not a prime in plain "
                            f"decimal")
+    if gcd(q, ambient) > 1 and q not in prime_factors(ambient):
+        raise DatasetError(f"{path}.{key}: {q} shares a factor with the "
+                           f"ambient order {ambient} but is not a prime "
+                           f"dividing it")
     return q
 
 
@@ -429,7 +438,8 @@ def _parse_group(obj, path: str, ambient: int, parsed: dict,
     table, table_key = _parse_table(obj, path, ambient, parsed)
     ds = GroupDataset(table.group_name, table, ambient)
     for key, pobj in _require(obj, "primes", dict, path, {}).items():
-        q, ppath = _prime_key(key, f"{path}.primes"), f"{path}.primes.{key}"
+        q = _prime_key(key, f"{path}.primes", ambient)
+        ppath = f"{path}.primes.{key}"
         bd = _parse_prime_block(table, table_key, pobj, q, ppath, ambient,
                                 parsed)
         ds.primes[q] = PrimeData(bd, [])

@@ -12,17 +12,19 @@ order, and a restriction's conductor is that of the fused values.
 Theorem 1 records run on integers.  For a column x of algebraic integers,
 "the conductor p-part of sum a_i x_i is below t" says that Z-linear tests
 of the a_i vanish (`cyclo.conductor_tests`).  So each side, the Irr columns
-and the d^u columns, is held per dataset and prime as one packed integer
-form per level t and character (`_level_forms`); a record's p-part is the
-first t at which sum a_i * form_i is nonzero, exact at a packing width
-chosen from the a_i.  Sampled records take one pass per block
-(`_block_records`): each sampled coordinate lies in [-3, 3], so one width
-serves the whole block, its forms are cut to the block's characters once,
-and each level's sums are taken for all of the block's samples together.
+and the d^u columns, is held per dataset and prime as its test values per
+level t and character (`_level_tests`).  Every conductor p-part comes from
+one pass of `_p_parts` over some characters: it packs each level's tests of
+those characters once, at a width chosen from the coefficients, and a
+row's p-part is the largest t at which sum a_i * form_i is nonzero.  The
+irreducible records are one pass, and each block's samples one more: each
+sampled coordinate lies in [-3, 3], so one width serves the whole block.
 The samples are the stream of `random.Random(seed).randint(-3, 3)`.
-Projective invariance is linear: adding Phi_j keeps a d^u column exactly
-when Phi_j's own row is zero there, which is held per dataset and prime;
-only a failing record's strings are built as `CycloNum`.
+Projective invariance is one pass per character over its block, for chi
+and every chi + Phi_j, on the Irr side only.  d^u is linear: adding Phi_j
+keeps a d^u column exactly when Phi_j's own row is zero there, which is
+held per dataset and prime; only a failing record's strings are built as
+`CycloNum`.
 """
 
 from __future__ import annotations
@@ -85,11 +87,10 @@ def virtual_gendec_row(ds: GroupDataset, p: int, coords) -> dict:
             for key, (n, col) in zip(ds.gendec(p).columns, columns)}
 
 
-def _level_tests(ds: GroupDataset, p: int) -> tuple[int, list, dict]:
+def _level_tests(ds: GroupDataset, p: int) -> tuple[int, list]:
     """(largest |value|, per side [(t, test values per character)] in
-    descending t, packed forms by width): per level t, `conductor_tests` at
-    t of each column that has one, on the character's reduced entry, all
-    concatenated."""
+    descending t): per level t, `conductor_tests` at t of each column that
+    has one, on the character's reduced entry, all concatenated."""
     sides, bound = [], 0
     for columns in ds._held(p, "int columns", _int_columns, ds, p):
         levels = {}
@@ -102,71 +103,48 @@ def _level_tests(ds: GroupDataset, p: int) -> tuple[int, list, dict]:
                     row.extend(y)
                     bound = max(bound, max(map(abs, y), default=0))
         sides.append(sorted(levels.items(), reverse=True))
-    return bound, sides, {}
+    return bound, sides
 
 
-def _pack(sides, width: int) -> list:
-    """Each side's test values as one integer per character, at each level,
-    by `cyclo.pack`."""
-    return [[(t, [pack(row, width) for row in rows]) for t, rows in levels]
-            for levels in sides]
-
-
-def _level_forms(ds: GroupDataset, p: int, weight: int) -> list:
-    """The (Irr, d^u) forms of `_level_tests`, packed at a width w with
-    2^w > weight * (largest |value|), held per width: for coefficients a
-    with sum |a| <= weight, each field of sum a * form_i then lies strictly
-    between -2^w and 2^w, so the sum is 0 exactly when every field is."""
-    bound, sides, packed = ds._held(p, "level tests", _level_tests, ds, p)
-    need = (bound * weight).bit_length()
-    width = 16 * max(1, -(-need // 16))  # the least multiple of 16 >= need
-    if width not in packed:
-        packed[width] = _pack(sides, width)
-    return packed[width]
-
-
-def _p_parts(ds: GroupDataset, p: int, irrs, rows, weight: int) -> list:
-    """Per side (Irr, d^u), the conductor p-part of sum a_i x_i for each row
-    of coefficients a on the Irr indices irrs, with sum |a| <= weight: each
-    side's forms cut to irrs once, then each level, in ascending t, taken by
-    every row whose form sum is nonzero there, so each keeps the largest."""
-    sides = []
-    for forms in _level_forms(ds, p, weight):
+def _p_parts(ds: GroupDataset, p: int, irrs, rows, weight: int):
+    """Yields per side, Irr then d^u, the conductor p-part of sum a_i x_i
+    for each row of coefficients a on the Irr indices irrs, with sum |a| <=
+    weight.  Each level's tests of irrs are packed once, at a width w with
+    2^w > weight * (largest |value|): each field of sum a * form_i then lies
+    strictly between -2^w and 2^w, so the sum is 0 exactly when every field
+    is.  Each level, in ascending t, is taken by every row whose sum is
+    nonzero there, so each row keeps the largest."""
+    bound, sides = ds._held(p, "level tests", _level_tests, ds, p)
+    width = (bound * weight).bit_length()
+    for levels in sides:
         parts = [1] * len(rows)
-        for t, form in reversed(forms):
-            cut = [form[i] for i in irrs]
-            if any(cut):
-                parts = [t if sum(map(mul, row, cut)) else c
+        for t, tests in reversed(levels):
+            form = [pack(tests[i], width) for i in irrs]
+            if any(form):
+                parts = [t if sum(map(mul, row, form)) else c
                          for row, c in zip(rows, parts)]
-        sides.append(parts)
-    return sides
+        yield parts
 
 
-def _conductor_p_parts(ds: GroupDataset, p: int, coords) -> list[int]:
-    """The conductor p-parts of psi = sum coords_i chi_i over the Irr
-    columns and over its d^u columns."""
-    irrs = [i for i, a in enumerate(coords) if a]
-    row = [coords[i] for i in irrs]
-    return [s[0] for s in _p_parts(ds, p, irrs, [row], sum(map(abs, row)))]
+def _records(ds: GroupDataset, p: int, irrs, draws,
+             weight: int) -> list[CheckRecord]:
+    """Theorem 1 records of (label, coordinates on the Irr indices irrs)
+    draws with sum |a| <= weight, in one `_p_parts` pass: the conductor
+    p-part of psi's Irr columns (lhs) against that of its d^u columns
+    (rhs)."""
+    sides = _p_parts(ds, p, irrs, [row for _, row in draws], weight)
+    return [CheckRecord("conductor-identity", label, lhs, rhs,
+                        passed=(lhs == rhs))
+            for (label, _), lhs, rhs in zip(draws, *sides)]
 
 
 def check_theorem1(ds: GroupDataset, p: int, coords,
                    label: str = "psi") -> CheckRecord:
     """c(psi)_p equals the conductor p-part of all its d^u values, for psi
-    = sum coords_i chi_i: that of psi's Irr columns (lhs) against that of
-    its d^u columns (rhs)."""
-    lhs, rhs = _conductor_p_parts(ds, p, coords)
-    return CheckRecord("conductor-identity", label, lhs, rhs,
-                       passed=(lhs == rhs))
-
-
-def _block_records(ds: GroupDataset, p: int, irrs, draws) -> list:
-    """Theorem 1 records of (label, coordinates on the Irr indices irrs)
-    draws, every coordinate in [-3, 3]: one pass at sum |a| <= 3 |irrs|."""
-    sides = _p_parts(ds, p, irrs, [row for _, row in draws], 3 * len(irrs))
-    return [CheckRecord("conductor-identity", label, lhs, rhs,
-                        passed=(lhs == rhs))
-            for (label, _), lhs, rhs in zip(draws, *sides)]
+    = sum coords_i chi_i, by `_records` on its support."""
+    irrs = [i for i, a in enumerate(coords) if a]
+    row = [coords[i] for i in irrs]
+    return _records(ds, p, irrs, [(label, row)], sum(map(abs, row)))[0]
 
 
 def check_cor05(ds: GroupDataset, p: int, chi: int) -> CheckRecord:
@@ -198,18 +176,23 @@ def check_projective_invariance(ds: GroupDataset, p: int,
                                 chi: int) -> CheckRecord:
     """Adding a projective character of chi's block changes neither the
     non-ordinary d^u rows nor the conductor p-part.  d^u is linear, so
-    chi + Phi_j keeps a column exactly when Phi_j's row is 0 there."""
-    base = [int(i == chi) for i in range(ds.table.num_classes)]
-    base_cond = _conductor_p_parts(ds, p, base)[0]
+    chi + Phi_j keeps a column exactly when Phi_j's row is 0 there; the
+    p-parts of chi and of every chi + Phi_j are one pass over the block."""
+    block = block_of(ds.blocks(p), chi)
+    irrs, js = sorted(block.irr_indices), sorted(block.ibr_indices)
+    unit = [int(i == chi) for i in range(ds.table.num_classes)]
+    psis = [unit] + [[a + b for a, b in zip(unit, ds.projectives(p)[j])]
+                     for j in js]
+    # every coordinate is >= 0, so a row's sum is its weight
+    base_cond, *conds = next(_p_parts(ds, p, irrs, [
+        [psi[i] for i in irrs] for psi in psis], max(map(sum, psis))))
     moved = ds._held(p, "moved columns", _moved_columns, ds, p)
-    for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
-        psi = [a + b for a, b in zip(base, ds.projectives(p)[j])]
+    for j, psi, cond in zip(js, psis[1:], conds):
         if (col := moved[j]) is not None:
             was, now = (str(CycloNum(*virtual_gendec_row(ds, p, c)[col]))
-                        for c in (base, psi))
+                        for c in (unit, psi))
             return CheckRecord("projective-invariance", f"chi{chi}",
                                was, now, witness=(j, col), passed=False)
-        cond = _conductor_p_parts(ds, p, psi)[0]
         if cond != base_cond:
             return CheckRecord("projective-invariance", f"chi{chi}",
                                base_cond, cond, witness=j, passed=False)
@@ -340,11 +323,10 @@ def theorem1_suite(ds: GroupDataset, p: int, samples: int = 0,
                    seed: int = 0) -> VerificationReport:
     report = VerificationReport("conductor-identity", ds.name, p)
     k = ds.table.num_classes
-    for chi in range(k):
-        report.add(check_theorem1(ds, p, [int(i == chi) for i in range(k)],
-                                  label=f"chi{chi}"))
+    report.records = _records(ds, p, range(k), [
+        (f"chi{c}", [int(i == c) for i in range(k)]) for c in range(k)], 1)
     for irrs, draws in random_virtual_characters(ds, p, samples, seed):
-        report.records.extend(_block_records(ds, p, irrs, draws))
+        report.records += _records(ds, p, irrs, draws, 3 * len(irrs))
     return report
 
 

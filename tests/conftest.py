@@ -163,3 +163,28 @@ def reference_gendec(corpus, group_primes):
                     entries[(sec.u_class, phi)] = list(col)
         out[(name, p)] = both
     return out
+
+
+def c8_brauer_at_4() -> dict:
+    """A C8 dataset whose consistent Brauer data sit under the key "4",
+    which is no prime: classes g^k with chi_j(g^k) = E(8)^(jk), regular
+    classes g^0 and g^4 with IBr rows (1, 1) and (1, -1), D rows (1, 0)
+    for even j and (0, 1) for odd j in blocks B0 and B1, and one section
+    per class of order 1 or 4, each with C8 as its centralizer."""
+    classes = [{"name": f"g{k}", "size": 1, "order": 8 // gcd(8, k),
+                "powermaps": {str(q): k * q % 8 for q in (2, 3, 5, 7)}}
+               for k in range(8)]
+    table = {"name": "C8", "order": 8, "exponent": 8, "classes": classes,
+             "irreducibles": [[f"E(8)^{j * k % 8}" if j * k % 8 else "1"
+                               for k in range(8)] for j in range(8)]}
+    brauer = {"regular_classes": [0, 4], "ibr": [["1", "1"], ["1", "-1"]],
+              "decomposition": [[1 - j % 2, j % 2] for j in range(8)],
+              "block_of_irr": [f"B{j % 2}" for j in range(8)],
+              "block_of_ibr": ["B0", "B1"]}
+    sections = [{"u_class": u, "centralizer": dict(table, primes={"4": brauer}),
+                 "fusion": list(range(8)), "u_in_centralizer": u,
+                 "u_times": [(u + s) % 8 for s in range(8)],
+                 "correspondent_block": {"B0": "B0", "B1": "B1"}}
+                for u in range(8) if classes[u]["order"] in (1, 4)]
+    return dict(table, format=1, ambient=8,
+                primes={"4": dict(brauer, sections=sections)})

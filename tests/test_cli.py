@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import c8_brauer_at_4
 
 from charcond import blocks, cyclo, gendec
 from charcond.cli import (EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE,
@@ -137,6 +138,22 @@ class TestValidate:
         code, _ = invoke("validate", "--corpus", str(corpus))
         assert code == EXIT_DATA
         assert "C4.json.irreducibles[1][1]: " in capsys.readouterr().err
+
+    # int() refuses a decimal string of more than 4,300 digits; the first
+    # number is caught by the load's E(n) scan, the second by parse_cyclo
+    @pytest.mark.parametrize("value,message", [
+        ("E(" + "9" * 5000 + ")", "E(n) of 5000 digits does not lie in the "
+         "declared ambient Q(zeta_4)"),
+        ("9" * 5000 + "*E(4)", "integer has too many digits (at position 0)"),
+    ], ids=["root", "coefficient"])
+    def test_over_long_number_is_data_error(self, tmp_path, capsys, value,
+                                            message):
+        def change(data):
+            data["irreducibles"][1][2] = value
+        corpus = tampered_corpus(tmp_path, "C4.json", change)
+        assert invoke("validate", "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert f"C4.json.irreducibles[1][2]: {message}" in \
+            capsys.readouterr().err
 
     def test_non_integral_brauer_value_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "data"
@@ -480,6 +497,20 @@ class TestLoadErrors:
         assert invoke("isometry-check", str(cert_file)) == (EXIT_DATA, "")
         assert f"{cert_file}: cannot read JSON (" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "conductors", "blocks"])
+    def test_composite_prime_key_sharing_the_ambient_is_data_error(
+            self, tmp_path, capsys, command):
+        # consistent Brauer data under "4" once loaded, and then validate
+        # and blocks failed while reducing modulo 4
+        corpus = tmp_path / "data"
+        corpus.mkdir()
+        (corpus / "C8.json").write_text(json.dumps(c8_brauer_at_4()))
+        (corpus / "manifest.json").write_text(json.dumps(
+            {"format": 1, "groups": [{"file": "C8.json"}]}))
+        assert invoke(command, "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert "C8.json.primes.4: 4 shares a factor with the ambient order " \
+            "8 but is not a prime dividing it" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target,code", [(0, EXIT_OK), (2, EXIT_DATA)])
     def test_power_map_under_a_composite_key(self, tmp_path, capsys, target,
                                              code):
@@ -746,6 +777,12 @@ class TestIsometry:
     def test_bad_spec(self):
         code, _ = invoke("isometry-search", "A5", "D10:5:B0")
         assert code == EXIT_DATA
+
+    def test_over_long_prime_in_spec(self, capsys):
+        # int() refuses a decimal string of more than 4,300 digits
+        spec = "A5:" + "9" * 5000 + ":B0"
+        assert invoke("isometry-search", spec, "D10:5:B0") == (EXIT_DATA, "")
+        assert "bad block spec 'A5:999" in capsys.readouterr().err
 
     def test_non_decimal_prime_in_spec(self, capsys):
         # a superscript two passes str.isdigit() but not int()

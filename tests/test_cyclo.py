@@ -325,6 +325,19 @@ class TestParser:
         with pytest.raises(CycloParseError):
             parse_cyclo(bad)
 
+    # int() refuses a decimal string of more than 4,300 digits
+    @pytest.mark.parametrize("text,pos", [
+        ("9" * 5000 + "*E(4)", 0), ("1/" + "9" * 5000, 2),
+        ("1+E(" + "9" * 5000 + ")", 4), ("E(4)^" + "9" * 5000, 5),
+        ("E(4)^" + "9" * 5000 + "+E(", 5)],
+        ids=["coefficient", "denominator", "root", "exponent", "first-error"])
+    def test_over_long_integer_is_a_parse_error_at_its_position(self, text,
+                                                                 pos):
+        with pytest.raises(CycloParseError) as got:
+            parse_cyclo(text)
+        assert got.value.pos == pos
+        assert str(got.value).startswith("integer has too many digits")
+
 
 class CharParser:
     """The reference parser, one method call per character: the grammar

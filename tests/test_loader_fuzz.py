@@ -10,6 +10,8 @@ import json
 import random
 import shutil
 
+from conftest import c8_brauer_at_4
+
 from charcond.blocks import BlockError
 from charcond.cyclo import cyclo_to_str, parse_cyclo
 from charcond.gendec import GendecError
@@ -116,6 +118,11 @@ def test_single_mutations_end_in_data_errors(tmp_path):
     raw = (default_corpus_dir() / "A5.json").read_bytes()
     cases += [("A5.json", b"\xff\xfe" + raw, "bytes that are not UTF-8"),
               ("A5.json", raw[:len(raw) // 2], "a truncated file")]
+    for value in ("E(" + "9" * 5000 + ")", "9" * 5000 + "*E(4)"):
+        long = copy.deepcopy(shipped["C4.json"])
+        long["irreducibles"][1][2] = value
+        cases.append(("C4.json", long, "a number of 5000 digits"))
+    cases.append(("C8.json", c8_brauer_at_4(), "Brauer data under key 4"))
     escapes = []
     for name, data, what in cases:
         path = tmp_path / name

@@ -1,5 +1,6 @@
 """Verification suites for the conductor identities."""
 
+import copy
 import operator
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from conftest import conductor_p_int
 
 from charcond import linalg, verify
 from charcond.blocks import block_of
-from charcond.cyclo import CycloNum, conductor_p, lincomb, lincomb_int
+from charcond.cyclo import CycloNum, conductor_p, lincomb, lincomb_int, pack
 from charcond.tables import char_conductor, load_corpus, virtual_character
 from charcond.verify import (check_cor05, check_projective_invariance,
                              check_restriction_props, check_theorem1,
@@ -95,10 +96,19 @@ def cor05_record(ds, p, chi):
     return rec.lhs, rec.rhs, rec.witness, rec.passed
 
 
+def p_parts(ds, p, coords):
+    """(Irr, d^u) conductor p-parts of sum coords_i chi_i by one `_p_parts`
+    pass on its support."""
+    irrs = [i for i, a in enumerate(coords) if a]
+    row = [coords[i] for i in irrs]
+    return [side[0] for side in
+            verify._p_parts(ds, p, irrs, [row], sum(map(abs, row)))]
+
+
 def level_sides(ds, p, coords):
-    """(Irr, d^u) conductor p-parts of sum coords_i chi_i by the held forms,
-    and by the reference."""
-    return (verify._conductor_p_parts(ds, p, coords),
+    """(Irr, d^u) conductor p-parts of sum coords_i chi_i by the held level
+    tests, and by the reference."""
+    return (p_parts(ds, p, coords),
             [reference_max_conductor_p(cols, coords, p)
              for cols in verify._int_columns(ds, p)])
 
@@ -113,7 +123,7 @@ def reference_projective_invariance(ds, p, chi):
     ident = ds.table.identity_class
     base = unit(ds.table, chi)
     base_row = verify.virtual_gendec_row(ds, p, base)
-    base_cond = verify._conductor_p_parts(ds, p, base)[0]
+    base_cond = p_parts(ds, p, base)[0]
     for j in sorted(block_of(ds.blocks(p), chi).ibr_indices):
         psi = [a + b for a, b in zip(base, ds.projectives(p)[j])]
         for col, (n, vec) in verify.virtual_gendec_row(ds, p, psi).items():
@@ -122,7 +132,7 @@ def reference_projective_invariance(ds, p, chi):
                             for v in (base_row[col][1], vec))
                 return ("projective-invariance", f"chi{chi}", was, now,
                         (j, col), False)
-        cond = verify._conductor_p_parts(ds, p, psi)[0]
+        cond = p_parts(ds, p, psi)[0]
         if cond != base_cond:
             return ("projective-invariance", f"chi{chi}", base_cond, cond, j,
                     False)
@@ -230,7 +240,7 @@ class TestIntegerRecords:
                          for s, (a, alt) in enumerate(
                              [(3, 0), (-3, 0), (3, 1), (-3, 1)])]
                 got = [(r.character, r.lhs, r.rhs, r.passed) for r in
-                       verify._block_records(ds, p, irrs, draws)]
+                       verify._records(ds, p, irrs, draws, 3 * len(irrs))]
                 want = []
                 for label, row in draws:
                     coords = [0] * k
@@ -247,7 +257,7 @@ def lattice_faults(ds, p):
     level t >= T, on each side, so Theorem 1 for all of Z Irr(B) says the
     two sides' test matrices A (Irr) and B (d^u), cut to the block, have
     one left kernel: rank A = rank B = rank [A | B] over Q."""
-    _, sides, _ = verify._level_tests(ds, p)
+    _, sides = verify._level_tests(ds, p)
     thresholds = sorted({t for levels in sides for t, _ in levels})
     faults = []
     for b in ds.blocks(p):
@@ -290,8 +300,8 @@ class TestTheorem1Lattice:
 
 
 class TestLevelForms:
-    """Conductor p-parts by the held level forms against one lincomb_int and
-    one conductor_p_int per column."""
+    """Conductor p-parts by `_p_parts` on the held level tests against one
+    lincomb_int and one conductor_p_int per column."""
 
     def test_every_irreducible(self, corpus, group_primes):
         for name, p in group_primes:
@@ -312,10 +322,14 @@ class TestLevelForms:
                 got, want = level_sides(ds, p, coords)
                 assert got == want, (name, p, coords)
 
-    def test_wide_coordinates(self, corpus, group_primes):
+    def test_wide_coordinates(self, corpus, group_primes, monkeypatch):
+        widths = []
+        monkeypatch.setattr(verify, "pack", lambda fields, width:
+                            widths.append(width) or pack(fields, width))
         rng = random.Random(29)
         wide = 0
         for name, p in group_primes:
+            widths.clear()
             ds = corpus[name]
             k = ds.table.num_classes
             for _ in range(8):
@@ -326,8 +340,8 @@ class TestLevelForms:
                                 for a in small]):
                     got, want = level_sides(ds, p, coords)
                     assert got == want, (name, p, coords)
-            bound, _, packed = ds._prime(p).derived["level tests"]
-            assert not bound or max(packed) > 70, (name, p)
+            bound, _ = ds._prime(p).derived["level tests"]
+            assert not bound or max(widths) > 70, (name, p)
             wide += bool(bound)
         assert wide >= 6
 
@@ -337,10 +351,10 @@ class TestLevelForms:
         class Held:
             def _held(self, p, key, compute, *args):
                 return tests
-        tests = (1, [[(4, [[1, 0], [0, 1]])]], {})
+        tests = (1, [[(4, [[1, 0], [0, 1]])]])
         coords = [2 ** 16, -1]
-        assert verify._conductor_p_parts(Held(), 2, coords) == [4]
-        (t, narrow), = verify._pack(tests[1], 16)[0]
+        assert p_parts(Held(), 2, coords) == [4]
+        narrow = [pack(row, 16) for row in tests[1][0][0][1]]
         assert sum(map(operator.mul, coords, narrow)) == 0
 
     def test_block_width_keeps_fields_apart(self):
@@ -351,11 +365,11 @@ class TestLevelForms:
             def _held(self, p, key, compute, *args):
                 return tests
         level = [(4, [[2 ** 14, 0], [2 ** 14, -1]])]
-        tests = (2 ** 14, [level, level], {})
+        tests = (2 ** 14, [level, level])
         draws = [("psi", [3, 1])]
-        rec, = verify._block_records(Held(), 2, [0, 1], draws)
+        rec, = verify._records(Held(), 2, [0, 1], draws, 3 * 2)
         assert (rec.lhs, rec.rhs, rec.passed) == (4, 4, True)
-        (t, narrow), = verify._pack([level], 16)[0]
+        narrow = [pack(row, 16) for row in level[0][1]]
         assert sum(map(operator.mul, [3, 1], narrow)) == 0
 
     def test_largest_nonzero_level_wins(self):
@@ -365,12 +379,66 @@ class TestLevelForms:
             def _held(self, p, key, compute, *args):
                 return tests
         levels = [(25, [[1], [0]]), (5, [[1], [1]])]
-        tests = (1, [levels, levels], {})
+        tests = (1, [levels, levels])
         draws = [("a", [1, 0]), ("b", [0, 1]), ("c", [0, 0]), ("d", [1, -1])]
         got = [(r.lhs, r.rhs) for r in
-               verify._block_records(Held(), 5, [0, 1], draws)]
+               verify._records(Held(), 5, [0, 1], draws, 3 * 2)]
         assert got == [(25, 25), (5, 5), (1, 1), (25, 25)]
-        assert verify._conductor_p_parts(Held(), 5, [1, 1]) == [25, 25]
+        assert p_parts(Held(), 5, [1, 1]) == [25, 25]
+
+
+class TestOnePass:
+    """Every conductor p-part is one `_p_parts` pass, on level tests that
+    are held once and never changed."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = verify._p_parts
+
+        def wrapper(ds, p, irrs, rows, weight):
+            calls.append((list(irrs), len(rows), weight))
+            return real(ds, p, irrs, rows, weight)
+        monkeypatch.setattr(verify, "_p_parts", wrapper)
+        return calls
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    def test_theorem1_suite_passes(self, corpus, group_primes, monkeypatch,
+                                   samples):
+        calls = self.counted(monkeypatch)
+        for name, p in group_primes:
+            ds = corpus[name]
+            calls.clear()
+            theorem1_suite(ds, p, samples=samples, seed=1)
+            k = ds.table.num_classes
+            blocks = [sorted(b.irr_indices) for b in ds.blocks(p)]
+            assert calls == [(list(range(k)), k, 1)] + [
+                (irrs, samples, 3 * len(irrs)) for irrs in blocks], (name, p)
+
+    def test_projective_invariance_passes(self, corpus, group_primes,
+                                          monkeypatch):
+        calls = self.counted(monkeypatch)
+        for name, p in group_primes:
+            ds = corpus[name]
+            for chi in range(ds.table.num_classes):
+                calls.clear()
+                check_projective_invariance(ds, p, chi)
+                block = block_of(ds.blocks(p), chi)
+                assert [c[:2] for c in calls] == [
+                    (sorted(block.irr_indices),
+                     1 + len(block.ibr_indices))], (name, p, chi)
+
+    def test_level_tests_are_held_unchanged(self):
+        ds = load_corpus()["A5"]
+        theorem1_suite(ds, 5)
+        held = ds._prime(5).derived["level tests"]
+        bound, sides = held
+        kept = copy.deepcopy(held)
+        theorem1_suite(ds, 5, samples=20, seed=3)
+        projective_invariance_suite(ds, 5)
+        p_parts(ds, 5, [2 ** 80, -3, 0, 1, 5])
+        assert ds._prime(5).derived["level tests"] is held
+        assert held == kept and bound and len(sides) == 2
 
 
 class TestConductorMaximum:

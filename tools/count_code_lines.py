@@ -1,8 +1,9 @@
-"""Count the code lines of each module of src/charcond, and their total.
+"""Count the code lines and the physical lines of each module of
+src/charcond, and their totals.
 
 A code line is a line that is not blank, not a comment and not part of a
 docstring (the first statement of a module, class or function, when it is a
-string).  Run from anywhere:
+string); a physical line is any line of the file.  Run from anywhere:
 
     python3 tools/count_code_lines.py [SRC_DIR]
 """
@@ -36,13 +37,14 @@ def code_lines(source: str) -> int:
 def main(argv) -> None:
     src = Path(argv[1]) if len(argv) > 1 else \
         Path(__file__).resolve().parent.parent / "src" / "charcond"
-    total = 0
+    code_total = line_total = 0
+    print(f"{'module':16} {'code':>5} {'lines':>6}")
     for path in sorted(src.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name:16} {count:5}")
-    print(f"{'total':16} {total:5}")
-
+        source = path.read_text(encoding="utf-8")
+        code, lines = code_lines(source), len(source.splitlines())
+        code_total, line_total = code_total + code, line_total + lines
+        print(f"{path.name:16} {code:5} {lines:6}")
+    print(f"{'total':16} {code_total:5} {line_total:6}")
 
 if __name__ == "__main__":
     main(sys.argv)
