@@ -21,16 +21,18 @@ from the largest coordinate, so that a candidate's mu on every cell is one
 signed sum of n integers: the separating cells come first, and
 separation is a zero test of the sum's low bits, and only the integrality
 fields are read back.  A candidate that fails has all its fields read, to
-name its failing cells in order.
+name its failing cells in order.  The kernel holds what a read adds to
+every field (`_unpack`), for the integrality fields and for all of them.
 
-The search backtracks over partial assignments and prunes on the p-regular
-Gram form G = (<chi^0, psi^0>), which each block's view computes from its
-own integer terms and holds as integer numerators over one denominator:
-separation makes a perfect isometry commute with restriction to p-regular
-classes, so it carries one block's form onto the other's (Broue,
-Asterisque 181-182, 1990).
-Every assignment that survives is still checked in full, so pruning decides
-only which candidates are checked, never which pass.
+The search backtracks over partial assignments, into one list, and prunes
+on the p-regular Gram form G = (<chi^0, psi^0>), which each block's view
+computes from its own integer terms and holds as integer numerators over
+one denominator: separation makes a perfect isometry commute with
+restriction to p-regular classes, so it carries one block's form onto the
+other's (Broue, Asterisque 181-182, 1990).
+Every assignment that survives, a leaf, is still checked in full, so
+pruning decides only which candidates are checked, never which pass; a
+pair with no leaf builds no kernel.
 
 L0(B), the block's virtual characters vanishing on the p-regular classes,
 is the kernel of that form G.  With D the block's decomposition matrix and
@@ -157,12 +159,14 @@ def _view(ref: BlockRef) -> _BlockView:
                              ref)
 
 
-def _unpack(x: int, width: int, count: int) -> list[int]:
-    """The fields of x = sum v_i * 2^(width * i), each |v_i| < 2^(width-1):
-    adding 2^(width-1) to every field makes each a base-2^width digit."""
-    half = 1 << width - 1
-    z = x + pack([half] * count, width)
-    return [(z >> width * i & 2 * half - 1) - half for i in range(count)]
+def _unpack(x: int, width: int, offset: int) -> list[int]:
+    """The fields of x = sum v_i * 2^(width * i), each |v_i| < 2^(width-1),
+    given `offset`, that sum with every v_i = 2^(width-1): adding it makes
+    each field a base-2^width digit.  Its top field is 2^(width-1), so
+    its bit length is width times the count of fields."""
+    half, digit, z = 1 << width - 1, (1 << width) - 1, x + offset
+    return [(z >> shift & digit) - half
+            for shift in range(0, offset.bit_length(), width)]
 
 
 class _PairKernel:
@@ -201,6 +205,10 @@ class _PairKernel:
         self._moduli = [c[3] for c in self.cells if not c[2]
                         for _ in range(self.phi)]
         self._low = w * (len(self.cells) * self.phi - len(self._moduli))
+        self._mask = (1 << self._low) - 1
+        # `_unpack` offsets, for the integrality fields and for all fields
+        self._offsets = [pack([1 << w - 1] * c, w) for c in (
+            len(self._moduli), len(self.cells) * self.phi)]
 
     def failures(self, x: int) -> list:
         """Nothing if x, a candidate's signed sum of `packed` vectors,
@@ -208,12 +216,10 @@ class _PairKernel:
         is less than 2^(width-1) in absolute value) and is divisible by
         every other cell's modulus.  Otherwise every cell with its mu, in
         (g, g') order."""
-        if not x & (1 << self._low) - 1 and not any(map(
-                operator.mod, _unpack(x >> self._low, self.width,
-                                      len(self._moduli)), self._moduli)):
+        if not x & self._mask and not any(map(operator.mod, _unpack(
+                x >> self._low, self.width, self._offsets[0]), self._moduli)):
             return []
-        phi, fields = self.phi, _unpack(x, self.width,
-                                        len(self.cells) * self.phi)
+        phi, fields = self.phi, _unpack(x, self.width, self._offsets[1])
         return sorted((*c, fields[i * phi:(i + 1) * phi])
                       for i, c in enumerate(self.cells))
 
@@ -251,22 +257,31 @@ def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
     return report
 
 
-def _gram_matchings(g_src, g_tgt, perm=(), signs=()):
-    """Extensions of a partial signed bijection, sign +1 at position 0, that
-    carry g_src onto g_tgt: g_tgt[perm[i]][perm[k]] = signs[i] * signs[k] *
-    g_src[i][k] for all positions i, k.  Yields (perm, signs) pairs."""
-    k = len(perm)
-    if k == len(g_src):
-        yield perm, signs
-        return
-    for j in range(len(g_tgt)):
-        if j in perm or g_tgt[j][j] != g_src[k][k]:
-            continue
-        for s in (1, -1) if k else (1,):
-            if all(g_tgt[pi][j] == s * si * g_src[i][k]
-                   for i, (pi, si) in enumerate(zip(perm, signs))):
-                yield from _gram_matchings(g_src, g_tgt,
-                                           perm + (j,), signs + (s,))
+def _gram_matchings(g_src, g_tgt) -> list:
+    """The signed bijections, sign +1 at position 0, that carry g_src onto
+    g_tgt: g_tgt[perm[i]][perm[k]] = signs[i] * signs[k] * g_src[i][k] for
+    all positions i, k.  A list of (perm, signs) pairs, by a backtrack in
+    lexicographic order of perm, plus before minus at each position."""
+    cols, found = list(zip(*g_tgt)), []
+
+    def extend(perm, signs):
+        k = len(perm)
+        if k == len(g_src):
+            found.append((perm, signs))
+            return
+        # what column j of g_tgt must hold at the placed rows perm, for
+        # sign +1 and for -1 at position k; == stops at the first mismatch
+        plus = [si * row[k] for si, row in zip(signs, g_src)]
+        wants = ((1, plus), (-1, [-x for x in plus])) if k else ((1, plus),)
+        for j, col in enumerate(cols):
+            if col[j] == g_src[k][k] and j not in perm:
+                got = [col[i] for i in perm]
+                for s, want in wants:
+                    if got == want:
+                        extend(perm + (j,), signs + (s,))
+
+    extend((), ())
+    return found
 
 
 def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
@@ -287,7 +302,9 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
     (d_src, g_src), (d_tgt, g_tgt) = _view(src).gram, _view(tgt).gram
     # a signed bijection carrying one form onto the other keeps the set of
     # its entries' absolute values, and so their common denominator
-    leaves = list(_gram_matchings(g_src, g_tgt)) if d_src == d_tgt else []
+    leaves = _gram_matchings(g_src, g_tgt) if d_src == d_tgt else []
+    if not leaves:
+        return []
     kernel = _PairKernel(src, tgt, {kj for perm, _ in leaves
                                     for kj in enumerate(perm)})
     found = []

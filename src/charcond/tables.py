@@ -8,8 +8,9 @@ checked where a prime's first use derives them (`GroupDataset.blocks`,
 checks every field's JSON type exactly.
 A table's exponent rules are checked before its values are parsed, and its
 orthogonality on integers, in Z[zeta_N] (`_validate_table`).  A load
-checks each distinct table and Brauer block of its file once (`_once`):
-section centralizers repeat the group and each other.  Power maps
+checks each distinct table and Brauer block once (`_once`), and a corpus
+load once across its files: section centralizers repeat the group, each
+other and other files' groups.  Power maps
 are checked on load and read by nothing after: a character's value at the
 inverse class is the conjugate.  A subgroup's fusion must make each Res chi
 a character; the load holds its Irr coordinates
@@ -71,17 +72,24 @@ def _require(obj, key, shape, path, default=None):
 
 
 _ATOM = re.compile(r"E\s*\(\s*0*(\d+)")
+# the most digits a number in a value may have: the load's messages print
+# products of two values, which str() must still print, and it refuses an
+# integer past int()'s limit (4,300 digits by default)
+DIGITS_MAX = 1000
+_LONG = re.compile(r"\d{%d}" % (DIGITS_MAX + 1))
 
 
 def _parse_values(rows, path, ambient: int,
                   parsed: dict) -> list[list[CycloNum]]:
     """Parse a matrix of values; every E(n) must lie in Q(zeta_ambient),
     which is checked before any arithmetic in Q(zeta_n) is set up.  `parsed`
-    holds this load's parsed strings (one ambient), each checked once, and
-    the keys of the checks `_once` ran."""
+    holds, under the key `ambient`, the strings this load parsed in files of
+    that ambient, each checked once, and the keys of the checks `_once`
+    ran."""
+    strings = parsed.setdefault(ambient, {})
     for i, row in enumerate(rows):
         for j, expr in enumerate(row):
-            if expr in parsed:
+            if expr in strings:
                 continue
             for atom in _ATOM.finditer(expr):
                 n = atom.group(1)
@@ -93,11 +101,15 @@ def _parse_values(rows, path, ambient: int,
                     raise DatasetError(f"{path}[{i}][{j}]: {root} does not "
                                        f"lie in the declared ambient "
                                        f"Q(zeta_{ambient})")
+            long = _LONG.search(expr)
+            if long:
+                raise DatasetError(f"{path}[{i}][{j}]: integer has too many "
+                                   f"digits (at position {long.start()})")
             try:
-                parsed[expr] = parse_cyclo(expr)
+                strings[expr] = parse_cyclo(expr)
             except CycloParseError as ex:
                 raise DatasetError(f"{path}[{i}][{j}]: {ex}") from ex
-    return [[parsed[expr] for expr in row] for row in rows]
+    return [[strings[expr] for expr in row] for row in rows]
 
 
 class ClassData(namedtuple("ClassData",
@@ -366,9 +378,10 @@ def _validate_table(table: CharTable, path: str):
 
 
 def _once(parsed: dict, key: tuple, check, *args):
-    """check(*args), unless this load has passed it on an equal key: a
-    key holds everything the check reads but the path in its messages,
-    and, being a tuple, is never a value string."""
+    """check(*args), unless this load has passed it on an equal key, in
+    this file or an earlier one of a corpus: a key holds everything the
+    check reads but the path in its messages, and, being a tuple, is never
+    an ambient."""
     if key not in parsed:
         check(*args)
         parsed[key] = True
@@ -555,8 +568,9 @@ def _require_format(raw, root: str):
         raise DatasetError(f"{root}.format: unsupported format {fmt}")
 
 
-def load_dataset(path) -> GroupDataset:
-    """Load and validate one group dataset file."""
+def load_dataset(path, parsed: dict | None = None) -> GroupDataset:
+    """Load and validate one group dataset file.  `parsed` is the memo of
+    `_parse_values` and `_once`, shared by the files of one corpus load."""
     path = Path(path)
     raw = _read_json(path)
     root = path.name
@@ -572,7 +586,7 @@ def load_dataset(path) -> GroupDataset:
     if exponent != ambient:
         raise DatasetError(f"{root}.exponent: {exponent} is not the declared "
                            f"ambient order {ambient}")
-    parsed = {}  # value string -> CycloNum, for this load only
+    parsed = {} if parsed is None else parsed
     ds = _parse_group(raw, root, ambient, parsed, sections=True)
     for i, sobj in enumerate(_require(raw, "subgroups", list, root, [])):
         spath = f"{root}.subgroups[{i}]"
@@ -625,8 +639,9 @@ def load_corpus(corpus_dir=None) -> dict[str, GroupDataset]:
     """Load every group listed in the corpus manifest, in manifest order."""
     corpus_dir = Path(corpus_dir) if corpus_dir else default_corpus_dir()
     out: dict[str, GroupDataset] = {}
+    parsed = {}
     for i, entry in enumerate(load_manifest(corpus_dir)["groups"]):
-        ds = load_dataset(corpus_dir / entry["file"])
+        ds = load_dataset(corpus_dir / entry["file"], parsed)
         if ds.name in out:
             raise DatasetError(f"manifest.json.groups[{i}]: {entry['file']} "
                                f"loads group {ds.name!r} a second time")

@@ -155,6 +155,31 @@ class TestValidate:
         assert f"C4.json.irreducibles[1][2]: {message}" in \
             capsys.readouterr().err
 
+    # int() reads 4,000 digits, but row 0's norm, printed when its
+    # orthogonality fails, would have 8,000; row 3's failing inner
+    # product is linear in the value
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_number_past_the_digit_bound_is_data_error(self, tmp_path,
+                                                       capsys, row):
+        def change(data):
+            data["irreducibles"][row][1] = "9" * 4000 + "*E(4)"
+        corpus = tampered_corpus(tmp_path, "C4.json", change)
+        assert invoke("validate", "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert f"C4.json.irreducibles[{row}][1]: integer has too many " \
+            f"digits (at position 0)" in capsys.readouterr().err
+
+    def test_ambient_checked_per_file_under_the_corpus_memo(self, tmp_path,
+                                                           capsys):
+        # S3.json (ambient 6), loaded before D8.json (ambient 4), holds
+        # the string E(3)
+        def change(data):
+            data["irreducibles"][1][1] = "E(3)"
+        corpus = tampered_corpus(tmp_path, "D8.json", change)
+        assert '"E(3)"' in (corpus / "S3.json").read_text()
+        assert invoke("validate", "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert "D8.json.irreducibles[1][1]: E(3) does not lie in the " \
+            "declared ambient Q(zeta_4)" in capsys.readouterr().err
+
     def test_non_integral_brauer_value_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "data"
         shutil.copytree(default_corpus_dir(), corpus)

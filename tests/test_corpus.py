@@ -1,12 +1,17 @@
 """Provenance: the shipped corpus is exactly what the generator produces."""
 
 import importlib.util
+import io
 import subprocess
 import sys
 from pathlib import Path
 from string import ascii_lowercase
 
-from charcond.tables import default_corpus_dir
+import pytest
+
+from charcond import isometry as iso
+from charcond.cli import EXIT_OK, run
+from charcond.tables import default_corpus_dir, load_corpus
 
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "generate_corpus.py"
 
@@ -28,6 +33,30 @@ def test_generator_reproduces_shipped_corpus(tmp_path, monkeypatch, capsys):
     for name in names:
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), \
             f"{name} differs from the generator's output"
+
+
+def test_generator_builds_an_affine_group(tmp_path, monkeypatch, capsys):
+    """F21 = C_7 x| C_3: its datasets validate, and its principal 7-block
+    has perfect self-isometries."""
+    gen = load_generator(monkeypatch)
+    gen.main(["--out", str(tmp_path), "--groups", "F21"])
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["F21.json", "manifest.json"]
+    assert run(["validate", "--corpus", str(tmp_path)], out=io.StringIO()) \
+        == EXIT_OK
+    ref = iso.block_ref(load_corpus(tmp_path)["F21"], 7, "B0")
+    found = iso.search_perfect_isometries(ref, ref)
+    assert len(ref.irrs) == 5 and found
+    assert iso.check_perfection(found[-1]).perfect
+
+
+def test_generator_refuses_an_unknown_group(tmp_path, monkeypatch, capsys):
+    gen = load_generator(monkeypatch)
+    # F33: 11 is its largest prime factor, and 3 does not divide 10
+    with pytest.raises(SystemExit):
+        gen.main(["--out", str(tmp_path), "--groups", "F21", "F33"])
+    assert "unknown group 'F33'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_help_writes_nothing():

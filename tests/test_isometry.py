@@ -148,6 +148,45 @@ def reference_cell_perfection(cand, collect_witnesses=True):
     return preservation(report, cand, collect_witnesses)
 
 
+def offset(width, count):
+    """What `_unpack` adds to a packed sum of count fields: 2^(width-1) in
+    every field."""
+    return pack([1 << width - 1] * count, width)
+
+
+def reference_failures(kernel, x):
+    """`_PairKernel.failures` with each `_unpack` offset packed per call,
+    as before the kernel held them."""
+    def unpack(x, count):
+        half = 1 << kernel.width - 1
+        z = x + offset(kernel.width, count)
+        return [(z >> kernel.width * i & 2 * half - 1) - half
+                for i in range(count)]
+
+    low = kernel.width * (len(kernel.cells) * kernel.phi
+                          - len(kernel._moduli))
+    if not x & (1 << low) - 1 and not any(map(
+            operator.mod, unpack(x >> low, len(kernel._moduli)),
+            kernel._moduli)):
+        return []
+    fields = unpack(x, len(kernel.cells) * kernel.phi)
+    return sorted((*c, fields[i * kernel.phi:(i + 1) * kernel.phi])
+                  for i, c in enumerate(kernel.cells))
+
+
+def gram_filter(g_src, g_tgt):
+    """`_gram_matchings` by brute force: every signed bijection with +1 at
+    position 0 that carries g_src onto g_tgt, in the backtrack's order:
+    by (permutation[0], sign[0], permutation[1], ...), plus before minus."""
+    n = len(g_src)
+    found = [(perm, signs) for perm in itertools.permutations(range(n))
+             for signs in itertools.product((1,), *[(1, -1)] * (n - 1))
+             if all(g_tgt[perm[i]][perm[k]] == signs[i] * signs[k]
+                    * g_src[i][k]
+                    for i, k in itertools.product(range(n), repeat=2))]
+    return sorted(found, key=lambda m: [(j, s < 0) for j, s in zip(*m)])
+
+
 def brute_force(src, tgt):
     """The search before pruning: every signed bijection, fully checked by
     the reference, in lexicographic (permutation, signs) order."""
@@ -400,6 +439,54 @@ class TestPrunedSearch:
                         reference_cell_perfection(cand, collect))
         assert leaves == 548
 
+    def test_gram_matchings_equal_a_filter_of_every_bijection(self, corpus):
+        # every pair of blocks with as many characters, at any primes
+        refs = [iso.BlockRef(ds, p, b) for ds in corpus.values()
+                for p in ds.primes for b in ds.blocks(p)]
+        forms = [iso._view(ref).gram[1] for ref in refs]
+        pairs = [(a, b) for a in forms for b in forms if len(a) == len(b)]
+        assert len(pairs) == 318
+        assert sum(bool(iso._gram_matchings(a, b)) for a, b in pairs) == 266
+        for g_src, g_tgt in pairs:
+            assert iso._gram_matchings(g_src, g_tgt) == \
+                gram_filter(g_src, g_tgt)
+
+    def test_gram_matchings_on_seeded_forms(self):
+        # symmetric integer forms with zeros off the diagonal and repeated
+        # diagonal entries; g_tgt a signed permutation of g_src, changed
+        # in one entry pair in every third
+        rng, counts = random.Random(32), set()
+        for trial in range(120):
+            n = rng.randint(1, 6)
+            g_src = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g_src[i][i] = rng.choice((1, 2, 2))
+                for k in range(i):
+                    g_src[i][k] = g_src[k][i] = rng.choice((0, 0, 1, -1))
+            perm = rng.sample(range(n), n)
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            g_tgt = [[0] * n for _ in range(n)]
+            for i, k in itertools.product(range(n), repeat=2):
+                g_tgt[perm[i]][perm[k]] = signs[i] * signs[k] * g_src[i][k]
+            if trial % 3 == 0 and n > 1:
+                i, k = rng.sample(range(n), 2)
+                g_tgt[i][k] = g_tgt[k][i] = g_tgt[i][k] + 1
+            found = iso._gram_matchings(g_src, g_tgt)
+            assert found == gram_filter(g_src, g_tgt)
+            counts.add(min(len(found), 2))
+        assert counts == {0, 1, 2}
+
+    def test_leafless_pair_builds_no_kernel(self, sweep, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel for a pair without leaves")
+
+        leafless = [(s, t) for s, t, _ in sweep if not searched_leaves(
+            s, t, monkeypatch)]
+        monkeypatch.setattr(iso, "_PairKernel", refuse)
+        assert len(leafless) == 52
+        for src, tgt in leafless:
+            assert iso.search_perfect_isometries(src, tgt) == []
+
     def test_one_view_per_block(self, manifest, monkeypatch):
         # a fresh load, so that no view is held yet: the sweep's 92 pairs
         # build one view for each of their 18 distinct blocks
@@ -595,7 +682,7 @@ class TestPacking:
     def packed_sum(signs, vectors, width):
         fields = [sum(map(operator.mul, signs, col)) for col in zip(*vectors)]
         x = sum(s * pack(v, width) for s, v in zip(signs, vectors))
-        return fields, iso._unpack(x, width, len(fields))
+        return fields, iso._unpack(x, width, offset(width, len(fields)))
 
     def test_sums_at_the_bound_round_trip(self):
         rng = random.Random(29)
@@ -617,9 +704,34 @@ class TestPacking:
         kernel = iso._PairKernel(*a5_d10, itertools.product(range(4),
                                                             repeat=2))
         count = len(kernel.cells) * kernel.phi
-        largest = max(max(map(abs, iso._unpack(x, kernel.width, count)))
-                      for x in kernel.packed.values())
+        largest = max(max(map(abs, iso._unpack(
+            x, kernel.width, offset(kernel.width, count))))
+            for x in kernel.packed.values())
         assert kernel.width == (4 * largest).bit_length() + 1
+
+    def test_held_offsets_equal_offsets_packed_per_call(self, corpus,
+                                                        a5_d10):
+        # seeded signed bijections, passing and failing, on every kernel
+        # of the A5/D10 pair and of F20's self-pairs at 2 and 5
+        rng, kinds = random.Random(32), set()
+        pairs = [a5_d10] + [(iso.block_ref(corpus["F20"], p, "B0"),) * 2
+                            for p in (2, 5)]
+        for src, tgt in pairs:
+            n = len(src.irrs)
+            kernel = iso._PairKernel(src, tgt, itertools.product(range(n),
+                                                                 repeat=2))
+            cands = [(c.permutation, c.signs)
+                     for c in iso.search_perfect_isometries(src, tgt)]
+            cands += [(tuple(rng.sample(range(n), n)),
+                       tuple(rng.choice((1, -1)) for _ in range(n)))
+                      for _ in range(100)]
+            for perm, signs in cands:
+                x = sum(s * kernel.packed[kj]
+                        for s, kj in zip(signs, enumerate(perm)))
+                got = kernel.failures(x)
+                assert got == reference_failures(kernel, x)
+                kinds.add(bool(got))
+        assert kinds == {False, True}
 
 
 class TestL0:

@@ -14,7 +14,7 @@ from conftest import all_datasets, inverse_class
 from charcond import linalg, tables
 from charcond.blocks import (BlockError, BrauerData, partition_blocks,
                              projective_characters, validate_brauer)
-from charcond.cyclo import CycloNum, hermitian_int, lincomb
+from charcond.cyclo import CycloNum, hermitian_int, lincomb, parse_cyclo
 from charcond.gendec import gendec_all
 from charcond.tables import (CharTable, DatasetError, char_conductor,
                              default_corpus_dir, inner_product, load_corpus,
@@ -226,6 +226,16 @@ class TestParseOnce:
             assert set(parsed) == set(values), path.name
 
 
+    def test_digit_bound_is_inclusive(self):
+        bound = "9" * tables.DIGITS_MAX
+        row = [bound, f"-{bound}*E(4)^3"]
+        assert tables._parse_values([row], "t", 4, {}) == \
+            [[int(bound), -int(bound) * parse_cyclo("E(4)^3")]]
+        with pytest.raises(DatasetError, match=r"^t\[0\]\[1\]: integer has "
+                           r"too many digits \(at position 5\)$"):
+            tables._parse_values([["1", "E(4)-9" + bound]], "t", 4, {})
+
+
 class TestValidateOnce:
     @staticmethod
     def counted(monkeypatch) -> dict:
@@ -243,10 +253,10 @@ class TestValidateOnce:
             self, monkeypatch):
         counts = self.counted(monkeypatch)
         load_corpus()
-        # 65 tables and 74 Brauer blocks, 32 and 41 of them distinct in
-        # their own file
-        assert counts == {"_once": 65 + 74, "_validate_table": 32,
-                          "validate_brauer": 41}
+        # 65 tables and 74 Brauer blocks, 16 and 25 of them distinct in the
+        # corpus (32 and 41 in their own file)
+        assert counts == {"_once": 65 + 74, "_validate_table": 16,
+                          "validate_brauer": 25}
 
     # C4.json holds its table and Brauer block five times: at the top and
     # in each section's centralizer; one changed entry makes a fifth one new

@@ -715,6 +715,27 @@ def dataset_json(G: Group, name: str, primes, subgroups=()):
 # the corpus
 
 
+def affine_group(p: int, m: int) -> Group:
+    """F_pm = C_p x| C_m acting on Z/p, generated by x -> x + 1 and
+    x -> a x, a the least residue of multiplicative order m mod p; m must
+    divide p - 1."""
+    a = next(a for a in range(1, p)
+             if min(k for k in range(1, p) if pow(a, k, p) == 1) == m)
+    points = tuple(range(p))
+    return Group([tuple((x + 1) % p for x in points),
+                  tuple(a * x % p for x in points)], perm_mul, points)
+
+
+def named_affine_group(name: str) -> Group | None:
+    """The group "F<n>" names: F_pm with p the largest prime factor of n
+    and m = n / p, if m divides p - 1; otherwise None."""
+    if not (name[:1] == "F" and name[1:].isdigit() and int(name[1:]) > 1):
+        return None
+    n = int(name[1:])
+    p = max(prime_factors(n))
+    return affine_group(p, n // p) if (p - 1) % (n // p) == 0 else None
+
+
 def build_groups():
     I2 = ((1, 0), (0, 1))
     c4 = Group([(1, 2, 3, 0)], perm_mul, tuple(range(4)))
@@ -725,8 +746,7 @@ def build_groups():
     sl23 = Group([((1, 1), (0, 1)), ((1, 0), (1, 1))], mat_mul3, I2)
     s4 = Group([(1, 0, 2, 3), (1, 2, 3, 0)], perm_mul, tuple(range(4)))
     a5 = Group([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], perm_mul, tuple(range(5)))
-    d10 = Group([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)], perm_mul, tuple(range(5)))
-    f20 = Group([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], perm_mul, tuple(range(5)))
+    d10, f20 = affine_group(5, 2), affine_group(5, 4)
     expected = {"C4": 4, "S3": 6, "D8": 8, "Q8": 8, "A4": 12, "SL(2,3)": 24,
                 "S4": 24, "A5": 60, "D10": 10, "F20": 20}
     groups = {"C4": c4, "S3": s3, "D8": d8, "Q8": q8, "A4": a4,
@@ -743,9 +763,23 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, default=OUT, metavar="DIR",
                         help="output directory (default: the shipped "
                              "src/charcond/data)")
-    out = parser.parse_args(argv).out
-    out.mkdir(parents=True, exist_ok=True)
+    parser.add_argument("--groups", nargs="+", metavar="NAME",
+                        help="build only these groups, in this order: names "
+                             "of the shipped corpus, or F<n> for the affine "
+                             "group F_pm = C_p x| C_m, p the largest prime "
+                             "factor of n = pm and m dividing p - 1 (F21, "
+                             "F42, F55); default: the shipped corpus")
+    opts = parser.parse_args(argv)
     groups = build_groups()
+    if opts.groups:
+        chosen = {name: groups.get(name) or named_affine_group(name)
+                  for name in opts.groups}
+        unknown = [name for name, G in chosen.items() if G is None]
+        if unknown:
+            parser.error(f"unknown group {unknown[0]!r}")
+        groups = chosen
+    out = opts.out
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {"format": 1, "groups": []}
     for name, G in groups.items():
         primes = prime_factors(G.order)
