@@ -11,18 +11,23 @@ Both blocks' values lie in Z[zeta_N], N the lcm of their orders, with an
 integral power basis: mu(g, g') is a signed sum of integer vectors, tested
 for zero (separation) or divisibility by centralizer p-parts (integrality).
 What a block contributes is held once per (dataset, p, block), as
-`_BlockView`: its values as integer terms at its own order, each class's
-p-regularity and centralizer p-part, and its Gram form below as integers.
-A pair's `_PairKernel` only rescales exponents to N and keeps the cells
-that can fail: a cell that does not separate and whose modulus is 1 passes
-for every mu.  It packs each product chi_k(g) * psi_j(g') over those cells
-into one integer (`cyclo.pack`), a field per coordinate, at a width taken
-from the largest coordinate, so that a candidate's mu on every cell is one
-signed sum of n integers: the separating cells come first, and
-separation is a zero test of the sum's low bits, and only the integrality
-fields are read back.  A candidate that fails has all its fields read, to
-name its failing cells in order.  The kernel holds what a read adds to
-every field (`_unpack`), for the integrality fields and for all of them.
+`_BlockView`: its distinct values as integer terms at its own order, with
+an id per (character, class), each class's p-regularity and centralizer
+p-part, and its Gram form below as integers.  A pair's `_PairKernel` keeps
+the cells that can fail: a cell that does not separate and whose modulus
+is 1 passes for every mu.  It rescales only the distinct values to N,
+reduces each distinct product of a source and a target value once, and
+packs it once (`cyclo.pack`), a field per coordinate, at a width taken from
+the largest coordinate.  Each product chi_k(g) * psi_j(g') over the cells
+is then one integer, assembled from those packed products in cell order
+by one base-2 read, so that a candidate's mu on every cell is one signed
+sum of n integers: the separating cells come first, and separation is a
+zero test of the sum's low bits, and only the integrality fields are read
+back.  A candidate that fails has its cells read in (g, g') order, which
+the kernel holds, each as it is reached, so a check that needs no
+witnesses stops at the first failing cell.  The kernel holds what a read
+adds to every field (`_unpack`): for the integrality fields, for all of
+them and for one cell.
 
 The search backtracks over partial assignments, into one list, and prunes
 on the p-regular Gram form G = (<chi^0, psi^0>), which each block's view
@@ -50,7 +55,6 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import cache
 from math import factorial, gcd, lcm
 
 from .cyclo import (CycloNum, conductor_p, euler_phi, hermitian_int, int_rows,
@@ -122,14 +126,15 @@ def check_isometry(cand: IsometryCandidate) -> bool:
 
 class _BlockView:
     """What the search and the perfection check read of one block, held per
-    (dataset, p, block): its characters' values as `int_terms` at their own
-    lcm `order`, each class's p-regularity and centralizer p-part, and its
-    p-regular Gram form as (d, integer numerators over d), d the lcm of the
-    entries' denominators.  |G| <chi^0, psi^0> = sum_s |s^G| chi(s)
-    conj psi(s) over the p-regular classes s is one integer vector each;
-    the form must be rational, so only its constant coordinate c may be
-    nonzero, and with g = gcd(|G|, every c), d = |G| / g and c / g is the
-    numerator over d."""
+    (dataset, p, block): `values`, its distinct values as `int_terms` at
+    their own lcm `order`, each mapped to its id, in the order first read,
+    and `ids[k][g]`, the id of character k's value at class g; each class's
+    p-regularity and centralizer p-part; and its p-regular Gram form as (d,
+    integer numerators over d), d the lcm of the entries' denominators.  |G|
+    <chi^0, psi^0> = sum_s |s^G| chi(s) conj psi(s) over the p-regular
+    classes s is one integer vector each; the form must be rational, so
+    only its constant coordinate c may be nonzero, and with g = gcd(|G|,
+    every c), d = |G| / g and c / g is the numerator over d."""
 
     def __init__(self, ref: BlockRef):
         table, p = ref.dataset.table, ref.prime
@@ -137,11 +142,14 @@ class _BlockView:
         bad = [v for row in rows for v in row if not v.is_algebraic_integer()]
         if bad:
             raise IsometryError(f"value {bad[0]} is not an algebraic integer")
-        self.order, self.rows = n, rows = int_rows(rows)
+        self.order, rows = int_rows(rows)
+        self.values = at = {}
+        self.ids = [[at.setdefault(tuple(x), len(at)) for x in row]
+                    for row in rows]
         self.regular = [c.element_order % p != 0 for c in table.classes]
         self.cent = [p_part(table.centralizer_order(c), p)
                      for c in range(table.num_classes)]
-        order = table.group_order
+        n, order = self.order, table.group_order
         regular = [c for c, reg in enumerate(self.regular) if reg]
         cut = [[row[c] for c in regular] for row in rows]
         sums = hermitian_int(n, [table.classes[c].size for c in regular],
@@ -176,52 +184,65 @@ class _PairKernel:
     divide it: a cell that does not separate, of modulus 1, passes for
     every mu.  `packed[k, j]` is chi_k(g) * psi_j(g') on every cell, its
     phi(N) coordinates per cell packed as fields of `width` bits in `cells`
-    order, for each (k, j) in `pairs`."""
+    order, for each (k, j) in `pairs`; a product of two values is reduced
+    and packed once per kernel, however many cells and pairs it fills."""
 
     def __init__(self, src: BlockRef, tgt: BlockRef, pairs):
         s, t = _view(src), _view(tgt)
         self.order = n = lcm(s.order, t.order)
-        xs, ys = ([[tuple((e * (n // v.order), c) for e, c in x)
-                    for x in row] for row in v.rows] for v in (s, t))
-        # a block pair's values repeat: it has few distinct products
-        product = cache(lambda x, y: sum_products_int(n, ((1, x, y),)))
-        self.cells = sorted(((g, h, s_reg != t_reg, lcm(s.cent[g], t.cent[h]))
-                             for g, s_reg in enumerate(s.regular)
-                             for h, t_reg in enumerate(t.regular)
-                             if s_reg != t_reg or s.cent[g] * t.cent[h] > 1),
-                            key=lambda cell: not cell[2])
-        vectors = {(k, j): [f for g, h, _, _ in self.cells
-                            for f in product(xs[k][g], ys[j][h])]
-                   for k, j in pairs}
-        # each field of a candidate's mu is a signed sum of len(xs) fields
-        # of these vectors, so it lies within +-bound, bound = len(xs) *
-        # (largest |field|), and `_unpack` reads it at the least width w
-        # with 2^(w-1) > bound
-        self.width = w = (len(xs) * max(
-            (max(map(abs, v)) for v in vectors.values() if v),
-            default=0)).bit_length() + 1
-        self.packed = {key: pack(v, w) for key, v in vectors.items()}
-        self.phi = euler_phi(n)
-        self._moduli = [c[3] for c in self.cells if not c[2]
-                        for _ in range(self.phi)]
-        self._low = w * (len(self.cells) * self.phi - len(self._moduli))
+        self.phi = phi = euler_phi(n)
+        xs, ys = ([[(e * (n // v.order), c) for e, c in x] for x in v.values]
+                  for v in (s, t))
+        grid = [(g, h, s_reg != t_reg, lcm(s.cent[g], t.cent[h]))
+                for g, s_reg in enumerate(s.regular)
+                for h, t_reg in enumerate(t.regular)
+                if s_reg != t_reg or s.cent[g] * t.cent[h] > 1]
+        self.cells = [c for c in grid if c[2]] + [c for c in grid if not c[2]]
+        # (k, j)'s cells, last cell first, as the ids x * m + y of their
+        # value pairs (x, y), m the target's count of values; a block pair's
+        # values repeat, so each distinct product is reduced once
+        m, rev = len(t.values), self.cells[::-1]
+        ids = {(k, j): [s.ids[k][g] * m + t.ids[j][h] for g, h, _, _ in rev]
+               for k, j in pairs}
+        products = {xy: sum_products_int(n, ((1, xs[xy // m], ys[xy % m]),))
+                    for xy in set().union(*ids.values())}
+        # each field of a candidate's mu is a signed sum of len(s.ids)
+        # fields of these products, so it lies within +-bound, bound =
+        # len(s.ids) * top, top the largest |field|, and `_unpack` reads it
+        # at the least width w with 2^(w-1) > bound
+        top = max((max(map(abs, v)) for v in products.values()), default=0)
+        self.width = w = (len(s.ids) * top).bit_length() + 1
+        self._moduli = [c[3] for c in grid if not c[2] for _ in range(phi)]
+        # `_unpack` offsets, 2^(w-1) in each of c fields as the sum of a
+        # geometric series: for the integrality fields, all fields, one cell
+        self._offsets = [(1 << w - 1) * ((1 << w * c) - 1) // ((1 << w) - 1)
+                         for c in (len(self._moduli), len(grid) * phi, phi)]
+        # each product packed, plus 2^(w-1) per field, is phi nonnegative
+        # base-2^w digits, written here in base 2 (exempt from int()'s
+        # digit limit); a (k, j) vector is its cells' digits read at once,
+        # less the offset of all its fields
+        blocks = {xy: format(pack(v, w) + self._offsets[2], f"0{w * phi}b")
+                  for xy, v in products.items()}
+        self.packed = {kj: int("".join(map(blocks.__getitem__, v)) or "0", 2)
+                       - self._offsets[1] for kj, v in ids.items()}
+        self._low = w * (len(grid) * phi - len(self._moduli))
         self._mask = (1 << self._low) - 1
-        # `_unpack` offsets, for the integrality fields and for all fields
-        self._offsets = [pack([1 << w - 1] * c, w) for c in (
-            len(self._moduli), len(self.cells) * self.phi)]
+        # (first bit, cell) of every cell in (g, g') order
+        at = {c: i * phi * w for i, c in enumerate(self.cells)}
+        self._order = [(at[c], c) for c in grid]
 
-    def failures(self, x: int) -> list:
+    def failures(self, x: int):
         """Nothing if x, a candidate's signed sum of `packed` vectors,
         vanishes on every separating cell (its low bits are 0: each field
         is less than 2^(width-1) in absolute value) and is divisible by
         every other cell's modulus.  Otherwise every cell with its mu, in
-        (g, g') order."""
+        (g, g') order, each read as it is reached."""
         if not x & self._mask and not any(map(operator.mod, _unpack(
                 x >> self._low, self.width, self._offsets[0]), self._moduli)):
-            return []
-        phi, fields = self.phi, _unpack(x, self.width, self._offsets[1])
-        return sorted((*c, fields[i * phi:(i + 1) * phi])
-                      for i, c in enumerate(self.cells))
+            return
+        z, cell = x + self._offsets[1], self._offsets[2]
+        for bit, c in self._order:
+            yield (*c, _unpack((z >> bit) - cell, self.width, cell))
 
 
 def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,

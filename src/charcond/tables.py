@@ -72,11 +72,13 @@ def _require(obj, key, shape, path, default=None):
 
 
 _ATOM = re.compile(r"E\s*\(\s*0*(\d+)")
-# the most digits a number in a value may have: the load's messages print
-# products of two values, which str() must still print, and it refuses an
-# integer past int()'s limit (4,300 digits by default)
+# the most digits a number in a value may have, and each numerator and the
+# denominator of the value it parses to: the load's messages print products
+# of two values, which str() must still print, and it refuses an integer
+# past int()'s limit (4,300 digits by default)
 DIGITS_MAX = 1000
 _LONG = re.compile(r"\d{%d}" % (DIGITS_MAX + 1))
+_TOO_LONG = 10 ** DIGITS_MAX  # the least integer of DIGITS_MAX + 1 digits
 
 
 def _parse_values(rows, path, ambient: int,
@@ -106,9 +108,14 @@ def _parse_values(rows, path, ambient: int,
                 raise DatasetError(f"{path}[{i}][{j}]: integer has too many "
                                    f"digits (at position {long.start()})")
             try:
-                strings[expr] = parse_cyclo(expr)
+                value = strings[expr] = parse_cyclo(expr)
             except CycloParseError as ex:
                 raise DatasetError(f"{path}[{i}][{j}]: {ex}") from ex
+            # by magnitude: str() of the number may be what is refused,
+            # and bit_length() cannot tell 10^DIGITS_MAX - 1 from _TOO_LONG
+            if max(value._den, *map(abs, value._num)) >= _TOO_LONG:
+                raise DatasetError(f"{path}[{i}][{j}]: value's numerator or "
+                                   f"denominator exceeds {DIGITS_MAX} digits")
     return [[strings[expr] for expr in row] for row in rows]
 
 

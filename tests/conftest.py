@@ -1,11 +1,26 @@
+import importlib.util
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from charcond import gendec, linalg
 from charcond.cyclo import _mul, conductor_tests, lincomb
 from charcond.tables import load_corpus, load_manifest, virtual_character
+
+GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "generate_corpus.py"
+
+
+def load_generator(monkeypatch):
+    """tools/generate_corpus.py as a module, its sys.path edits undone with
+    the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool prepends src/
+    spec = importlib.util.spec_from_file_location("generate_corpus", GENERATOR)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 @pytest.fixture(scope="session")

@@ -168,6 +168,16 @@ class TestValidate:
         assert f"C4.json.irreducibles[{row}][1]: integer has too many " \
             f"digits (at position 0)" in capsys.readouterr().err
 
+    # each number has 999 digits, the sum's denominator about 5,000
+    def test_value_past_the_digit_bound_is_data_error(self, tmp_path, capsys):
+        def change(data):
+            data["irreducibles"][1][1] = "+".join(
+                f"1/{10 ** 998 + k}" for k in (1, 3, 7, 9, 13))
+        corpus = tampered_corpus(tmp_path, "C4.json", change)
+        assert invoke("validate", "--corpus", str(corpus)) == (EXIT_DATA, "")
+        assert "C4.json.irreducibles[1][1]: value's numerator or " \
+            "denominator exceeds 1000 digits" in capsys.readouterr().err
+
     def test_ambient_checked_per_file_under_the_corpus_memo(self, tmp_path,
                                                            capsys):
         # S3.json (ambient 6), loaded before D8.json (ambient 4), holds

@@ -1,27 +1,16 @@
 """Provenance: the shipped corpus is exactly what the generator produces."""
 
-import importlib.util
 import io
 import subprocess
 import sys
-from pathlib import Path
 from string import ascii_lowercase
 
 import pytest
+from conftest import GENERATOR, load_generator
 
 from charcond import isometry as iso
 from charcond.cli import EXIT_OK, run
 from charcond.tables import default_corpus_dir, load_corpus
-
-GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "generate_corpus.py"
-
-
-def load_generator(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool prepends src/
-    spec = importlib.util.spec_from_file_location("generate_corpus", GENERATOR)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def test_generator_reproduces_shipped_corpus(tmp_path, monkeypatch, capsys):

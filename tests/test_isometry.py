@@ -1,6 +1,7 @@
 """Perfect isometries: search, perfection conditions, preservation checks
 and certificates."""
 
+import functools
 import itertools
 import json
 import operator
@@ -9,12 +10,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import nullspace
+from conftest import load_generator, nullspace
 
 from charcond import isometry as iso
 from charcond.blocks import Block, partition_blocks
-from charcond.cyclo import (ZERO, CycloNum, int_rows, lincomb, p_part, pack,
-                            sum_products_int)
+from charcond.cyclo import (ZERO, CycloNum, euler_phi, int_rows, lincomb,
+                            p_part, pack, sum_products_int)
 from charcond.residue import build_residue_map, reduce_cyclo
 from charcond.tables import (default_corpus_dir, load_corpus, load_dataset,
                              virtual_character)
@@ -156,7 +157,8 @@ def offset(width, count):
 
 def reference_failures(kernel, x):
     """`_PairKernel.failures` with each `_unpack` offset packed per call,
-    as before the kernel held them."""
+    as before the kernel held them, and every field read and every cell
+    sorted per call, as before the kernel held the cells' (g, g') order."""
     def unpack(x, count):
         half = 1 << kernel.width - 1
         z = x + offset(kernel.width, count)
@@ -172,6 +174,61 @@ def reference_failures(kernel, x):
     fields = unpack(x, len(kernel.cells) * kernel.phi)
     return sorted((*c, fields[i * kernel.phi:(i + 1) * kernel.phi])
                   for i, c in enumerate(kernel.cells))
+
+
+def reference_kernel(src, tgt, pairs):
+    """`_PairKernel`'s cells, packed vectors, width, `_unpack` offsets (for
+    the integrality fields, all fields and one cell's) and mask, built as
+    before the held value ids: both blocks' values at their common order N
+    from the tables, each (k, j) vector flattened over every cell and
+    packed field by field, each product reduced once per pair."""
+    n, xs, ys = int_rows(*[[ref.dataset.table.irreducibles[i]
+                            for i in ref.irrs] for ref in (src, tgt)])
+
+    def classes(ref):
+        table = ref.dataset.table
+        return [(cls.element_order % ref.prime != 0,
+                 p_part(table.centralizer_order(c), ref.prime))
+                for c, cls in enumerate(table.classes)]
+
+    product = functools.cache(
+        lambda x, y: sum_products_int(n, ((1, x, y),)))
+    cells = sorted(((g, h, s_reg != t_reg, lcm(s_cent, t_cent))
+                    for g, (s_reg, s_cent) in enumerate(classes(src))
+                    for h, (t_reg, t_cent) in enumerate(classes(tgt))
+                    if s_reg != t_reg or s_cent * t_cent > 1),
+                   key=lambda cell: not cell[2])
+    vectors = {(k, j): [f for g, h, _, _ in cells for f in product(
+        tuple(xs[k][g]), tuple(ys[j][h]))] for k, j in pairs}
+    width = (len(xs) * max((max(map(abs, v)) for v in vectors.values() if v),
+                           default=0)).bit_length() + 1
+    phi = euler_phi(n)
+    fields = [phi * sum(not c[2] for c in cells), phi * len(cells), phi]
+    low = width * (fields[1] - fields[0])
+    return (cells, {kj: pack(v, width) for kj, v in vectors.items()}, width,
+            [offset(width, count) for count in fields], (1 << low) - 1)
+
+
+def failure_kinds(kernel, n, cands, rng, count):
+    """Check `failures` against `reference_failures` on the signed sum of
+    each candidate (perm, signs) of cands and of count seeded signed
+    bijections of n characters; the set of whether each had failures."""
+    cands = list(cands) + [(tuple(rng.sample(range(n), n)),
+                            tuple(rng.choice((1, -1)) for _ in range(n)))
+                           for _ in range(count)]
+    kinds = set()
+    for perm, signs in cands:
+        x = sum(s * kernel.packed[kj] for s, kj in zip(signs, enumerate(perm)))
+        got = list(kernel.failures(x))
+        assert got == reference_failures(kernel, x)
+        kinds.add(bool(got))
+    return kinds
+
+
+def kernel_fields(kernel):
+    """What `reference_kernel` returns, read off a `_PairKernel`."""
+    return (kernel.cells, kernel.packed, kernel.width, kernel._offsets,
+            kernel._mask)
 
 
 def gram_filter(g_src, g_tgt):
@@ -476,6 +533,42 @@ class TestPrunedSearch:
             counts.add(min(len(found), 2))
         assert counts == {0, 1, 2}
 
+    def test_kernel_equals_the_flattened_build_on_every_leaf_pair(
+            self, sweep, monkeypatch):
+        # the kernel each search builds, on its leaves' (k, j), and one on
+        # every (k, j); its failures on the certificates and on seeded
+        # signed bijections, as the reference reads them
+        rng, built, kinds = random.Random(33), 0, set()
+        for src, tgt, brute in sweep:
+            kernels = {id(k): k for _, k in searched_leaves(src, tgt,
+                                                            monkeypatch)}
+            if not kernels:
+                continue
+            (kernel,) = kernels.values()
+            n = len(src.irrs)
+            assert kernel_fields(kernel) == reference_kernel(
+                src, tgt, kernel.packed)
+            every = list(itertools.product(range(n), repeat=2))
+            kernel = iso._PairKernel(src, tgt, every)
+            assert kernel_fields(kernel) == reference_kernel(src, tgt, every)
+            built += 1
+            kinds |= failure_kinds(kernel, n, keys(brute), rng, 10)
+        assert built == 40 and kinds == {False, True}
+
+    def test_kernel_equals_the_flattened_build_on_f21(self, tmp_path,
+                                                       monkeypatch):
+        # the scale corpus's F21 = C_7 x| C_3, at order 21: its principal
+        # 7-block against itself
+        load_generator(monkeypatch).main(["--out", str(tmp_path),
+                                          "--groups", "F21"])
+        ref = iso.block_ref(load_corpus(tmp_path)["F21"], 7, "B0")
+        every = list(itertools.product(range(5), repeat=2))
+        kernel = iso._PairKernel(ref, ref, every)
+        assert kernel.order == 21
+        assert kernel_fields(kernel) == reference_kernel(ref, ref, every)
+        assert failure_kinds(kernel, 5, keys(iso.search_perfect_isometries(
+            ref, ref)), random.Random(21), 40) == {False, True}
+
     def test_leafless_pair_builds_no_kernel(self, sweep, monkeypatch):
         def refuse(*args):
             raise AssertionError("a kernel for a pair without leaves")
@@ -720,17 +813,8 @@ class TestPacking:
             n = len(src.irrs)
             kernel = iso._PairKernel(src, tgt, itertools.product(range(n),
                                                                  repeat=2))
-            cands = [(c.permutation, c.signs)
-                     for c in iso.search_perfect_isometries(src, tgt)]
-            cands += [(tuple(rng.sample(range(n), n)),
-                       tuple(rng.choice((1, -1)) for _ in range(n)))
-                      for _ in range(100)]
-            for perm, signs in cands:
-                x = sum(s * kernel.packed[kj]
-                        for s, kj in zip(signs, enumerate(perm)))
-                got = kernel.failures(x)
-                assert got == reference_failures(kernel, x)
-                kinds.add(bool(got))
+            kinds |= failure_kinds(kernel, n, keys(
+                iso.search_perfect_isometries(src, tgt)), rng, 100)
         assert kinds == {False, True}
 
 

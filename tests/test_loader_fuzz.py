@@ -122,6 +122,10 @@ def test_single_mutations_end_in_data_errors(tmp_path):
         long = copy.deepcopy(shipped["C4.json"])
         long["irreducibles"][1][2] = value
         cases.append(("C4.json", long, "a number of 5000 digits"))
+    long = copy.deepcopy(shipped["C4.json"])
+    long["irreducibles"][1][1] = "+".join(f"1/{10 ** 998 + k}"
+                                          for k in (1, 3, 7, 9, 13))
+    cases.append(("C4.json", long, "a denominator of about 5000 digits"))
     cases.append(("C8.json", c8_brauer_at_4(), "Brauer data under key 4"))
     escapes = []
     for name, data, what in cases:

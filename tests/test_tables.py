@@ -235,6 +235,19 @@ class TestParseOnce:
                            r"too many digits \(at position 5\)$"):
             tables._parse_values([["1", "E(4)-9" + bound]], "t", 4, {})
 
+    def test_parsed_value_bound_is_inclusive(self):
+        # numbers within the digit bound whose value is not: 10^1000 as a
+        # numerator, and lcm(2, 10^1000 - 1) as a denominator
+        nines = "9" * tables.DIGITS_MAX
+        row = ["9" * (tables.DIGITS_MAX - 1) + "8+1", f"1/{nines}*E(4)"]
+        assert tables._parse_values([row], "t", 4, {}) == \
+            [[int(nines), Fraction(1, int(nines)) * parse_cyclo("E(4)")]]
+        for value in (f"{nines}+1", f"1/2+1/{nines}*E(4)"):
+            with pytest.raises(DatasetError, match=r"^t\[0\]\[1\]: value's "
+                               r"numerator or denominator exceeds 1000 "
+                               r"digits$"):
+                tables._parse_values([["1", value]], "t", 4, {})
+
 
 class TestValidateOnce:
     @staticmethod
