@@ -4,7 +4,10 @@ Blocks are recovered from central-character residues modulo the radical of
 p (`residue`), which pick no prime above p, and cross-checked against the
 block labels shipped with each dataset; a mismatch is treated as data
 corruption, not a soft failure.  Brauer data is checked against its
-validated table, on integers in Z[zeta_n], so IBr independence is a count.
+validated table, on integers in Z[zeta_n], so IBr independence is a count,
+and each of its labels must be one linkage class of the decomposition
+matrix.  A `Block` holds its Irr and IBr indices as ascending tuples, in
+the order its readers take them.
 A projective character is held as its Irr coordinates, a column of the
 decomposition matrix.  Callers read `GroupDataset.blocks(p)` and
 `.projectives(p)`, which hold these results once per dataset and prime.
@@ -36,14 +39,10 @@ class BrauerData:
         self.decomposition = decomposition
         self.block_of_irr, self.block_of_ibr = block_of_irr, block_of_ibr
 
-    @property
-    def num_ibr(self) -> int:
-        return len(self.ibr)
-
 
 class Block(namedtuple("Block", "id irr_indices ibr_indices defect")):
-    """A p-block: its label, its Irr and IBr indices as frozensets, and its
-    defect."""
+    """A p-block: its label, its Irr and IBr indices as ascending tuples,
+    and its defect."""
 
     __slots__ = ()
 
@@ -85,6 +84,21 @@ def validate_brauer(table, bd: BrauerData, path: str):
                 raise BlockError(
                     f"{path}: decomposition entry ({i},{j}) links blocks "
                     f"{bd.block_of_irr[i]!r} and {bd.block_of_ibr[j]!r}")
+    # and each label is one linkage class of D, as Brauer's theorem makes
+    # the p-blocks: grown from its first Irr through D's nonzero entries,
+    # which keep it inside the label, by one Irr at least per round until
+    # it is whole
+    support = [{j for j, e in enumerate(r) if e} for r in bd.decomposition]
+    for label in dict.fromkeys(bd.block_of_irr):
+        want = {i for i, l in enumerate(bd.block_of_irr) if l == label}
+        reach = {min(want)}
+        for _ in want:
+            cols = set().union(*(support[i] for i in reach))
+            reach = {i for i, row in enumerate(support) if row & cols}
+        if reach != want:
+            raise BlockError(f"{path}: block {label!r} is not one linkage "
+                             f"class of the decomposition matrix (irreducible "
+                             f"{min(want - reach)} not linked to {min(want)})")
 
 
 def central_character(table, chi: int) -> list[CycloNum]:
@@ -119,7 +133,7 @@ def partition_blocks(ds, p: int) -> list[Block]:
     npg = nu_p(table.group_order, p)
     blocks = []
     for irrs in groups:
-        ibrs = [j for j in range(bd.num_ibr)
+        ibrs = [j for j in range(len(bd.ibr))
                 if any(bd.decomposition[i][j] for i in irrs)]
         # the block of the degree-1 trivial character has defect nu_p(|G|)
         defect = npg - min(nu_p(table.degree(i), p) for i in irrs)
@@ -138,7 +152,7 @@ def partition_blocks(ds, p: int) -> list[Block]:
             raise BlockError(
                 f"{ds.name} p={p}: ingested label {label!r} covers different "
                 f"irreducibles than the central-character partition")
-        out.append(Block(label, frozenset(irrs), frozenset(ibrs), defect))
+        out.append(Block(label, tuple(irrs), tuple(ibrs), defect))
     return out
 
 
@@ -162,7 +176,7 @@ def projective_characters(bd: BrauerData) -> list[tuple[int, ...]]:
 
 def cartan_matrix(bd: BrauerData) -> list[list[int]]:
     """C = D^T D."""
-    k = bd.num_ibr
+    k = len(bd.ibr)
     return [[sum(row[i] * row[j] for row in bd.decomposition)
              for j in range(k)] for i in range(k)]
 

@@ -123,15 +123,7 @@ def _cmd_validate(opts, out) -> int:
     rows = []
     for ds in _load(opts).values():
         if opts.group in (None, ds.name):
-            # what the load leaves to first use: block labels against
-            # central characters, here and in each subgroup at its primes,
-            # and d^u against the ingested decomposition matrix
-            for p in ds.primes:
-                ds.blocks(p)
-                ds.gendec(p)
-            for emb in ds.subgroups:
-                for q in emb.primes:
-                    emb.subgroup.blocks(q)
+            ds.validate()
             rows.append([ds.name, ds.table.group_order, len(ds.primes),
                          len(ds.subgroups), "ok"])
     _emit(opts, ["group", "order", "primes", "subgroups", "status"], rows, out)
@@ -174,10 +166,10 @@ def _cmd_blocks(opts, out) -> int:
         bd = ds.brauer(p)
         cartan = cartan_matrix(bd)
         for b in ds.blocks(p):
-            ibr = sorted(b.ibr_indices)
+            ibr = b.ibr_indices
             sub_cartan = [[cartan[i][j] for j in ibr] for i in ibr]
             rows.append([ds.name, p, b.id, b.defect,
-                         " ".join(map(str, sorted(b.irr_indices))),
+                         " ".join(map(str, b.irr_indices)),
                          " ".join(map(str, ibr)),
                          json.dumps(sub_cartan)])
     _emit(opts, ["group", "p", "block", "defect", "irr", "ibr", "cartan"],

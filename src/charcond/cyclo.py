@@ -275,7 +275,7 @@ class CycloNum:
     lists the primes where the element can leave Q(zeta_order), none if
     order is its conductor; by default every prime is tested."""
 
-    __slots__ = ("order", "_num", "_den", "_hash")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, num, den: int = 1, _primes=None):
         if _primes is None:
@@ -289,7 +289,6 @@ class CycloNum:
         self.order = order
         self._num = tuple(num) if g == 1 else tuple([c // g for c in num])
         self._den = den // g
-        self._hash = None
 
     # -- construction -----------------------------------------------------
 
@@ -447,9 +446,7 @@ class CycloNum:
                 and self._num == other._num)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.order, self._num, self._den))
-        return self._hash
+        return hash((self.order, self._num, self._den))
 
     # -- printing --------------------------------------------------------------
 

@@ -171,7 +171,7 @@ def check_second_main(ds, p: int) -> list[tuple]:
     for sec in ds.sections(p):
         bd = sec.centralizer.brauer(p)
         u_order = table.classes[sec.u_class].element_order
-        for phi in range(bd.num_ibr):
+        for phi in range(len(bd.ibr)):
             cent_block = bd.block_of_ibr[phi]
             g_block = sec.correspondent_block.get(cent_block)
             col = gm.entries[(sec.u_class, phi)]

@@ -24,10 +24,12 @@ by one base-2 read, so that a candidate's mu on every cell is one signed
 sum of n integers: the separating cells come first, and separation is a
 zero test of the sum's low bits, and only the integrality fields are read
 back.  A candidate that fails has its cells read in (g, g') order, which
-the kernel holds, each as it is reached, so a check that needs no
-witnesses stops at the first failing cell.  The kernel holds what a read
-adds to every field (`_unpack`): for the integrality fields, for all of
-them and for one cell.
+the kernel holds, each as it is reached; the kernel decides each cell and
+yields only the failing ones, each with its kind, so a check that needs no
+witnesses stops at the first.  The kernel holds what a read adds to every
+field (`_unpack`): for the integrality fields, for all of them and for one
+cell.  A block's characters are read in the ascending order of
+`Block.irr_indices`: position k of a candidate is its k-th character.
 
 The search backtracks over partial assignments, into one list, and prunes
 on the p-regular Gram form G = (<chi^0, psi^0>), which each block's view
@@ -67,13 +69,10 @@ class IsometryError(ValueError):
 
 
 class BlockRef(namedtuple("BlockRef", "dataset prime block")):
-    """A `Block` of a `GroupDataset` at a prime."""
+    """A `Block` of a `GroupDataset` at a prime; its characters are
+    `block.irr_indices`, ascending."""
 
     __slots__ = ()
-
-    @property
-    def irrs(self) -> tuple[int, ...]:
-        return tuple(sorted(self.block.irr_indices))
 
 
 class IsometryCandidate(namedtuple("IsometryCandidate",
@@ -96,13 +95,13 @@ class IsometryCandidate(namedtuple("IsometryCandidate",
 
 
 class PerfectionReport:
-    """What `check_perfection` found.  `conductor_preserved` and
-    `l0_preserved` stay None unless witnesses are collected."""
+    """What `check_perfection` found: both conditions hold until a failing
+    cell clears one.  `conductor_preserved` and `l0_preserved` stay None
+    unless witnesses are collected."""
 
-    def __init__(self, is_isometry: bool, integrality_ok: bool,
-                 separation_ok: bool):
+    def __init__(self, is_isometry: bool):
         self.is_isometry = is_isometry
-        self.integrality_ok, self.separation_ok = integrality_ok, separation_ok
+        self.integrality_ok = self.separation_ok = True
         self.conductor_preserved: bool | None = None
         self.l0_preserved: bool | None = None
         self.witnesses: list = []
@@ -116,8 +115,8 @@ def check_isometry(cand: IsometryCandidate) -> bool:
     """The map's matrix, signs[k] at (k, permutation[k]), has orthonormal
     columns exactly when the permutation is a bijection of range(n) and
     every sign is +1 or -1."""
-    n = len(cand.source.irrs)
-    if len(cand.target.irrs) != n:
+    n = len(cand.source.block.irr_indices)
+    if len(cand.target.block.irr_indices) != n:
         raise IsometryError("blocks have different numbers of characters")
     return (len(cand.permutation) == n and len(cand.signs) == n
             and set(cand.permutation) == set(range(n))
@@ -138,7 +137,7 @@ class _BlockView:
 
     def __init__(self, ref: BlockRef):
         table, p = ref.dataset.table, ref.prime
-        rows = [table.irreducibles[i] for i in ref.irrs]
+        rows = [table.irreducibles[i] for i in ref.block.irr_indices]
         bad = [v for row in rows for v in row if not v.is_algebraic_integer()]
         if bad:
             raise IsometryError(f"value {bad[0]} is not an algebraic integer")
@@ -235,42 +234,39 @@ class _PairKernel:
         """Nothing if x, a candidate's signed sum of `packed` vectors,
         vanishes on every separating cell (its low bits are 0: each field
         is less than 2^(width-1) in absolute value) and is divisible by
-        every other cell's modulus.  Otherwise every cell with its mu, in
-        (g, g') order, each read as it is reached."""
+        every other cell's modulus.  Otherwise each failing cell as (kind,
+        g, g', mu), kind "separation" or "integrality", in (g, g') order,
+        each read as it is reached."""
         if not x & self._mask and not any(map(operator.mod, _unpack(
                 x >> self._low, self.width, self._offsets[0]), self._moduli)):
             return
         z, cell = x + self._offsets[1], self._offsets[2]
-        for bit, c in self._order:
-            yield (*c, _unpack((z >> bit) - cell, self.width, cell))
+        for bit, (g, h, separating, modulus) in self._order:
+            mu = _unpack((z >> bit) - cell, self.width, cell)
+            if separating and any(mu):
+                yield "separation", g, h, mu
+            elif not separating and any(c % modulus for c in mu):
+                yield "integrality", g, h, mu
 
 
 def check_perfection(cand: IsometryCandidate, collect_witnesses: bool = True,
                      kernel: _PairKernel | None = None) -> PerfectionReport:
     """`kernel`, the pair's `_PairKernel`, may be shared by many candidates
     whose (k, permutation[k]) pairs it holds."""
-    src, tgt = cand.source, cand.target
-    report = PerfectionReport(check_isometry(cand), True, True)
+    report = PerfectionReport(check_isometry(cand))
     if not report.is_isometry:
         return report
-    kernel = kernel or _PairKernel(src, tgt, enumerate(cand.permutation))
+    kernel = kernel or _PairKernel(cand.source, cand.target,
+                                   enumerate(cand.permutation))
     x = sum(map(operator.mul, cand.signs,
                 map(kernel.packed.__getitem__, enumerate(cand.permutation))))
-    for g, h, separating, modulus, mu in kernel.failures(x):
-        if separating:
-            if not any(mu):
-                continue
-            report.separation_ok, kind = False, "separation"
-        elif any(c % modulus for c in mu):
-            report.integrality_ok, kind = False, "integrality"
-        else:
-            continue
+    for kind, g, h, mu in kernel.failures(x):
+        setattr(report, f"{kind}_ok", False)
         if not collect_witnesses:
             return report
         report.witnesses.append((kind, g, h, str(CycloNum(kernel.order, mu))))
     if collect_witnesses:
-        ok, wits = check_conductor_preservation(cand)
-        report.conductor_preserved = ok
+        report.conductor_preserved, wits = check_conductor_preservation(cand)
         report.witnesses.extend(("conductor",) + w for w in wits)
         report.l0_preserved = check_l0_preservation(cand)
         if not report.l0_preserved:
@@ -312,10 +308,9 @@ def search_perfect_isometries(src: BlockRef, tgt: BlockRef,
     minus.  Only bijections that preserve the p-regular Gram form are
     checked, and of each pair {m, -m} only the one with a plus at position 0:
     -mu vanishes and is p-locally integral exactly where mu is."""
-    n = len(src.irrs)
-    if len(tgt.irrs) != n:
-        raise IsometryError(
-            f"character counts differ: {n} vs {len(tgt.irrs)}")
+    n, m = len(src.block.irr_indices), len(tgt.block.irr_indices)
+    if m != n:
+        raise IsometryError(f"character counts differ: {n} vs {m}")
     if n > bound:
         raise IsometryError(
             f"search size 2^{n} * {n}! = {2 ** n * factorial(n)} exceeds the "
@@ -344,8 +339,8 @@ def check_conductor_preservation(cand: IsometryCandidate):
     source's prime."""
     src, tgt = cand.source, cand.target
     witnesses = []
-    for k, i in enumerate(src.irrs):
-        j = tgt.irrs[cand.permutation[k]]
+    for k, i in enumerate(src.block.irr_indices):
+        j = tgt.block.irr_indices[cand.permutation[k]]
         lhs = conductor_p(src.dataset.table.irreducibles[i], src.prime)
         rhs = conductor_p(tgt.dataset.table.irreducibles[j], src.prime)
         if lhs != rhs:

@@ -259,6 +259,18 @@ class GroupDataset:
         """All d^u at p, by `gendec.gendec_all`."""
         return self._held(p, "gendec", _gendec.gendec_all, self, p)
 
+    def validate(self):
+        """What the load leaves to first use: the block labels against the
+        central characters, at every prime and in each subgroup at the
+        primes its entry lists, and d^u against the ingested decomposition
+        matrix at every prime."""
+        for p in self.primes:
+            self.blocks(p)
+            self.gendec(p)
+        for emb in self.subgroups:
+            for q in emb.primes:
+                emb.subgroup.blocks(q)
+
 
 # ---------------------------------------------------------------------------
 # parsing and validation

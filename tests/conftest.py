@@ -156,7 +156,7 @@ def reciprocity_reference(table, chi, sec, p):
 def solve_reference(table, chi, sec, p):
     """Exact solve of chi(us) = sum_phi d_phi phi(s) over C_p'."""
     bd = sec.centralizer.brauer(p)
-    rows = [[bd.ibr[j][col] for j in range(bd.num_ibr)]
+    rows = [[bd.ibr[j][col] for j in range(len(bd.ibr))]
             for col in range(len(bd.regular_classes))]
     return linalg.solve(rows, gendec.section_values(table, chi, sec, p))
 
@@ -178,6 +178,16 @@ def reference_gendec(corpus, group_primes):
                     entries[(sec.u_class, phi)] = list(col)
         out[(name, p)] = both
     return out
+
+
+def merge_centralizer_blocks(data):
+    """SL(2,3) with its second 3-section's centralizer's two 3-blocks under
+    one label, and the correspondence to match."""
+    sec = data["primes"]["3"]["sections"][1]
+    pdata = sec["centralizer"]["primes"]["3"]
+    pdata["block_of_irr"] = ["B0"] * len(pdata["block_of_irr"])
+    pdata["block_of_ibr"] = ["B0"] * len(pdata["block_of_ibr"])
+    sec["correspondent_block"] = {"B0": "B0"}
 
 
 def c8_brauer_at_4() -> dict:

@@ -78,7 +78,7 @@ def test_criterion_04_round_trip(corpus, group_primes, capsys):
                     want = section_values(ds.table, chi, sec, p)
                     for k in range(len(bd.regular_classes)):
                         got = sum((d_row[j] * bd.ibr[j][k]
-                                   for j in range(bd.num_ibr)), start=ZERO)
+                                   for j in range(len(bd.ibr))), start=ZERO)
                         assert got == want[k]
 
 

@@ -63,7 +63,24 @@ class TestPartitions:
             seen = sorted(i for b in blocks for i in b.irr_indices)
             assert seen == list(range(ds.table.num_classes))
             ibr_seen = sorted(j for b in blocks for j in b.ibr_indices)
-            assert ibr_seen == list(range(ds.brauer(p).num_ibr))
+            assert ibr_seen == list(range(len(ds.brauer(p).ibr)))
+
+    def test_blocks_hold_their_labels_as_ascending_tuples(self, corpus):
+        # every held dataset: the groups, their section centralizers and
+        # their subgroups, at each of its primes
+        seen = 0
+        for ds in all_datasets(corpus):
+            for p in ds.primes:
+                bd = ds.brauer(p)
+                for b in ds.blocks(p):
+                    assert b.irr_indices == tuple(
+                        i for i, label in enumerate(bd.block_of_irr)
+                        if label == b.id)
+                    assert b.ibr_indices == tuple(
+                        j for j, label in enumerate(bd.block_of_ibr)
+                        if label == b.id)
+                seen += 1
+        assert seen == 74
 
 
 class TestProjectives:
@@ -172,5 +189,5 @@ class TestDecompositionData:
             for chi in range(ds.table.num_classes):
                 for k, s in enumerate(bd.regular_classes):
                     total = sum((bd.decomposition[chi][j] * bd.ibr[j][k]
-                                 for j in range(bd.num_ibr)), start=ZERO)
+                                 for j in range(len(bd.ibr))), start=ZERO)
                     assert total == ds.table.irreducibles[chi][s]

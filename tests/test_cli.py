@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import c8_brauer_at_4
+from conftest import c8_brauer_at_4, merge_centralizer_blocks
 
 from charcond import blocks, cyclo, gendec
 from charcond.cli import (EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE,
@@ -414,6 +414,8 @@ class TestLoadErrors:
             capsys.readouterr().err
 
     def test_relabelled_blocks_fail_validate(self, tmp_path, capsys):
+        # one label on both 5-blocks: the defect-zero character 4 shares no
+        # Brauer character with the principal block, so the load refuses it
         def relabel(data):
             pdata = data["primes"]["5"]
             pdata["block_of_irr"] = ["B0"] * len(pdata["block_of_irr"])
@@ -424,8 +426,23 @@ class TestLoadErrors:
         for command in ("validate", "blocks", "verify"):
             code, _ = invoke(command, "--corpus", str(corpus))
             assert code == EXIT_DATA, command
-            assert "A5 p=5: ingested label 'B0' covers different " \
-                "irreducibles" in capsys.readouterr().err
+            assert "A5.json.primes.5: block 'B0' is not one linkage class " \
+                "of the decomposition matrix (irreducible 4 not linked to " \
+                "0)" in capsys.readouterr().err
+
+    def test_merged_section_centralizer_labels_fail_at_load(self, tmp_path,
+                                                            capsys):
+        # bad data, not a section-vanishing failure
+        corpus = tampered_corpus(tmp_path, "SL23.json",
+                                 merge_centralizer_blocks)
+        for command in ("validate", "verify"):
+            assert invoke(command, "--corpus", str(corpus), "--group",
+                          "SL(2,3)") == (EXIT_DATA, ""), command
+            assert capsys.readouterr().err == (
+                "charcond: error: SL23.json.primes.3.sections[1].centralizer"
+                ".primes.3: block 'B0' is not one linkage class of the "
+                "decomposition matrix (irreducible 1 not linked to 0)\n"), \
+                command
 
     def test_fusion_that_is_no_restriction_fails_at_load(self, tmp_path,
                                                          capsys):
@@ -467,25 +484,51 @@ class TestLoadErrors:
         u_times[2], u_times[3] = u_times[3], u_times[2]
 
     @staticmethod
-    def mislabel_d10(data):
-        # D10's p = 2 Brauer block, with its two degree-2 characters, which
-        # lie in two blocks, labelled as one, on A5's D10 subgroup
+    def d10_at_2(data, change):
+        """D10's p = 2 Brauer block on A5's D10 subgroup, with change
+        applied to it."""
         d10 = json.loads((default_corpus_dir() / "D10.json").read_text())
         block = {k: v for k, v in d10["primes"]["2"].items()
                  if k != "sections"}
-        block["block_of_irr"] = ["B0", "B0", "B1", "B1"]
-        block["block_of_ibr"] = ["B0", "B1", "B1"]
+        change(block)
         data["subgroups"][0]["table"]["primes"]["2"] = block
         data["subgroups"][0]["primes"] = {"2": {}}
+
+    @classmethod
+    def merge_d10(cls, data):
+        # its two degree-2 characters, which lie in two blocks, labelled as
+        # one: no Brauer character links them
+        def merge(block):
+            block["block_of_irr"] = ["B0", "B0", "B1", "B1"]
+            block["block_of_ibr"] = ["B0", "B1", "B1"]
+        cls.d10_at_2(data, merge)
+
+    @classmethod
+    def mislabel_d10(cls, data):
+        # a Brauer table that reproduces the characters and links one
+        # degree-2 character to the principal block: its trivial Brauer
+        # character replaced by 1 - chi_2, so that D's first row is
+        # (1, 1, 0); the labels follow that D, so the load passes, but not
+        # the central characters, which keep chi_2 in a block of its own
+        def mislabel(block):
+            block["ibr"][0] = ["-1", "2+E(5)^2+E(5)^3", "1-E(5)^2-E(5)^3"]
+            block["decomposition"] = [[1, 1, 0], [1, 1, 0], [0, 1, 0],
+                                      [0, 0, 1]]
+            block["block_of_irr"] = ["B0", "B0", "B0", "B1"]
+            block["block_of_ibr"] = ["B0", "B0", "B1"]
+        cls.d10_at_2(data, mislabel)
 
     @pytest.mark.parametrize("file,change,commands,message", [
         ("A4.json", "swap_u_times", ["gendec"], "A4 p=2: ordinary "
          "decomposition numbers of character 1 differ from the ingested "
          "matrix"),
         ("A5.json", "mislabel_d10", ["verify", "restrict-check"], "D10 p=2: "
-         "ingested label 'B1' covers different irreducibles than the "
+         "ingested label 'B0' covers different irreducibles than the "
          "central-character partition"),
-    ], ids=["d-u", "subgroup-label"])
+        ("A5.json", "merge_d10", ["verify", "restrict-check"], "A5.json"
+         ".subgroups[0].table.primes.2: block 'B1' is not one linkage class "
+         "of the decomposition matrix (irreducible 3 not linked to 2)"),
+    ], ids=["d-u", "subgroup-label", "subgroup-merged-labels"])
     def test_validate_rejects_what_later_commands_reject(
             self, tmp_path, capsys, file, change, commands, message):
         corpus = tampered_corpus(tmp_path, file, getattr(self, change))

@@ -35,7 +35,7 @@ def test_generator_builds_an_affine_group(tmp_path, monkeypatch, capsys):
         == EXIT_OK
     ref = iso.block_ref(load_corpus(tmp_path)["F21"], 7, "B0")
     found = iso.search_perfect_isometries(ref, ref)
-    assert len(ref.irrs) == 5 and found
+    assert len(ref.block.irr_indices) == 5 and found
     assert iso.check_perfection(found[-1]).perfect
 
 

@@ -85,7 +85,7 @@ class TestRoundTrip:
                     want = section_values(ds.table, chi, sec, p)
                     for k in range(len(bd.regular_classes)):
                         got = sum((d_row[j] * bd.ibr[j][k]
-                                   for j in range(bd.num_ibr)), start=ZERO)
+                                   for j in range(len(bd.ibr))), start=ZERO)
                         assert got == want[k]
 
     def test_entries_live_in_u_order_field(self, corpus, group_primes):

@@ -47,8 +47,8 @@ def gram_isometry(matrix) -> bool:
 
 def reference_isometry(cand):
     """check_isometry by the Gram identity of the candidate's matrix."""
-    n = len(cand.source.irrs)
-    if len(cand.target.irrs) != n:
+    n = len(cand.source.block.irr_indices)
+    if len(cand.target.block.irr_indices) != n:
         raise iso.IsometryError("blocks have different numbers of characters")
     if len(cand.permutation) != n or len(cand.signs) != n \
             or any(not 0 <= x < n for x in cand.permutation):
@@ -62,8 +62,8 @@ def value_products(src, tgt):
     return [[[[s_tab.irreducibles[i][g] * t_tab.irreducibles[j][h]
                for h in range(t_tab.num_classes)]
               for g in range(s_tab.num_classes)]
-             for j in tgt.irrs]
-            for i in src.irrs]
+             for j in tgt.block.irr_indices]
+            for i in src.block.irr_indices]
 
 
 def reference_perfection(cand, products, collect_witnesses=True):
@@ -71,7 +71,7 @@ def reference_perfection(cand, products, collect_witnesses=True):
     products, integrality by the denominators of mu / |C(g)| and mu / |C(h)|
     over the power basis at mu's conductor."""
     src, tgt = cand.source, cand.target
-    report = iso.PerfectionReport(reference_isometry(cand), True, True)
+    report = iso.PerfectionReport(reference_isometry(cand))
     if not report.is_isometry:
         return report
     s_tab, t_tab = src.dataset.table, tgt.dataset.table
@@ -119,12 +119,13 @@ def reference_cell_perfection(cand, collect_witnesses=True):
     chi_k(g) * psi_j(g') reduced on its own, mu(g, g') their signed sum on
     every cell, including those of modulus 1 that do not separate."""
     src, tgt = cand.source, cand.target
-    report = iso.PerfectionReport(iso.check_isometry(cand), True, True)
+    report = iso.PerfectionReport(iso.check_isometry(cand))
     if not report.is_isometry:
         return report
     s_tab, t_tab = src.dataset.table, tgt.dataset.table
-    n, s_rows, t_rows = int_rows([s_tab.irreducibles[i] for i in src.irrs],
-                                 [t_tab.irreducibles[j] for j in tgt.irrs])
+    n, s_rows, t_rows = int_rows(
+        [s_tab.irreducibles[i] for i in src.block.irr_indices],
+        [t_tab.irreducibles[j] for j in tgt.block.irr_indices])
     for g in range(s_tab.num_classes):
         for h in range(t_tab.num_classes):
             products = [sum_products_int(n, ((1, s_rows[k][g], t_rows[j][h]),))
@@ -158,7 +159,9 @@ def offset(width, count):
 def reference_failures(kernel, x):
     """`_PairKernel.failures` with each `_unpack` offset packed per call,
     as before the kernel held them, and every field read and every cell
-    sorted per call, as before the kernel held the cells' (g, g') order."""
+    sorted per call, as before the kernel held the cells' (g, g') order;
+    then each cell decided here, as `check_perfection` decided it before
+    the kernel did, keeping the failing ones with their kinds."""
     def unpack(x, count):
         half = 1 << kernel.width - 1
         z = x + offset(kernel.width, count)
@@ -172,8 +175,16 @@ def reference_failures(kernel, x):
             kernel._moduli)):
         return []
     fields = unpack(x, len(kernel.cells) * kernel.phi)
-    return sorted((*c, fields[i * kernel.phi:(i + 1) * kernel.phi])
-                  for i, c in enumerate(kernel.cells))
+    failing = []
+    for g, h, separating, modulus, mu in sorted(
+            (*c, fields[i * kernel.phi:(i + 1) * kernel.phi])
+            for i, c in enumerate(kernel.cells)):
+        if separating:
+            if any(mu):
+                failing.append(("separation", g, h, mu))
+        elif any(c % modulus for c in mu):
+            failing.append(("integrality", g, h, mu))
+    return failing
 
 
 def reference_kernel(src, tgt, pairs):
@@ -183,7 +194,8 @@ def reference_kernel(src, tgt, pairs):
     from the tables, each (k, j) vector flattened over every cell and
     packed field by field, each product reduced once per pair."""
     n, xs, ys = int_rows(*[[ref.dataset.table.irreducibles[i]
-                            for i in ref.irrs] for ref in (src, tgt)])
+                            for i in ref.block.irr_indices]
+                           for ref in (src, tgt)])
 
     def classes(ref):
         table = ref.dataset.table
@@ -247,7 +259,7 @@ def gram_filter(g_src, g_tgt):
 def brute_force(src, tgt):
     """The search before pruning: every signed bijection, fully checked by
     the reference, in lexicographic (permutation, signs) order."""
-    n = len(src.irrs)
+    n = len(src.block.irr_indices)
     products = value_products(src, tgt)
     found = []
     for perm in itertools.permutations(range(n)):
@@ -272,7 +284,7 @@ def regular_gram(ref):
     weights = [Fraction(cls.size, table.group_order) for cls in table.classes]
     restricted = [[v if cls.element_order % ref.prime else ZERO
                    for v, cls in zip(table.irreducibles[i], table.classes)]
-                  for i in ref.irrs]
+                  for i in ref.block.irr_indices]
     return [[lincomb((w, x * y.conjugate()) for w, x, y in zip(weights, a, b))
              for b in restricted] for a in restricted]
 
@@ -284,7 +296,7 @@ def regular_rows(ref):
     rows = []
     for c, cls in enumerate(table.classes):
         if cls.element_order % ref.prime:
-            col = [table.irreducibles[i][c] for i in ref.irrs]
+            col = [table.irreducibles[i][c] for i in ref.block.irr_indices]
             n = lcm(*[v.order for v in col])
             rows += [[int(x) for x in r]
                      for r in zip(*[v.coeffs(n) for v in col]) if any(r)]
@@ -312,7 +324,8 @@ def reference_l0(cand):
     for vec in l0_basis(cand.source):
         coords = [0] * t_tab.num_classes
         for k, a in enumerate(vec):
-            coords[tgt.irrs[cand.permutation[k]]] = cand.signs[k] * a
+            j = tgt.block.irr_indices[cand.permutation[k]]
+            coords[j] = cand.signs[k] * a
         image = virtual_character(t_tab, coords)
         if any(image[c] for c, cls in enumerate(t_tab.classes)
                if cls.element_order % tgt.prime):
@@ -355,7 +368,8 @@ def sweep_pairs(corpus, manifest):
             for entry in manifest["groups"] for p in entry["primes"]
             for b in partition_blocks(corpus[entry["name"]], p)
             if b.defect > 0 and len(b.irr_indices) <= 6]
-    return [(s, t) for s in refs for t in refs if len(s.irrs) == len(t.irrs)]
+    return [(s, t) for s in refs for t in refs
+            if len(s.block.irr_indices) == len(t.block.irr_indices)]
 
 
 def searched_leaves(src, tgt, monkeypatch):
@@ -403,8 +417,7 @@ class TestGram:
         ds = corpus["D10"]
         seen = set()
         for n in range(1, 4):
-            ref = iso.BlockRef(ds, 5, Block("X", frozenset(range(n)),
-                                            frozenset(), 0))
+            ref = iso.BlockRef(ds, 5, Block("X", tuple(range(n)), (), 0))
             maps = list(itertools.product(
                 itertools.product(range(-1, n + 1), repeat=n),
                 itertools.product((-1, 0, 1, 2), repeat=n)))
@@ -446,7 +459,7 @@ class TestSearch:
 
     def test_self_search_contains_identity(self, corpus):
         ref = iso.block_ref(corpus["D10"], 5, "B0")
-        n = len(ref.irrs)
+        n = len(ref.block.irr_indices)
         results = iso.search_perfect_isometries(ref, ref)
         assert any(c.permutation == tuple(range(n)) and c.signs == (1,) * n
                    for c in results)
@@ -545,7 +558,7 @@ class TestPrunedSearch:
             if not kernels:
                 continue
             (kernel,) = kernels.values()
-            n = len(src.irrs)
+            n = len(src.block.irr_indices)
             assert kernel_fields(kernel) == reference_kernel(
                 src, tgt, kernel.packed)
             every = list(itertools.product(range(n), repeat=2))
@@ -609,7 +622,7 @@ class TestPrunedSearch:
 
     def test_sl23_self_isometries(self, sl23_self):
         ref, found = sl23_self
-        n = len(ref.irrs)
+        n = len(ref.block.irr_indices)
         assert n == 7 and len(found) == 48
         for cand in found:
             rep = iso.check_perfection(cand)
@@ -630,7 +643,7 @@ class TestPrunedSearch:
 class TestPerfection:
     def test_identity_self_isometry(self, corpus):
         ref = iso.block_ref(corpus["D10"], 5, "B0")
-        n = len(ref.irrs)
+        n = len(ref.block.irr_indices)
         cand = iso.IsometryCandidate(ref, ref, tuple(range(n)), (1,) * n)
         rep = iso.check_perfection(cand)
         assert rep.perfect and rep.conductor_preserved and rep.l0_preserved
@@ -665,14 +678,14 @@ class TestPerfection:
         # held, so the mutation goes into a fresh load before any check
         def identity(ds):
             ref = iso.block_ref(ds, 5, "B0")
-            n = len(ref.irrs)
+            n = len(ref.block.irr_indices)
             return iso.IsometryCandidate(ref, ref, tuple(range(n)), (1,) * n)
 
         assert iso.check_perfection(identity(load_dataset(
             default_corpus_dir() / "D10.json"))).perfect
         ds = load_dataset(default_corpus_dir() / "D10.json")
         cand = identity(ds)
-        ds.table.irreducibles[cand.source.irrs[-1]][0] = \
+        ds.table.irreducibles[cand.source.block.irr_indices[-1]][0] = \
             CycloNum.from_rational(Fraction(1, 2))
         with pytest.raises(iso.IsometryError, match="1/2 is not an algebraic"):
             iso.check_perfection(cand)
@@ -680,7 +693,7 @@ class TestPerfection:
     def test_irrational_gram_form_raises(self):
         ds = load_dataset(default_corpus_dir() / "D10.json")
         ref = iso.block_ref(ds, 5, "B0")
-        ds.table.irreducibles[ref.irrs[-1]][0] = CycloNum.zeta(5)
+        ds.table.irreducibles[ref.block.irr_indices[-1]][0] = CycloNum.zeta(5)
         with pytest.raises(iso.IsometryError, match="not a rational number"):
             iso.search_perfect_isometries(ref, ref)
 
@@ -691,7 +704,7 @@ class TestPerfection:
         # = 1 + 5 * conj(-E(3)) = 6 + 5 E(3), is not rational
         ds = load_dataset(default_corpus_dir() / "D10.json")
         ref = iso.block_ref(ds, 5, "B0")
-        row = ds.table.irreducibles[ref.irrs[1]]
+        row = ds.table.irreducibles[ref.block.irr_indices[1]]
         row[1] = row[1] * CycloNum.zeta(3)
         with pytest.raises(iso.IsometryError) as exc:
             iso.search_perfect_isometries(ref, ref)
@@ -810,7 +823,7 @@ class TestPacking:
         pairs = [a5_d10] + [(iso.block_ref(corpus["F20"], p, "B0"),) * 2
                             for p in (2, 5)]
         for src, tgt in pairs:
-            n = len(src.irrs)
+            n = len(src.block.irr_indices)
             kernel = iso._PairKernel(src, tgt, itertools.product(range(n),
                                                                  repeat=2))
             kinds |= failure_kinds(kernel, n, keys(
@@ -827,8 +840,10 @@ class TestL0:
                 for b in partition_blocks(corpus[entry["name"]], p)
                 if b.defect > 0 and len(b.irr_indices) <= 4]
         cands = [iso.IsometryCandidate(s, t, perm, signs)
-                 for s in refs for t in refs if len(s.irrs) == len(t.irrs)
-                 for perm in itertools.permutations(range(len(s.irrs)))
+                 for s in refs for t in refs
+                 if len(s.block.irr_indices) == len(t.block.irr_indices)
+                 for perm in itertools.permutations(
+                     range(len(s.block.irr_indices)))
                  for signs in itertools.product((1, -1), repeat=len(perm))]
         verdicts = set()
         for cand in random.Random(20).sample(cands, 150):

@@ -1,8 +1,10 @@
 """Seeded single mutations of the shipped datasets and manifest.
 
-Each mutated input either loads, with its blocks and d^u computed at every
-prime, or ends in a data error (`DatasetError`, `BlockError`,
-`GendecError`), never in another exception.
+Each mutated input either loads and passes `GroupDataset.validate`, which
+computes what `validate` computes, or ends in a data error (`DatasetError`,
+`BlockError`, `GendecError`), never in another exception.  Each case is
+written to a directory of its own, under the file name it mutates, so that
+its messages name that file.
 """
 
 import copy
@@ -10,7 +12,7 @@ import json
 import random
 import shutil
 
-from conftest import c8_brauer_at_4
+from conftest import c8_brauer_at_4, merge_centralizer_blocks
 
 from charcond.blocks import BlockError
 from charcond.cyclo import cyclo_to_str, parse_cyclo
@@ -83,14 +85,12 @@ def get(data, path):
 
 
 def load_all(load, arg, expected=DATA_ERRORS):
-    """None if arg loads, with blocks and d^u at every prime, or ends in an
-    expected error; otherwise the escaping exception."""
+    """None if arg loads and validates, or ends in an expected error;
+    otherwise the escaping exception."""
     try:
         loaded = load(arg)
         for ds in loaded.values() if isinstance(loaded, dict) else [loaded]:
-            for p in ds.primes:
-                ds.blocks(p)
-                ds.gendec(p)
+            ds.validate()
     except expected:
         return None
     except Exception as ex:  # the escapes this test looks for
@@ -103,6 +103,18 @@ def negate_4b(data):
     and degrees still hold, but no character is trivial."""
     for row in data["irreducibles"]:
         row[3] = cyclo_to_str(-parse_cyclo(row[3]))
+
+
+def write_case(directory, name, data):
+    """data, bytes or JSON, as directory/name, in a new directory: a new
+    file costs far less than overwriting one on some file systems."""
+    directory.mkdir()
+    path = directory / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
+    return path
 
 
 def test_single_mutations_end_in_data_errors(tmp_path):
@@ -127,22 +139,18 @@ def test_single_mutations_end_in_data_errors(tmp_path):
                                           for k in (1, 3, 7, 9, 13))
     cases.append(("C4.json", long, "a denominator of about 5000 digits"))
     cases.append(("C8.json", c8_brauer_at_4(), "Brauer data under key 4"))
+    merged = copy.deepcopy(shipped["SL23.json"])
+    merge_centralizer_blocks(merged)
+    cases.append(("SL23.json", merged, "a centralizer's blocks merged"))
     escapes = []
-    for name, data, what in cases:
-        path = tmp_path / name
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
-            path.write_text(json.dumps(data))
-        ex = load_all(load_dataset, path)
+    for i, (name, data, what) in enumerate(cases):
+        ex = load_all(load_dataset, write_case(tmp_path / str(i), name, data))
         if ex is not None:
             escapes.append(f"{name}: {what}: {type(ex).__name__}: {ex}")
     assert not escapes
 
 
 def test_manifest_mutations_end_in_data_errors(tmp_path):
-    for name in ("C4.json", "S3.json"):
-        shutil.copy(default_corpus_dir() / name, tmp_path / name)
     c4 = {"name": "C4", "file": "C4.json", "primes": [2]}
     s3 = {"name": "S3", "file": "S3.json", "primes": [2, 3, 5]}
     manifest = {"format": 1, "groups": [c4, s3]}
@@ -160,13 +168,11 @@ def test_manifest_mutations_end_in_data_errors(tmp_path):
         json.dumps(manifest)[:30].encode(),
     ]
     escapes = []
-    for data in cases:
-        path = tmp_path / "manifest.json"
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
-            path.write_text(json.dumps(data))
-        ex = load_all(load_corpus, tmp_path)
+    for i, data in enumerate(cases):
+        path = write_case(tmp_path / str(i), "manifest.json", data)
+        for name in ("C4.json", "S3.json"):
+            shutil.copy(default_corpus_dir() / name, path.parent / name)
+        ex = load_all(load_corpus, path.parent)
         if ex is not None:
             escapes.append(f"{data}: {type(ex).__name__}: {ex}")
     assert not escapes

@@ -530,3 +530,28 @@ class TestIntegerValidation:
                     with pytest.raises(BlockError, match=r"^T\.ibr: rows are "
                                        r"linearly dependent$"):
                         validate_brauer(ds.table, bad, "T")
+
+    def test_merged_labels_are_not_one_linkage_class(self, corpus):
+        """Every shipped Brauer block passes; each of them with its first
+        two labels merged into one is refused, since no entry of D links
+        two p-blocks."""
+        merged = 0
+        for ds in all_datasets(corpus):
+            for p in ds.primes:
+                bd = ds.brauer(p)
+                validate_brauer(ds.table, bd, "T")
+                labels = list(dict.fromkeys(bd.block_of_irr))
+                if len(labels) < 2:
+                    continue
+                one = {labels[1]: labels[0]}
+                bad = BrauerData(p, bd.regular_classes, bd.ibr,
+                                 bd.decomposition,
+                                 [one.get(x, x) for x in bd.block_of_irr],
+                                 [one.get(x, x) for x in bd.block_of_ibr])
+                with pytest.raises(BlockError, match=(
+                        rf"^T: block '{labels[0]}' is not one linkage class "
+                        r"of the decomposition matrix \(irreducible \d+ not "
+                        r"linked to \d+\)$")):
+                    validate_brauer(ds.table, bad, "T")
+                merged += 1
+        assert merged == 22
